@@ -7,23 +7,22 @@
 Run it from the root of a checkout. It builds, offline and into
 $CARGO_TARGET_DIR (default: .bench_build), the `fleet` daemon through the
 root workspace and the `perfbench` binary through perfbench/Cargo.toml,
-the latter with the root workspace's [profile.release] settings. It then
-runs that binary under a wall-time cap, killing and reaping every process
-of the run if the cap is hit, and relays its output: a report
-line (host fingerprint, content digest, sample counts) and, last, the
-result line. The exit status is the binary's; a failed build, a missing
-program or a hang exits non-zero without a result line.
+whose [profile.release] repeats the root workspace's. It then runs that
+binary under a wall-time cap and relays its output: a report line (host
+fingerprint, content digest, sample counts) and, last, the result line.
+Every build and the run go in a process group of their own, killed and
+reaped on every way out: normal exit, the cap, or SIGTERM/SIGINT. The
+exit status is the binary's; a failed build, a missing program or a hang
+exits non-zero without a result line.
 """
 
 import argparse
-import hashlib
 import os
 import pathlib
 import signal
 import subprocess
 import sys
 import time
-import tomllib
 
 ROOT = pathlib.Path.cwd()
 BUILD_CAP_S = 850
@@ -40,73 +39,12 @@ def target_dir():
     return path if path.is_absolute() else ROOT / path
 
 
-def root_release_profile():
-    """The root workspace's [profile.release], as Cargo env overrides."""
-    with open(ROOT / "Cargo.toml", "rb") as f:
-        profile = tomllib.load(f).get("profile", {}).get("release", {})
-    env = {}
-    for key, value in profile.items():
-        if isinstance(value, dict):
-            continue
-        if isinstance(value, bool):
-            value = str(value).lower()
-        env["CARGO_PROFILE_RELEASE_" + key.upper().replace("-", "_")] = str(value)
-    return env
-
-
-def cargo(args, extra_env=None):
-    env = dict(os.environ, CARGO_TARGET_DIR=str(target_dir()), **(extra_env or {}))
-    try:
-        done = subprocess.run(
-            ["cargo", "build", "--release", "--offline", "--quiet", *args],
-            cwd=ROOT,
-            env=env,
-            stdout=sys.stderr,
-            timeout=BUILD_CAP_S,
-        )
-    except subprocess.TimeoutExpired:
-        fail(f"cargo build {' '.join(args)} exceeded {BUILD_CAP_S} s")
-    if done.returncode != 0:
-        fail(f"cargo build {' '.join(args)} failed", done.returncode or 2)
-
-
-def build():
-    if not (ROOT / "Cargo.toml").is_file() or not (ROOT / "crates").is_dir():
-        fail("run from the root of a checkout: the program's sources are not here")
-    cargo(["-p", "cosynth-fleet", "--bin", "fleet"])
-    cargo(["--manifest-path", "perfbench/Cargo.toml"], root_release_profile())
-    release = target_dir() / "release"
-    return release / "perfbench", release / "fleet"
-
-
-def output(cmd):
-    try:
-        return subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True).stdout.strip()
-    except OSError:
-        return ""
-
-
-def revision():
-    """The git revision, or a digest of the sources when there is no git."""
-    rev = output(["git", "rev-parse", "HEAD"]) if (ROOT / ".git").exists() else ""
-    if rev:
-        return rev
-    h = hashlib.sha256()
-    files = [ROOT / "Cargo.toml", ROOT / "Cargo.lock"]
-    for top in ("src", "crates", "perfbench"):
-        files += sorted(
-            p for p in (ROOT / top).rglob("*")
-            if p.is_file() and not {"target", "__pycache__", ".bench_out"} & set(p.parts)
-        )
-    for path in files:
-        if path.is_file():
-            h.update(str(path.relative_to(ROOT)).encode() + b"\0" + path.read_bytes())
-    return "src-" + h.hexdigest()[:16]
+RUNNING = []  # the process groups this script has started and not yet reaped
 
 
 def stop_group(proc):
-    """Kills the run's process group (benchmark and daemons) and waits until
-    no process of it is left."""
+    """Kills a process group this script started and waits until no
+    process of it is left."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -121,6 +59,47 @@ def stop_group(proc):
         time.sleep(0.05)
 
 
+def run_group(cmd, cap, **kwargs):
+    """Runs cmd in a process group of its own for at most cap seconds and
+    returns (exit status, stdout), or (None, None) when the cap is hit. The
+    whole group is killed and reaped on every path out."""
+    proc = subprocess.Popen(cmd, cwd=ROOT, start_new_session=True, **kwargs)
+    RUNNING.append(proc)
+    try:
+        out, _ = proc.communicate(timeout=cap)
+        return proc.returncode, out
+    except subprocess.TimeoutExpired:
+        return None, None
+    finally:
+        stop_group(proc)
+        RUNNING.remove(proc)
+
+
+def on_signal(signum, _frame):
+    for proc in list(RUNNING):
+        stop_group(proc)
+    fail(f"stopped by signal {signum}", 128 + signum)
+
+
+def cargo(args):
+    env = dict(os.environ, CARGO_TARGET_DIR=str(target_dir()))
+    cmd = ["cargo", "build", "--release", "--offline", "--quiet", *args]
+    status, _ = run_group(cmd, BUILD_CAP_S, env=env, stdout=sys.stderr)
+    if status is None:
+        fail(f"cargo build {' '.join(args)} exceeded {BUILD_CAP_S} s")
+    if status != 0:
+        fail(f"cargo build {' '.join(args)} failed", status or 2)
+
+
+def build():
+    if not (ROOT / "Cargo.toml").is_file() or not (ROOT / "crates").is_dir():
+        fail("run from the root of a checkout: the program's sources are not here")
+    cargo(["-p", "cosynth-fleet", "--bin", "fleet"])
+    cargo(["--manifest-path", "perfbench/Cargo.toml"])
+    release = target_dir() / "release"
+    return release / "perfbench", release / "fleet"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -129,6 +108,8 @@ def main():
     parser.add_argument("--trace", required=True, choices=["0", "1"])
     parser.add_argument("--smoke", action="store_true", help="tiny sizes, for the tests")
     args = parser.parse_args()
+    signal.signal(signal.SIGTERM, on_signal)
+    signal.signal(signal.SIGINT, on_signal)
 
     binary, fleet = build()
     cmd = [
@@ -138,26 +119,13 @@ def main():
         "--seconds", str(args.seconds),
         "--trace", args.trace,
         "--fleet", str(fleet),
-        "--rev", revision(),
-        "--rustc", output(["rustc", "-V"]) or "unknown",
     ] + (["--smoke"] if args.smoke else [])
-    proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True, start_new_session=True)
-
-    def on_signal(signum, _frame):
-        stop_group(proc)
-        fail(f"stopped by signal {signum}", 128 + signum)
-
-    signal.signal(signal.SIGTERM, on_signal)
-    signal.signal(signal.SIGINT, on_signal)
-    try:
-        stdout, _ = proc.communicate(timeout=RUN_CAP_S)
-    except subprocess.TimeoutExpired:
-        stop_group(proc)
+    status, stdout = run_group(cmd, RUN_CAP_S, stdout=subprocess.PIPE, text=True)
+    if status is None:
         fail(f"{args.workload} did not finish within {RUN_CAP_S} s; its processes were killed", 3)
-    stop_group(proc)
     sys.stdout.write(stdout)
     sys.stdout.flush()
-    sys.exit(proc.returncode)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 //! batch entry point `cosynth_fleet::run_case` with tracing off and
 //! timed from outside the call.
 
-use crate::stats;
+use crate::{probe, stats};
 use cosynth_fleet::{run_case, FleetConfig, Repair, SessionTuning, Synthesis, UseCase};
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -193,16 +193,10 @@ pub fn setup_seed(rep: usize) -> u64 {
 }
 
 /// Cold-engine set-up: a fresh `run_case` whose workers each run their
-/// first round, one session per family of the workload's rotation, at a
-/// seed outside the timed stream. Returns seconds and whether every
-/// set-up session met its contract.
+/// first session, at a seed outside the timed stream. Returns seconds
+/// and whether every set-up session met its contract.
 pub fn setup_once(spec: &BatchSpec, rep: usize) -> (f64, bool) {
-    let families = if spec.family.is_some() {
-        1
-    } else {
-        cosynth_fleet::family_names().len()
-    };
-    let (wall, rows) = timed_call(spec, setup_seed(rep), THREADS * families);
+    let (wall, rows) = timed_call(spec, setup_seed(rep), THREADS);
     (wall, rows.iter().all(|r| r.ok))
 }
 
@@ -225,6 +219,8 @@ pub struct Call {
     pub digest: String,
     /// Peak resident memory of the call's process, MB.
     pub peak_rss_mb: f64,
+    /// CPU seconds the call's process spent in the timed call.
+    pub cpu_s: f64,
 }
 
 impl Call {
@@ -236,7 +232,9 @@ impl Call {
         setup_rep: usize,
     ) -> Result<Call, String> {
         let (setup_s, setup_ok) = setup_once(spec, setup_rep);
+        let cpu0 = crate::cpu_s("/proc/self/stat")?;
         let (wall_s, rows) = timed_call(spec, seed, sessions);
+        let cpu_s = crate::cpu_s("/proc/self/stat")? - cpu0;
         Ok(Call {
             setup_s,
             setup_ok,
@@ -245,6 +243,7 @@ impl Call {
             failed: rows.iter().filter(|r| !r.ok).count(),
             digest: digest(&rows),
             peak_rss_mb: crate::peak_rss_mb("/proc/self/status")?,
+            cpu_s,
         })
     }
 
@@ -255,8 +254,8 @@ impl Call {
     /// The line a call process prints for its parent.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"setup_s\":{},\"setup_ok\":{},\"wall_s\":{},\"sessions\":{},\"failed\":{},\"digest\":\"{}\",\"peak_rss_mb\":{}}}",
-            self.setup_s, self.setup_ok, self.wall_s, self.sessions, self.failed, self.digest, self.peak_rss_mb
+            "{{\"setup_s\":{},\"setup_ok\":{},\"wall_s\":{},\"sessions\":{},\"failed\":{},\"digest\":\"{}\",\"peak_rss_mb\":{},\"cpu_s\":{}}}",
+            self.setup_s, self.setup_ok, self.wall_s, self.sessions, self.failed, self.digest, self.peak_rss_mb, self.cpu_s
         )
     }
 
@@ -278,7 +277,34 @@ impl Call {
                 _ => return None,
             },
             peak_rss_mb: num("peak_rss_mb")?,
+            cpu_s: num("cpu_s")?,
         })
+    }
+}
+
+/// The calls of an untraced phase, with the host speed around them.
+pub struct Calls {
+    pub calls: Vec<Call>,
+    /// Host-speed probe seconds before call 0, between calls, and after
+    /// the last call (one more than there are calls).
+    pub probes: Vec<f64>,
+}
+
+impl Calls {
+    /// How much slower than the reference the host ran during call `c`:
+    /// the scale of the mean of the probes either side of it.
+    pub fn scale(&self, c: usize) -> f64 {
+        probe::scale((self.probes[c] + self.probes[c + 1]) / 2.0)
+    }
+
+    /// Median over calls of `f(call) · scale^power`, each call's figure
+    /// quoted at the reference host speed (power 1 for rates, -1 for
+    /// times).
+    pub fn at_reference(&self, f: impl Fn(&Call) -> f64, power: i32) -> f64 {
+        let v: Vec<f64> = (0..self.calls.len())
+            .map(|c| f(&self.calls[c]) * self.scale(c).powi(power))
+            .collect();
+        stats::median(&v).unwrap_or(f64::NAN)
     }
 }
 
@@ -287,7 +313,8 @@ impl Call {
 /// [`MIN_CALLS`] calls and `min_rows` sessions have run — or `cap` is
 /// reached. Call `c` runs [`call_seed`]`(seed, c)`, or `seed` itself in
 /// every call when `repeat_seed` is set; its set-up round runs
-/// [`setup_seed`]`(c)`.
+/// [`setup_seed`]`(c)`. The host-speed probe runs in this process before,
+/// between and after the calls, never beside one.
 #[allow(clippy::too_many_arguments)]
 pub fn measure(
     exe: &Path,
@@ -298,13 +325,16 @@ pub fn measure(
     budget: Duration,
     min_rows: usize,
     cap: Duration,
-) -> Result<Vec<Call>, String> {
+) -> Result<Calls, String> {
     let start = Instant::now();
-    let mut calls: Vec<Call> = Vec::new();
+    let mut out = Calls {
+        calls: Vec::new(),
+        probes: vec![probe::measure()],
+    };
     loop {
-        let c = calls.len();
+        let c = out.calls.len();
         let call_seed = call_seed(seed, if repeat_seed { 0 } else { c });
-        let out = Command::new(exe)
+        let run = Command::new(exe)
             .args(["--workload", workload, "--seed"])
             .arg(call_seed.to_string())
             .arg("--call")
@@ -315,19 +345,62 @@ pub fn measure(
             .stderr(Stdio::inherit())
             .output()
             .map_err(|e| format!("cannot start a call process: {e}"))?;
-        let text = String::from_utf8_lossy(&out.stdout);
+        let text = String::from_utf8_lossy(&run.stdout);
         let call = text
             .lines()
             .last()
             .and_then(Call::from_json)
-            .filter(|_| out.status.success())
-            .ok_or_else(|| format!("call {c} failed ({}): {text}", out.status))?;
-        calls.push(call);
-        let rows: usize = calls.iter().map(|c| c.sessions).sum();
+            .filter(|_| run.status.success())
+            .ok_or_else(|| format!("call {c} failed ({}): {text}", run.status))?;
+        out.calls.push(call);
+        out.probes.push(probe::measure());
+        let rows: usize = out.calls.iter().map(|c| c.sessions).sum();
         let elapsed = start.elapsed();
-        let enough = elapsed >= budget && calls.len() >= MIN_CALLS && rows >= min_rows;
+        let enough = elapsed >= budget && out.calls.len() >= MIN_CALLS && rows >= min_rows;
         if enough || elapsed >= cap {
-            return Ok(calls);
+            return Ok(out);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn call(wall_s: f64, setup_s: f64) -> Call {
+        Call {
+            setup_s,
+            setup_ok: true,
+            wall_s,
+            sessions: 100,
+            failed: 0,
+            digest: "0".repeat(16),
+            peak_rss_mb: 8.0,
+            cpu_s: 2.0 * wall_s,
+        }
+    }
+
+    #[test]
+    fn each_call_is_quoted_at_the_reference_host_speed() {
+        // The host slowed to half the reference speed and recovered: a
+        // call is scaled by the probes either side of it, so the three
+        // calls, 2, 1.5 and 1 times slower than the reference, all read
+        // 100 sessions/s and 0.1 s of set-up at the reference speed.
+        let r = probe::REFERENCE_S;
+        let m = Calls {
+            calls: vec![call(2.0, 0.2), call(1.5, 0.15), call(1.0, 0.1)],
+            probes: vec![2.0 * r, 2.0 * r, r, r],
+        };
+        assert_eq!([m.scale(0), m.scale(1), m.scale(2)], [2.0, 1.5, 1.0]);
+        let rate = m.at_reference(Call::sessions_per_s, 1);
+        assert!((rate - 100.0).abs() < 1e-9, "{rate}");
+        let setup = m.at_reference(|c| c.setup_s, -1);
+        assert!((setup - 0.1).abs() < 1e-9, "{setup}");
+    }
+
+    #[test]
+    fn a_call_round_trips_through_its_json_line() {
+        let c = call(1.25, 0.003);
+        assert_eq!(Call::from_json(&c.to_json()), Some(c));
     }
 }

@@ -3,7 +3,6 @@
 //! ```text
 //! perfbench --workload <synth-batch|repair-as512|serve-open> --seed N
 //!           --seconds S --trace <0|1> [--fleet PATH] [--smoke]
-//!           [--rev REV] [--rustc VERSION]
 //! ```
 //!
 //! Normally started through `perfbench/run.py`, which builds this binary
@@ -16,6 +15,7 @@
 //! `README.md` next to this crate defines every metric.
 
 mod batch;
+mod probe;
 mod serve;
 mod stats;
 mod traced;
@@ -40,8 +40,6 @@ struct Args {
     trace: bool,
     fleet: PathBuf,
     smoke: bool,
-    rev: String,
-    rustc: String,
     /// Internal: run one timed batch call with this set-up repetition
     /// and print it (see `batch::Call`).
     call: Option<usize>,
@@ -56,8 +54,6 @@ fn parse_args() -> Result<Args, String> {
         trace: false,
         fleet: PathBuf::from("fleet"),
         smoke: false,
-        rev: "unknown".into(),
-        rustc: "unknown".into(),
         call: None,
         sessions: None,
     };
@@ -92,8 +88,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--fleet" => args.fleet = PathBuf::from(&value),
-            "--rev" => args.rev = value.clone(),
-            "--rustc" => args.rustc = value.clone(),
             "--call" => args.call = Some(value.parse().map_err(|_| bad("call"))?),
             "--sessions" => args.sessions = Some(value.parse().map_err(|_| bad("count"))?),
             _ => return Err(format!("unknown flag {flag}")),
@@ -118,6 +112,23 @@ pub fn peak_rss_mb(status_path: &str) -> Result<f64, String> {
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
         .ok_or_else(|| format!("{status_path}: no VmHWM line"))?;
     Ok(kb / 1024.0)
+}
+
+/// CPU seconds a process has run, all threads: `utime + stime` from a
+/// `/proc/<pid>/stat` file, in clock ticks of 1/100 s. The kernel leaves
+/// hypervisor steal out of it.
+pub fn cpu_s(stat_path: &str) -> Result<f64, String> {
+    let stat = std::fs::read_to_string(stat_path).map_err(|e| format!("{stat_path}: {e}"))?;
+    // The fields after the parenthesised command name start at field 3,
+    // so utime and stime (fields 14 and 15) are the 12th and 13th.
+    let fields: Vec<&str> = stat
+        .rsplit_once(')')
+        .map_or(vec![], |(_, rest)| rest.split_whitespace().collect());
+    let ticks = |i: usize| fields.get(i).and_then(|v| v.parse::<f64>().ok());
+    match (ticks(11), ticks(12)) {
+        (Some(user), Some(system)) => Ok((user + system) / 100.0),
+        _ => Err(format!("{stat_path}: no utime/stime")),
+    }
 }
 
 fn json_str(s: &str) -> String {
@@ -212,7 +223,7 @@ fn batch_calls(
     repeat_seed: bool,
     budget: f64,
     min_rows: usize,
-) -> Result<Vec<batch::Call>, String> {
+) -> Result<batch::Calls, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot find this binary: {e}"))?;
     batch::measure(
         &exe,
@@ -234,15 +245,24 @@ fn list_note(values: impl Iterator<Item = f64>) -> String {
 }
 
 fn batch_untraced(args: &Args, out: &mut Outcome) -> Result<(), String> {
-    let calls = batch_calls(args, false, args.seconds, min_rows(args))?;
-    let of = |f: fn(&batch::Call) -> f64| calls.iter().map(f).collect::<Vec<f64>>();
+    let m = batch_calls(args, false, args.seconds, min_rows(args))?;
+    let calls = &m.calls;
     out.metric(
         "sessions_per_s",
-        median(&of(batch::Call::sessions_per_s)),
+        m.at_reference(batch::Call::sessions_per_s, 1),
         "sessions/s",
     );
-    out.metric("setup_s", median(&of(|c| c.setup_s)), "s");
-    out.metric("peak_rss_mb", median(&of(|c| c.peak_rss_mb)), "MB");
+    out.metric("setup_s", m.at_reference(|c| c.setup_s, -1), "s");
+    out.metric(
+        "peak_rss_mb",
+        median(&calls.iter().map(|c| c.peak_rss_mb).collect::<Vec<_>>()),
+        "MB",
+    );
+    out.metric(
+        "cpu_ms_per_session",
+        m.at_reference(|c| c.cpu_s * 1e3 / c.sessions as f64, -1),
+        "ms",
+    );
     out.attempted = calls.iter().map(|c| c.sessions).sum();
     out.failed = calls.iter().map(|c| c.failed).sum();
     let setup_failures = calls.iter().filter(|c| !c.setup_ok).count();
@@ -255,9 +275,15 @@ fn batch_untraced(args: &Args, out: &mut Outcome) -> Result<(), String> {
         list_note(calls.iter().map(batch::Call::sessions_per_s)),
     );
     out.note("call_setup_s", list_note(calls.iter().map(|c| c.setup_s)));
+    out.note("call_cpu_s", list_note(calls.iter().map(|c| c.cpu_s)));
     out.note(
         "call_peak_rss_mb",
         list_note(calls.iter().map(|c| c.peak_rss_mb)),
+    );
+    out.note("probe_s", list_note(m.probes.iter().copied()));
+    out.note(
+        "host_scale",
+        list_note((0..calls.len()).map(|c| m.scale(c))),
     );
     Ok(())
 }
@@ -267,7 +293,7 @@ fn batch_traced(args: &Args, out: &mut Outcome) -> Result<(), String> {
     let sessions = sessions_per_call(args, &spec);
     // The untraced base repeats call 0, the sessions the traced pass
     // runs, so the overhead ratio compares equal work.
-    let base = batch_calls(args, true, args.seconds / 2.0, 0)?;
+    let base = batch_calls(args, true, args.seconds / 2.0, 0)?.calls;
     let jobs: Vec<traced::Job> = (0..sessions)
         .map(|index| traced::Job {
             kind: spec.kind,
@@ -450,27 +476,39 @@ fn layer_metrics(out: &mut Outcome, pass: &traced::TracedPass) {
     });
 }
 
-/// Starts a daemon and drains its warm-up batches: the set-up time.
+/// Starts a daemon and drains its warm-up batches: the set-up time, s.
 fn start_daemon(args: &Args, rep: usize) -> Result<(serve::Daemon, f64), String> {
     let daemon = serve::Daemon::spawn(&args.fleet)?;
     let setup = serve::warm_up(&daemon, daemon.started, batch::setup_seed(rep))?;
     Ok((daemon, setup))
 }
 
-/// Runs one rung of `windows` windows; each window holds the arrivals
-/// one p99 needs (ten beyond it), or 8 in smoke runs.
+/// Runs one rung of `windows` windows, each on a fresh connection and
+/// holding the arrivals one p99 needs (ten beyond it), or 8 in smoke
+/// runs. With `probes`, the host-speed probe runs after every window.
 fn run_rate(
     args: &Args,
     daemon: &serve::Daemon,
     rate: f64,
     windows: usize,
+    mut probes: Option<&mut Vec<f64>>,
 ) -> Result<serve::Point, String> {
     let window = if args.smoke {
         8
     } else {
         stats::min_samples(99)
     };
-    serve::run_point(daemon.addr, rate, window, windows, args.seed)
+    let mut parts = Vec::with_capacity(windows);
+    for w in 0..windows {
+        let cpu0 = daemon.cpu_s()?;
+        let mut part = serve::run_window(daemon.addr, rate, window, w * window, args.seed)?;
+        part.cpu_s = vec![daemon.cpu_s()? - cpu0];
+        parts.push(part);
+        if let Some(probes) = probes.as_deref_mut() {
+            probes.push(probe::measure());
+        }
+    }
+    Ok(serve::Point::join(parts))
 }
 
 fn point_note(p: &serve::Point) -> String {
@@ -489,7 +527,7 @@ fn point_note(p: &serve::Point) -> String {
         p.spans.len(),
         p.spans.len() / p.window,
         p.window,
-        p.achieved,
+        p.achieved(),
         p.latency_ms(50),
         p.latency_ms(99),
         list(p.window_percentiles(99)),
@@ -522,15 +560,25 @@ fn check_point(out: &mut Outcome, p: &serve::Point) {
     }
 }
 
-fn serve_digest(points: &[&serve::Point]) -> String {
-    let lines: Vec<String> = points.iter().flat_map(|p| p.content_lines()).collect();
+/// The serve digest: the content of the first window of `low` and of
+/// `high`, which the untraced and the traced run both serve.
+fn serve_digest(low: &serve::Point, high: &serve::Point) -> String {
+    let lines: Vec<String> = [low, high]
+        .iter()
+        .flat_map(|p| p.content_lines().into_iter().take(p.window))
+        .collect();
     stats::digest(lines.iter().map(String::as_str))
 }
 
 fn serve_untraced(args: &Args, out: &mut Outcome) -> Result<(), String> {
+    // The host-speed probe runs before every cold start, before the
+    // ladder and after every window, never beside the daemon's work.
+    // Each gated time is scaled by the probes either side of it.
+    let mut probes = Vec::new();
     let mut setups = Vec::new();
     let mut daemon = None;
     for rep in 0..serve::SETUP_REPS {
+        probes.push(probe::measure());
         let (d, setup) = start_daemon(args, rep)?;
         setups.push(setup);
         if rep + 1 < serve::SETUP_REPS {
@@ -544,11 +592,12 @@ fn serve_untraced(args: &Args, out: &mut Outcome) -> Result<(), String> {
     // `low` and `high` always run; the rungs above them stop at the
     // first rung that misses the limit.
     let mut ladder: Vec<serve::Point> = Vec::new();
+    probes.push(probe::measure());
     for rate in serve::LADDER {
         if rate > serve::HIGH_RATE && !ladder.iter().all(serve::Point::meets_slo) {
             break;
         }
-        let p = run_rate(args, &daemon, rate, windows)?;
+        let p = run_rate(args, &daemon, rate, windows, Some(&mut probes))?;
         check_point(out, &p);
         ladder.push(p);
     }
@@ -560,9 +609,25 @@ fn serve_untraced(args: &Args, out: &mut Outcome) -> Result<(), String> {
         .last()
         .map_or(0.0, |p| p.rate);
     let (low, high) = (&ladder[0], &ladder[1]);
-    out.metric("sessions_per_s", high.achieved, "sessions/s");
-    out.metric("setup_s", median(&setups), "s");
+    // Probe `i` runs before cold start `i`; probe `setups.len() + w` runs
+    // before window `w` of the ladder.
+    let scale = |i: usize| probe::scale((probes[i] + probes[i + 1]) / 2.0);
+    let setups_at_reference: Vec<f64> = (0..setups.len()).map(|i| setups[i] / scale(i)).collect();
+    out.metric("sessions_per_s", high.achieved(), "sessions/s");
+    out.metric("setup_s", median(&setups_at_reference), "s");
     out.metric("peak_rss_mb", rss, "MB");
+    // The daemon's CPU per session over every window of `low` and `high`.
+    let cpu_at_reference: Vec<f64> = [low, high]
+        .iter()
+        .flat_map(|p| p.cpu_s.iter().map(move |c| c * 1e3 / p.window as f64))
+        .enumerate()
+        .map(|(w, ms)| ms / scale(setups.len() + w))
+        .collect();
+    out.metric("cpu_ms_per_session", median(&cpu_at_reference), "ms");
+    out.note(
+        "window_cpu_s",
+        list_note(low.cpu_s.iter().chain(&high.cpu_s).copied()),
+    );
     out.note("latency_ms_p50.low", window_note(low, 50));
     out.note("latency_ms_p99.low", window_note(low, 99));
     out.note("latency_ms_p50.high", window_note(high, 50));
@@ -570,7 +635,7 @@ fn serve_untraced(args: &Args, out: &mut Outcome) -> Result<(), String> {
     out.note("max_qps_under_slo", max_qps.to_string());
     out.attempted = low.spans.len() + high.spans.len();
     out.failed = low.failed + high.failed;
-    out.note("digest", json_str(&serve_digest(&[low, high])));
+    out.note("digest", json_str(&serve_digest(low, high)));
     out.note(
         "points",
         format!(
@@ -579,32 +644,24 @@ fn serve_untraced(args: &Args, out: &mut Outcome) -> Result<(), String> {
         ),
     );
     out.note("setup_reps", setups.len().to_string());
+    out.note("call_setup_s", list_note(setups.iter().copied()));
+    out.note("host_scale", list_note((0..probes.len() - 1).map(scale)));
+    out.note("probe_s", list_note(probes.iter().copied()));
     Ok(())
 }
 
-/// The low and high points, one window each, on a fresh daemon.
-fn serve_pair(args: &Args) -> Result<(serve::Point, serve::Point), String> {
-    let (daemon, _) = start_daemon(args, 0)?;
-    let low = run_rate(args, &daemon, serve::LOW_RATE, 1)?;
-    let high = run_rate(args, &daemon, serve::HIGH_RATE, 1)?;
-    daemon.shutdown()?;
-    Ok((low, high))
-}
-
 fn serve_traced(args: &Args, out: &mut Outcome) -> Result<(), String> {
-    let (base_low, base_high) = serve_pair(args)?;
-    let (low, high) = serve_pair(args)?;
-    for p in [&base_low, &base_high, &low, &high] {
+    let (daemon, _) = start_daemon(args, 0)?;
+    let low = run_rate(args, &daemon, serve::LOW_RATE, 1, None)?;
+    let high = run_rate(args, &daemon, serve::HIGH_RATE, 1, None)?;
+    daemon.shutdown()?;
+    for p in [&low, &high] {
         check_point(out, p);
     }
-    let base_digest = serve_digest(&[&base_low, &base_high]);
-    let digest = serve_digest(&[&low, &high]);
-    out.check(digest == base_digest, || {
-        format!("the traced run's digest {digest} differs from the untraced {base_digest}")
-    });
 
-    // The served requests' sessions, replayed in process through the
-    // traced pass: the model wrapper and the substrate calls.
+    // The first served requests, run again in process through the
+    // traced pass: the model wrapper and the substrate calls. Their
+    // content must match the daemon's untraced answers.
     let jobs: Vec<traced::Job> = (0..SERVE_REPLAY.min(low.spans.len()))
         .map(|k| {
             let a = serve::arrival(k, args.seed);
@@ -617,14 +674,18 @@ fn serve_traced(args: &Args, out: &mut Outcome) -> Result<(), String> {
         .collect();
     let pass = traced::run(&jobs, &cosynth_fleet::SessionTuning::default(), 1);
     let replayed: Vec<String> = pass.rows.iter().map(|r| r.content_line()).collect();
-    out.check(
-        replayed[..] == low.content_lines()[..replayed.len()],
-        || "in-process sessions differ from the daemon's answers to the same requests".into(),
-    );
+    let served = &low.content_lines()[..replayed.len()];
+    let traced_digest = stats::digest(replayed.iter().map(String::as_str));
+    let served_digest = stats::digest(served.iter().map(String::as_str));
+    out.check(traced_digest == served_digest, || {
+        format!(
+            "the traced sessions' digest {traced_digest} differs from the daemon's {served_digest} for the same requests"
+        )
+    });
     layer_metrics(out, &pass);
 
-    let served = [&low, &high];
-    let results = || served.iter().flat_map(|p| p.results.iter().flatten());
+    let points = [&low, &high];
+    let results = || points.iter().flat_map(|p| p.results.iter().flatten());
     let walls: Vec<f64> = results().map(|r| r.wall_ms).collect();
     out.pct("cosynth.session_ms_p50", &walls, 50, "ms");
     out.pct("cosynth.session_ms_p90", &walls, 90, "ms");
@@ -648,34 +709,33 @@ fn serve_traced(args: &Args, out: &mut Outcome) -> Result<(), String> {
             .sum(),
         "count",
     );
-    let wait: Vec<f64> = served.iter().flat_map(|p| p.wait_ms()).collect();
+    let wait: Vec<f64> = points.iter().flat_map(|p| p.wait_ms()).collect();
     out.pct("cosynth-fleet.wait_ms_p50", &wait, 50, "ms");
     out.pct("cosynth-fleet.wait_ms_p99", &wait, 99, "ms");
-    let late = served.iter().flat_map(|p| p.late_ms()).fold(0.0, f64::max);
+    let late = points.iter().flat_map(|p| p.late_ms()).fold(0.0, f64::max);
     out.metric("client.late_ms_max", late, "ms");
-    out.metric(
-        "trace.overhead",
-        high.achieved / base_high.achieved,
-        "ratio",
+    // Tracing happens in process only, so its overhead is the traced
+    // session rate over the daemon's untraced rate for the same sessions.
+    let untraced_ms = median(
+        &low.results[..replayed.len()]
+            .iter()
+            .flatten()
+            .map(|r| r.wall_ms)
+            .collect::<Vec<_>>(),
     );
-    out.attempted = [&base_low, &base_high, &low, &high]
-        .iter()
-        .map(|p| p.spans.len())
-        .sum::<usize>()
-        + pass.rows.len();
-    out.failed = [&base_low, &base_high, &low, &high]
-        .iter()
-        .map(|p| p.failed)
-        .sum::<usize>()
-        + pass.rows.iter().filter(|r| !r.ok).count();
+    let traced_ms = median(&pass.rows.iter().map(|r| r.wall_ms).collect::<Vec<_>>());
+    out.metric("trace.overhead", untraced_ms / traced_ms, "ratio");
+    out.attempted = low.spans.len() + high.spans.len() + pass.rows.len();
+    out.failed = low.failed + high.failed + pass.rows.iter().filter(|r| !r.ok).count();
     out.note(
         "trace_overhead_bases",
         format!(
-            "{{\"traced_achieved_high\":{},\"untraced_achieved_high\":{}}}",
-            high.achieved, base_high.achieved
+            "{{\"traced_sessions_per_s\":{},\"untraced_sessions_per_s\":{}}}",
+            1e3 / traced_ms,
+            1e3 / untraced_ms
         ),
     );
-    out.note("digest", json_str(&digest));
+    out.note("digest", json_str(&serve_digest(&low, &high)));
     out.note(
         "points",
         format!("[{},{}]", point_note(&low), point_note(&high)),
@@ -716,7 +776,22 @@ fn client_spans(points: &[&serve::Point]) -> String {
     text
 }
 
-fn host_note(args: &Args) -> String {
+/// First line a command prints, or `unknown` when it cannot run (a
+/// checkout without git has no revision).
+fn command_line(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|t| t.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The host fingerprint: core count, CPU model, compiler, git revision.
+fn host_note() -> String {
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|t| {
@@ -729,8 +804,8 @@ fn host_note(args: &Args) -> String {
     format!(
         "{{\"nproc\":{nproc},\"cpu\":{},\"rustc\":{},\"rev\":{}}}",
         json_str(&cpu),
-        json_str(&args.rustc),
-        json_str(&args.rev)
+        json_str(&command_line("rustc", &["-V"])),
+        json_str(&command_line("git", &["rev-parse", "HEAD"]))
     )
 }
 
@@ -786,7 +861,7 @@ fn main() {
         ("trace".to_string(), u8::from(args.trace).to_string()),
         ("smoke".to_string(), args.smoke.to_string()),
         ("threads".to_string(), batch::THREADS.to_string()),
-        ("host".to_string(), host_note(&args)),
+        ("host".to_string(), host_note()),
         (
             "failed_share".to_string(),
             (out.failed as f64 / out.attempted.max(1) as f64).to_string(),

@@ -1,9 +1,10 @@
 //! The `serve-open` workload: a `fleet --serve --listen` daemon in its
 //! own process, driven open-loop over its JSONL socket protocol.
 //!
-//! Arrival `k` of a point at `rate`/s is due at `t0 + k/rate`, whether or
+//! A rung of the ladder is a run of windows, each on a fresh connection.
+//! Arrival `i` of a window at `rate`/s is due at `t0 + i/rate`, whether or
 //! not earlier answers have come back; one sender thread writes the
-//! single-session requests on one connection and one reader thread
+//! single-session requests on the connection and one reader thread
 //! timestamps every line the daemon writes back. Latency runs from an
 //! arrival's due time to its `{"event":"batch"}` line, so a stalled
 //! sender or daemon charges its delay to every arrival behind it.
@@ -76,7 +77,9 @@ pub fn due(k: usize, rate: f64) -> Duration {
 /// Windows per ladder rung for a run of `seconds`: each window is
 /// `window` consecutive arrivals, and a rung's percentiles are medians
 /// over its windows, so one stalled stretch of a noisy host cannot
-/// decide them. Odd, so the median is a window's own value.
+/// decide them. Odd, so the median is a window's own value. The host-
+/// speed probe runs between windows, so each can be quoted at the
+/// reference speed.
 pub fn windows_for(seconds: f64, window: usize) -> usize {
     let per_window: f64 = LADDER.iter().map(|r| window as f64 / r).sum();
     let w = ((seconds / per_window).round() as usize).clamp(1, 5);
@@ -164,6 +167,11 @@ impl Daemon {
                 return Ok(daemon);
             }
         }
+    }
+
+    /// CPU seconds the daemon has run so far.
+    pub fn cpu_s(&self) -> Result<f64, String> {
+        crate::cpu_s(&format!("/proc/{}/stat", self.child.id()))
     }
 
     /// Peak resident memory of the daemon so far, MB (`VmHWM`).
@@ -285,25 +293,49 @@ impl ResultLine {
     }
 }
 
-/// What one load point measured.
+/// What one load point measured: one window, or a rung of them.
 #[derive(Clone, Debug)]
 pub struct Point {
     pub rate: f64,
     /// Arrivals per window (see [`windows_for`]).
     pub window: usize,
+    /// Every arrival's spans, each window's from its own start.
     pub spans: Vec<Spans>,
     pub results: Vec<Option<ResultLine>>,
     /// Arrivals without exactly one clean batch line (shed, failed, no
     /// answer, or answered twice).
     pub failed: usize,
     pub shed: usize,
-    /// Completions per second, point start to last batch line.
-    pub achieved: f64,
+    /// Summed over windows: window start to its last batch line.
+    pub elapsed: Duration,
+    /// Per window, the daemon's CPU seconds while it ran, when measured.
+    pub cpu_s: Vec<f64>,
     /// Protocol problems (each fails the run).
     pub problems: Vec<String>,
 }
 
 impl Point {
+    /// The windows of one rung, in order, as one point.
+    pub fn join(windows: Vec<Point>) -> Point {
+        let mut it = windows.into_iter();
+        let mut rung = it.next().expect("a rung has a window");
+        for w in it {
+            rung.spans.extend(w.spans);
+            rung.results.extend(w.results);
+            rung.failed += w.failed;
+            rung.shed += w.shed;
+            rung.elapsed += w.elapsed;
+            rung.cpu_s.extend(w.cpu_s);
+            rung.problems.extend(w.problems);
+        }
+        rung
+    }
+
+    /// Completions per second while the windows ran.
+    pub fn achieved(&self) -> f64 {
+        (self.spans.len() - self.failed) as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
+
     /// Every arrival's latency; an unanswered one counts as infinite.
     pub fn latencies_ms(&self) -> Vec<f64> {
         latencies(&self.spans)
@@ -340,7 +372,7 @@ impl Point {
         self.failed == 0
             && self.shed == 0
             && self.latency_ms(99) <= P99_LIMIT_MS
-            && self.achieved >= KEEP_UP * self.rate
+            && self.achieved() >= KEEP_UP * self.rate
     }
 
     pub fn content_lines(&self) -> Vec<String> {
@@ -361,34 +393,35 @@ fn latencies(spans: &[Spans]) -> Vec<f64> {
         .collect()
 }
 
-fn request_line(k: usize, base: u64) -> String {
+/// Arrival `k`'s request, tagged with its place `i` on the connection.
+fn request_line(k: usize, i: usize, base: u64) -> String {
     let a = arrival(k, base);
     format!(
-        "{{\"use_case\":\"{}\",\"seed\":{},\"count\":1,\"families\":\"{}\",\"client\":\"perfbench\",\"tag\":\"b{k}\"}}",
+        "{{\"use_case\":\"{}\",\"seed\":{},\"count\":1,\"families\":\"{}\",\"client\":\"perfbench\",\"tag\":\"b{i}\"}}",
         a.kind.name(),
         a.seed,
         a.family
     )
 }
 
-/// Runs one open-loop point of `windows × window` arrivals at `rate` on
-/// a fresh connection, then half-closes and waits for every answer and
-/// the connection's drain line.
-pub fn run_point(
+/// Runs one open-loop window of `window` arrivals at `rate`, arrivals
+/// `first ..` of the rung, on a fresh connection, then half-closes and
+/// waits for every answer and the connection's drain line.
+pub fn run_window(
     addr: SocketAddr,
     rate: f64,
     window: usize,
-    windows: usize,
+    first: usize,
     base: u64,
 ) -> Result<Point, String> {
-    let n = window * windows;
+    let n = window;
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream.set_nodelay(true).map_err(|e| e.to_string())?;
     let read_half = stream.try_clone().map_err(|e| e.to_string())?;
     read_half
         .set_read_timeout(Some(PATIENCE))
         .map_err(|e| e.to_string())?;
-    let lines: Vec<String> = (0..n).map(|k| request_line(k, base)).collect();
+    let lines: Vec<String> = (0..n).map(|i| request_line(first + i, i, base)).collect();
     // Start a little ahead so the first arrival is not late by the
     // reader thread's start-up.
     let t0 = Instant::now() + Duration::from_millis(5);
@@ -428,14 +461,15 @@ pub fn run_point(
     if let Some(e) = send_error {
         return Err(e);
     }
-    Ok(collate(rate, window, spans, &got, base))
+    Ok(collate(rate, first, spans, &got, base))
 }
 
-/// Attributes the daemon's lines to arrivals: on one connection each
-/// one-session batch writes its result line, then its batch line.
+/// Attributes the daemon's lines to the window's arrivals (`first ..` of
+/// the rung): on one connection each one-session batch writes its result
+/// line, then its batch line.
 fn collate(
     rate: f64,
-    window: usize,
+    first: usize,
     mut spans: Vec<Spans>,
     got: &[(Duration, String)],
     base: u64,
@@ -470,7 +504,7 @@ fn collate(
                 spans[k].batch = Some(*at);
                 if let Some((when, result)) = pending.take() {
                     spans[k].result = Some(when);
-                    results[k] = Some(ResultLine::parse(&result, arrival(k, base).seed));
+                    results[k] = Some(ResultLine::parse(&result, arrival(first + k, base).seed));
                 }
             }
             Some(Json::Str(e)) if e == "drain" => drain = Some(v),
@@ -499,10 +533,13 @@ fn collate(
             failed += 1;
         }
         if answers[k] > 1 {
-            problems.push(format!("arrival {k} answered {} times", answers[k]));
+            problems.push(format!(
+                "arrival {} answered {} times",
+                first + k,
+                answers[k]
+            ));
         }
     }
-    let completed = n - failed;
     let last = spans
         .iter()
         .filter_map(|s| s.batch)
@@ -510,8 +547,9 @@ fn collate(
         .unwrap_or_default();
     Point {
         rate,
-        window,
-        achieved: completed as f64 / last.as_secs_f64().max(1e-9),
+        window: n,
+        elapsed: last,
+        cpu_s: Vec::new(),
         spans,
         results,
         failed,
@@ -651,7 +689,7 @@ mod tests {
             (at(16), batch(1)),
             (at(30), drain.to_string()),
         ];
-        let p = collate(100.0, 3, spans, &got, 10);
+        let p = collate(100.0, 0, spans, &got, 10);
         assert_eq!(p.failed, 2, "arrival 1 answered twice, arrival 2 never");
         assert!(
             p.problems.iter().any(|m| m.contains("answered 2 times")),
@@ -666,5 +704,43 @@ mod tests {
             f64::INFINITY,
             "an unanswered arrival misses every limit"
         );
+    }
+
+    #[test]
+    fn a_rung_joins_its_windows_in_order() {
+        // Two windows of two arrivals at 100/s, the second one arrivals
+        // 2 and 3 of the rung: content seeds continue, and the rung's
+        // rate is its completions over the windows' summed time.
+        let window = |first: usize, answered: usize| {
+            let spans: Vec<Spans> = (0..2)
+                .map(|i| Spans {
+                    due: due(i, 100.0),
+                    sent: Some(due(i, 100.0)),
+                    ..Spans::default()
+                })
+                .collect();
+            let mut got = Vec::new();
+            for i in 0..answered {
+                let at = Duration::from_millis(10 * i as u64 + 5);
+                got.push((at, "{\"use_case\":\"repair\",\"session\":3,\"repaired\":true,\"rounds\":1,\"outcome\":\"completed\"}".to_string()));
+                got.push((at, format!("{{\"event\":\"batch\",\"completed\":1,\"failed\":0,\"shed\":0,\"tag\":\"b{i}\"}}")));
+            }
+            got.push((
+                Duration::from_millis(40),
+                "{\"event\":\"drain\",\"submitted\":2,\"accounted\":true}".to_string(),
+            ));
+            collate(100.0, first, spans, &got, 50)
+        };
+        let rung = Point::join(vec![window(0, 2), window(2, 1)]);
+        assert_eq!(rung.spans.len(), 4);
+        assert_eq!(rung.failed, 1, "the last arrival went unanswered");
+        assert_eq!(rung.elapsed, Duration::from_millis(15 + 5));
+        assert!((rung.achieved() - 3.0 / 0.020).abs() < 1e-6);
+        assert!(
+            rung.content_lines()[2].contains("seed=52"),
+            "{:?}",
+            rung.content_lines()
+        );
+        assert_eq!(rung.window_percentiles(50).len(), 2, "one per window");
     }
 }

@@ -4,7 +4,8 @@
 
 Run from the root of a checkout. Every workload runs tiny (`--smoke`) in
 both modes, and the result line must carry exactly the metrics that
-BENCHMARK.json names for that mode, each with its unit.
+BENCHMARK.json names for that mode, each with its unit. The benchmark's
+release profile must match the root workspace's.
 """
 
 import json
@@ -13,6 +14,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tomllib
 import unittest
 
 ROOT = pathlib.Path.cwd()
@@ -27,6 +29,14 @@ def run(*args, cwd=ROOT):
         text=True,
         timeout=1200,
     )
+
+
+class ReleaseProfile(unittest.TestCase):
+    def test_the_benchmark_builds_with_the_root_release_profile(self):
+        def release(path):
+            return tomllib.loads(path.read_text())["profile"]["release"]
+
+        self.assertEqual(release(ROOT / "perfbench" / "Cargo.toml"), release(ROOT / "Cargo.toml"))
 
 
 class SmokeRun(unittest.TestCase):
