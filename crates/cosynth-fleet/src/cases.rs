@@ -10,9 +10,8 @@ use crate::{bench_prelude, family_of, FleetReport, SessionTuning, UseCase};
 use cosynth::session::RetryPolicy;
 use cosynth::{FamilyRow, Modularizer, RepairSession, SynthesisSession, VerifierContext};
 use criterion::SampleStats;
-use llm_sim::synth_task::SynthesisDraft;
 use llm_sim::CostLedger;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Instant;
 use telemetry::SessionTrace;
 use topo_model::json::ObjBuilder;
@@ -334,17 +333,12 @@ impl UseCase for Synthesis {
 
 /// Renders the known-good config for every internal router of a
 /// scenario (the snapshot `fault-inject` breaks and the fixed point a
-/// repair session should restore).
+/// repair session should restore), from scratch on every call. Repair
+/// jobs take the same texts from
+/// [`VerifierContext::reference_snapshot`], which renders them through
+/// the same [`cosynth::reference_configs`] once per network per worker.
 pub fn clean_configs_for(scenario: &Scenario) -> BTreeMap<String, String> {
-    Modularizer::assign_scenario(scenario)
-        .iter()
-        .map(|a| {
-            (
-                a.name.clone(),
-                SynthesisDraft::new(&a.prompt, BTreeSet::new()).render(),
-            )
-        })
-        .collect()
+    cosynth::reference_configs(&Modularizer::assign_scenario(scenario))
 }
 
 /// The deterministic fault-stream seed for repair session `index` of
@@ -410,7 +404,8 @@ impl RepairSessionResult {
 /// under the fleet's robustness tuning: scenario `index` of stream
 /// `seed`, broken by its deterministic fault, repaired by the
 /// paper-calibrated simulated model with the repair error-model
-/// pathologies.
+/// pathologies. The known-good snapshot and its fault sites come from
+/// the context, so a worker renders and parses each network once.
 pub fn run_repair_session_tuned(
     seed: u64,
     index: usize,
@@ -418,8 +413,10 @@ pub fn run_repair_session_tuned(
     tuning: &SessionTuning,
 ) -> RepairSessionResult {
     let scenario = crate::scenario_for_tuned(seed, index, tuning);
-    let configs = clean_configs_for(&scenario);
-    let injection = fault_inject::inject(&configs, fault_seed(seed, index))
+    let reference = ctx.reference_snapshot(&scenario);
+    let injection = reference
+        .sites
+        .inject(&reference.configs, fault_seed(seed, index))
         .expect("every rendered snapshot has an applicable fault class");
     let llm_seed = seed
         .wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
@@ -771,6 +768,7 @@ impl UseCase for Repair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn single_session_runs_end_to_end() {

@@ -11,12 +11,14 @@
 //!   simulate), aggregated into leverage ratios, fault-survival counts,
 //!   and convergence rounds per topology family
 //!   (`BENCH_scenarios.json`).
-//! * [`cases::Repair`]: each session renders the scenario's known-good
-//!   configs, lets `fault-inject` break exactly one router, and drives
-//!   `cosynth::RepairSession` — localize via the verifier channels,
-//!   prompt, re-verify — aggregating repair rate, localization
-//!   precision, and rounds-to-fix per fault class × topology family
-//!   (`BENCH_repair.json`).
+//! * [`cases::Repair`]: each session takes the scenario's known-good
+//!   configs and their fault sites from the worker's context
+//!   ([`VerifierContext::reference_snapshot`], rendered and parsed once
+//!   per network per worker), lets `fault-inject` break exactly one
+//!   router, and drives `cosynth::RepairSession` — localize via the
+//!   verifier channels, prompt, re-verify — aggregating repair rate,
+//!   localization precision, and rounds-to-fix per fault class ×
+//!   topology family (`BENCH_repair.json`).
 //!
 //! Workers are **resident**: each owns a [`VerifierContext`] whose
 //! manager pool recycles BDD tables across every session the worker
@@ -168,22 +170,27 @@ pub fn family_of(index: usize) -> &'static str {
     }
 }
 
+/// The paper's star scenario for session `index` of stream `seed`: 3..=8
+/// edges, seeded like the generated families.
+fn star_scenario(seed: u64, index: usize) -> Scenario {
+    let n = 3 + llm_sim::rng::SimRng::seed_from_u64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(index as u64),
+    )
+    .index(6);
+    let (topology, roles) = topo_model::star(n);
+    let mut s = Modularizer::star_scenario(&topology, &roles);
+    s.name = format!("star-no-transit-s{seed}-i{index}");
+    s
+}
+
 /// The scenario session `index` of stream `seed` runs. Indices rotate
 /// through all six families; the star family sizes its edge count from
 /// the same per-index stream the generator uses.
 pub fn scenario_for(seed: u64, index: usize) -> Scenario {
     let n_families = scenario_gen::FAMILIES.len() + 1;
     if index % n_families == scenario_gen::FAMILIES.len() {
-        // The star: 3..=8 edges, seeded like the generated families.
-        let n = 3 + llm_sim::rng::SimRng::seed_from_u64(
-            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(index as u64),
-        )
-        .index(6);
-        let (topology, roles) = topo_model::star(n);
-        let mut s = Modularizer::star_scenario(&topology, &roles);
-        s.name = format!("star-no-transit-s{seed}-i{index}");
-        s
+        star_scenario(seed, index)
     } else {
         // Collapse the index space onto the generator's 5-family
         // rotation: star slots sit at index ≡ 5 (mod 6), so dropping
@@ -199,17 +206,7 @@ pub fn scenario_for(seed: u64, index: usize) -> Scenario {
 /// stream index; otherwise the default rotation applies.
 pub fn scenario_for_tuned(seed: u64, index: usize, tuning: &SessionTuning) -> Scenario {
     match tuning.scenario_family {
-        Some("star") => {
-            let n = 3 + llm_sim::rng::SimRng::seed_from_u64(
-                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(index as u64),
-            )
-            .index(6);
-            let (topology, roles) = topo_model::star(n);
-            let mut s = Modularizer::star_scenario(&topology, &roles);
-            s.name = format!("star-no-transit-s{seed}-i{index}");
-            s
-        }
+        Some("star") => star_scenario(seed, index),
         Some(family) => scenario_gen::generate_family(family, seed, index),
         None => scenario_for(seed, index),
     }
@@ -294,9 +291,10 @@ pub trait UseCase: Sized + Sync {
 }
 
 /// Reuse counters aggregated across every worker of a run: the manager
-/// pool's allocation amortization plus the space cache's per-session
-/// hit profile. This is the observability payload behind the
-/// `manager_pool` bench block and the `fleetd` drain report.
+/// pool's allocation amortization, the space cache's per-session hit
+/// profile, and the worker memo's verdict and statics counters. This is
+/// the observability payload behind the `manager_pool` bench block and
+/// the `fleetd` drain report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Workers that contributed.
@@ -317,6 +315,15 @@ pub struct PoolCounters {
     /// Managers dropped (never recycled) because the session that owned
     /// them panicked — see `VerifierContext::quarantine`.
     pub quarantined: usize,
+    /// Worker verdict-memo lookups answered from the memo.
+    pub memo_hits: usize,
+    /// Worker verdict-memo verdicts computed.
+    pub memo_misses: usize,
+    /// `(topology, policies)` statics bundles built (each renders and
+    /// scans its reference snapshot at most once).
+    pub statics_builds: usize,
+    /// Statics lookups answered by a resident bundle.
+    pub statics_hits: usize,
 }
 
 impl PoolCounters {
@@ -331,6 +338,11 @@ impl PoolCounters {
         let (hits, misses) = ctx.cache_totals();
         self.cache_hits += hits;
         self.cache_misses += misses;
+        let memo = ctx.memo_counters();
+        self.memo_hits += memo.verdict_hits;
+        self.memo_misses += memo.verdict_misses;
+        self.statics_builds += memo.statics_builds;
+        self.statics_hits += memo.statics_hits;
     }
 
     /// Fraction of space builds served by a recycled manager.
@@ -690,6 +702,29 @@ mod tests {
         assert!(json.contains("\"localization_precision\""), "{json}");
         assert!(json.contains("\"mean_rounds_to_fix\""), "{json}");
         assert!(json.contains("\"manager_pool\""), "{json}");
+    }
+
+    #[test]
+    fn pinned_repair_fleet_builds_each_network_once_per_worker() {
+        let report = run_case::<Repair>(&FleetConfig {
+            sessions: 16,
+            seed: 1,
+            threads: 2,
+            families: None,
+            pool_managers: true,
+            tuning: SessionTuning {
+                scenario_family: Some("as-graph-64"),
+                ..SessionTuning::default()
+            },
+        });
+        assert_eq!(report.results.len(), 16);
+        let p = report.pool;
+        // One topology and at most four intents, on two workers.
+        assert!(p.statics_builds <= 8, "{p:?}");
+        // Each session looks its bundle up twice: once for the job's
+        // reference snapshot and once for its incremental verifier.
+        assert_eq!(p.statics_builds + p.statics_hits, 32, "{p:?}");
+        assert!(p.memo_hits > 0 && p.memo_misses > 0, "{p:?}");
     }
 
     #[test]

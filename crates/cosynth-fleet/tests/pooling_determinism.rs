@@ -10,7 +10,10 @@
 //! `VerifierContext::begin_session` makes each session start from an
 //! observationally fresh cache.
 
-use cosynth_fleet::{run_case, FleetConfig, Repair, SessionTuning, Synthesis};
+use cosynth::VerifierContext;
+use cosynth_fleet::{
+    run_case, run_repair_session_in, FleetConfig, Repair, SessionTuning, Synthesis,
+};
 
 const SESSIONS: usize = 16;
 
@@ -82,13 +85,29 @@ fn pooled_and_fresh_repair_fleets_are_byte_identical() {
         assert_eq!(a.rounds, b.rounds, "session {}", a.index);
         assert_eq!(a.localized, b.localized, "session {}", a.index);
         assert_eq!((a.auto, a.human), (b.auto, b.human), "session {}", a.index);
-        // Even the space-cache profile is identical: pooling changes
-        // where managers come from, never what the cache does.
-        assert_eq!(a.space_hits, b.space_hits, "session {}", a.index);
-        assert_eq!(a.space_misses, b.space_misses, "session {}", a.index);
         assert_eq!(a.panicked, b.panicked, "session {}", a.index);
     }
+    // Even the space-cache profile is identical: pooling changes where
+    // managers come from, never what the cache does. Which spaces a
+    // session builds depends on what its worker's verdict memo holds
+    // from earlier sessions, so the profile is compared where that
+    // history is fixed: every session in index order through one
+    // resident context per side.
+    let mut fresh_ctx = VerifierContext::without_pooling();
+    let mut pooled_ctx = VerifierContext::new();
+    for index in 0..SESSIONS {
+        let a = run_repair_session_in(1, index, &mut fresh_ctx);
+        let b = run_repair_session_in(1, index, &mut pooled_ctx);
+        assert_eq!(a.space_hits, b.space_hits, "session {index}");
+        assert_eq!(a.space_misses, b.space_misses, "session {index}");
+    }
+    fresh_ctx.flush();
+    pooled_ctx.flush();
+    assert!(
+        pooled_ctx.pool.reuses > 0,
+        "resident context never recycled"
+    );
     // The peak arena is a property of the session content, so both
     // shapes observe the same high-water mark.
-    assert_eq!(fresh.pool.peak_nodes, pooled.pool.peak_nodes);
+    assert_eq!(fresh_ctx.pool.peak_nodes, pooled_ctx.pool.peak_nodes);
 }

@@ -9,7 +9,10 @@
 //! difference a multi-tier route produces is attributable to routing
 //! policy alone, never to the wrapper.
 
-use cosynth_fleet::{run_case, FleetConfig, Repair, SessionTuning, Synthesis};
+use cosynth::VerifierContext;
+use cosynth_fleet::{
+    run_case, run_repair_session_tuned, FleetConfig, Repair, SessionTuning, Synthesis,
+};
 use llm_sim::{BackendChoice, Tier};
 
 const SESSIONS: usize = 16;
@@ -80,10 +83,23 @@ fn single_tier_cascade_matches_direct_backend_for_repair() {
             assert_eq!(a.rounds, b.rounds, "{at:?}");
             assert_eq!(a.localized, b.localized, "{at:?}");
             assert_eq!((a.auto, a.human), (b.auto, b.human), "{at:?}");
-            assert_eq!(a.space_hits, b.space_hits, "{at:?}");
-            assert_eq!(a.space_misses, b.space_misses, "{at:?}");
             assert_eq!(a.panicked, b.panicked, "{at:?}");
             assert_eq!(a.cost, b.cost, "{at:?}");
+        }
+        // The space-cache profile depends on what the worker's verdict
+        // memo holds from earlier sessions, so it is compared where that
+        // history is fixed: every session in index order through one
+        // resident context per side.
+        let direct_tuning = cfg(BackendChoice::Tier(tier)).tuning;
+        let cascade_tuning = cfg(BackendChoice::CascadeOf(tier)).tuning;
+        let mut direct_ctx = VerifierContext::new();
+        let mut cascade_ctx = VerifierContext::new();
+        for index in 0..SESSIONS {
+            let at = (tier.name(), index);
+            let a = run_repair_session_tuned(1, index, &mut direct_ctx, &direct_tuning);
+            let b = run_repair_session_tuned(1, index, &mut cascade_ctx, &cascade_tuning);
+            assert_eq!(a.space_hits, b.space_hits, "{at:?}");
+            assert_eq!(a.space_misses, b.space_misses, "{at:?}");
         }
     }
 }

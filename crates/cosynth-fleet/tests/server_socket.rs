@@ -179,6 +179,12 @@ fn shutdown_drains_in_flight_batches_without_losing_or_double_counting() {
     )
     .unwrap();
     a_out.flush().unwrap();
+    // Readers stop taking new requests once the drain starts, so the
+    // shutdown must not overtake A's batch: wait until the batch is
+    // admitted and in flight, which its first streamed result shows.
+    let mut a_in = BufReader::new(a);
+    let mut first = String::new();
+    a_in.read_line(&mut first).expect("first result");
 
     let b = transact(daemon.addr, &["{\"shutdown\":true}"]);
     assert!(
@@ -189,9 +195,9 @@ fn shutdown_drains_in_flight_batches_without_losing_or_double_counting() {
 
     // A's stream must still deliver every result, the batch line, and a
     // balanced drain line — the shutdown waited for the backlog.
-    let a_lines: Vec<Json> = BufReader::new(a)
-        .lines()
-        .map(|l| json::parse(&l.expect("read")).expect("json"))
+    let a_lines: Vec<Json> = std::iter::once(first.trim_end().to_string())
+        .chain(a_in.lines().map(|l| l.expect("read")))
+        .map(|l| json::parse(&l).expect("json"))
         .collect();
     let results = a_lines
         .iter()

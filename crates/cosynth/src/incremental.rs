@@ -22,7 +22,7 @@
 //!   already be sound; the BGP neighborhood is the honest bound on
 //!   reachability influence and is what the soundness property test
 //!   pins.
-//! * [`IncrementalVerifier`] memoizes the two per-device verdicts the
+//! * `IncrementalVerifier` memoizes the two per-device verdicts the
 //!   sweep computes — the *local* verdict (parse warnings → topology
 //!   verifier → symbolic local checks) and the *campion* verdict (the
 //!   structural/behavioral diff against the router's intent) — and
@@ -45,12 +45,15 @@
 //! intent and fault per session, so almost everything a session derives
 //! from the scenario is derivable once per family:
 //!
-//! * [`SessionStatics`] — the assignments, the per-device memo-key
-//!   bases, the name→index map, and the dependency tracker — is a pure
-//!   function of `(topology, policies)` and is shared through an `Arc`
-//!   in the worker memo; a later session pays one streamed hash of the
-//!   topology instead of re-deriving ~n prompts and keys.
-//! * [`VerdictMemo`] keeps per-device local/campion verdicts and whole
+//! * `SessionStatics` — the assignments, the per-device memo-key
+//!   bases, the name→index map, the dependency tracker, and (built on
+//!   first request) the [`ReferenceSnapshot`] — is a pure function of
+//!   `(topology, policies)` and is shared through an `Arc` in the worker
+//!   memo; a later session pays one streamed hash of the topology
+//!   instead of re-deriving ~n prompts and keys, and a later repair job
+//!   breaks the stored known-good texts instead of re-rendering and
+//!   re-parsing the network.
+//! * `VerdictMemo` keeps per-device local/campion verdicts and whole
 //!   `GlobalCheckReport`s keyed by content fingerprints, so a warm
 //!   worker answers the sweeps and the final simulation of session
 //!   *k+1* from session *k*'s work.
@@ -83,10 +86,12 @@ use crate::modularizer::{Modularizer, RouterAssignment};
 use crate::repair::{self, Localization};
 use crate::verifier_ctx::VerifierContext;
 use bdd::FxHasher;
+use fault_inject::FaultSites;
+use llm_sim::synth_task::SynthesisDraft;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::hash::{Hash as _, Hasher as _};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use topo_model::Scenario;
 
 fn fx(bytes: &[u8]) -> u64 {
@@ -219,13 +224,43 @@ struct DeviceKeys {
     campion: u64,
 }
 
+/// Renders the known-good config of every assignment: the draft a
+/// fault-free model writes for the router's own prompt, keyed by router
+/// name. This is the snapshot a repair job breaks and the fixed point a
+/// repair session should restore.
+pub fn reference_configs(assignments: &[RouterAssignment]) -> BTreeMap<String, String> {
+    assignments
+        .iter()
+        .map(|a| {
+            (
+                a.name.clone(),
+                SynthesisDraft::new(&a.prompt, BTreeSet::new()).render(),
+            )
+        })
+        .collect()
+}
+
+/// The known-good snapshot of one `(topology, policies)` pair, kept in
+/// the worker memo next to the assignments it was rendered from: the
+/// clean config texts plus their scanned [`FaultSites`], so every repair
+/// job on that network draws its fault without re-rendering or
+/// re-parsing a router. Get it through
+/// [`VerifierContext::reference_snapshot`].
+#[derive(Debug)]
+pub struct ReferenceSnapshot {
+    /// Every internal router's known-good config, keyed by name.
+    pub configs: BTreeMap<String, String>,
+    /// The fault classes applicable to each router of `configs`.
+    pub sites: FaultSites,
+}
+
 /// Everything a repair session derives from the scenario that is a pure
 /// function of `(topology, policies)`: the modular assignments, the
-/// per-device memo-key bases, the assignment index of each router, and
-/// the dependency tracker. Built once per `(topology, policies)` per
-/// worker and shared via `Arc` — a session on a pinned family pays one
-/// streamed topology hash instead of re-deriving ~n prompts, keys, and
-/// adjacency lists.
+/// per-device memo-key bases, the assignment index of each router, the
+/// dependency tracker, and the reference snapshot. Built once per
+/// `(topology, policies)` per worker and shared via `Arc` — a session on
+/// a pinned family pays one streamed topology hash instead of
+/// re-deriving ~n prompts, keys, and adjacency lists.
 pub(crate) struct SessionStatics {
     assignments: Arc<Vec<RouterAssignment>>,
     /// Memo-key bases, aligned with `assignments`.
@@ -233,6 +268,10 @@ pub(crate) struct SessionStatics {
     /// Assignment index of each internal router.
     index: HashMap<String, usize>,
     tracker: DependencyTracker,
+    /// Rendered on the first [`VerifierContext::reference_snapshot`]
+    /// call, so a bundle built for a caller that brings its own broken
+    /// snapshot (a direct `RepairSession::run_in` call) never renders it.
+    reference: OnceLock<Arc<ReferenceSnapshot>>,
 }
 
 impl SessionStatics {
@@ -280,7 +319,57 @@ impl SessionStatics {
             keys,
             index,
             tracker: DependencyTracker::new(scenario),
+            reference: OnceLock::new(),
         }
+    }
+}
+
+/// The worker's statics bundle for `scenario`'s `(topology, policies)`
+/// pair and that pair's fingerprint, built and memoized on first sight.
+/// The topology fingerprint is the only O(network) hashing cost of a
+/// lookup; field-walk hashing via the derived `Hash` impls is an order
+/// of magnitude cheaper than rendering `Debug` text at 512 routers.
+fn statics_for(
+    scenario: &Scenario,
+    ctx: &mut VerifierContext,
+) -> ((u64, u64), Arc<SessionStatics>) {
+    let mut h = FxHasher::default();
+    scenario.topology.routers.hash(&mut h);
+    let mut p = FxHasher::default();
+    scenario.policies.hash(&mut p);
+    let key = (h.finish(), p.finish());
+    let memo = &mut ctx.memo;
+    let statics = match memo.statics.get(&key) {
+        Some(s) => {
+            memo.statics_hits += 1;
+            Arc::clone(s)
+        }
+        None => {
+            memo.statics_builds += 1;
+            let s = Arc::new(SessionStatics::build(scenario));
+            memo.insert_statics(key, Arc::clone(&s));
+            s
+        }
+    };
+    (key, statics)
+}
+
+impl VerifierContext {
+    /// The known-good snapshot of `scenario`'s network — every internal
+    /// router's clean config plus its scanned fault sites — rendered
+    /// and scanned once per `(topology, policies)` pair this context
+    /// has seen, and shared by every later call on the same pair. The
+    /// reuse follows the content alone: a pair repeats when a pinned
+    /// family draws the same topology and intent again. Equal to
+    /// rendering the scenario's assignments afresh and scanning them.
+    pub fn reference_snapshot(&mut self, scenario: &Scenario) -> Arc<ReferenceSnapshot> {
+        let (_, statics) = statics_for(scenario, self);
+        let snapshot = statics.reference.get_or_init(|| {
+            let configs = reference_configs(&statics.assignments);
+            let sites = FaultSites::scan(&configs);
+            Arc::new(ReferenceSnapshot { configs, sites })
+        });
+        Arc::clone(snapshot)
     }
 }
 
@@ -339,6 +428,10 @@ pub(crate) struct VerdictMemo {
     pub(crate) hits: usize,
     /// Sweep verdicts computed (and inserted).
     pub(crate) misses: usize,
+    /// Statics lookups that had to build the bundle.
+    pub(crate) statics_builds: usize,
+    /// Statics lookups answered by a resident bundle.
+    pub(crate) statics_hits: usize,
 }
 
 impl VerdictMemo {
@@ -423,27 +516,11 @@ fn worker_count(items: usize) -> usize {
 
 impl IncrementalVerifier {
     pub(crate) fn new(scenario: &Scenario, parallel: bool, ctx: &mut VerifierContext) -> Self {
-        // The topology fingerprint is the session's only O(network)
-        // hashing cost; everything derived from it comes out of the
-        // worker memo on a pinned family. Field-walk hashing via the
-        // derived `Hash` impls — an order of magnitude cheaper than
-        // rendering `Debug` text at 512 routers.
+        // Everything derived from the scenario comes out of the worker
+        // memo on a pinned family.
+        let (skey, statics) = statics_for(scenario, ctx);
         let mut h = FxHasher::default();
-        scenario.topology.routers.hash(&mut h);
-        let topo_hash = h.finish();
-        let mut p = FxHasher::default();
-        scenario.policies.hash(&mut p);
-        let skey = (topo_hash, p.finish());
-        let statics = match ctx.memo.statics.get(&skey) {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Arc::new(SessionStatics::build(scenario));
-                ctx.memo.insert_statics(skey, Arc::clone(&s));
-                s
-            }
-        };
-        let mut h = FxHasher::default();
-        h.write(&topo_hash.to_le_bytes());
+        h.write(&skey.0.to_le_bytes());
         scenario.expectations.hash(&mut h);
         let mut sb = FxHasher::default();
         sb.write(&skey.0.to_le_bytes());

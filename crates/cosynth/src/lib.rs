@@ -60,7 +60,7 @@ pub mod verifier_ctx;
 pub use composer::{check_scenario, compose_and_check, GlobalCheckReport, GlobalViolation};
 pub use humanizer::Humanizer;
 pub use iip::IipDatabase;
-pub use incremental::{DependencyTracker, VerifyMode};
+pub use incremental::{reference_configs, DependencyTracker, ReferenceSnapshot, VerifyMode};
 pub use leverage::Leverage;
 pub use modularizer::{LocalPolicySpec, Modularizer, RouterAssignment};
 pub use repair::{Localization, RepairOutcome, RepairSession};
@@ -69,4 +69,4 @@ pub use session::{LoggedPrompt, PromptKind, SessionLimits, SessionTranscript};
 pub use space_cache::RouteSpaceCache;
 pub use synthesis::{SpecStyle, SynthesisOutcome, SynthesisSession};
 pub use translation::{ErrorRow, TranslationOutcome, TranslationSession};
-pub use verifier_ctx::{ManagerPool, VerifierContext};
+pub use verifier_ctx::{ManagerPool, MemoCounters, VerifierContext};

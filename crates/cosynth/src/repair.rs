@@ -789,21 +789,12 @@ fn campion_span(text: &str, f: &CampionFinding) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llm_sim::synth_task::SynthesisDraft;
     use llm_sim::{ErrorModel, SimulatedGpt4};
     use std::collections::BTreeSet;
 
     /// Clean rendered configs for every internal router of a scenario.
     fn clean_configs(scenario: &Scenario) -> BTreeMap<String, String> {
-        Modularizer::assign_scenario(scenario)
-            .iter()
-            .map(|a| {
-                (
-                    a.name.clone(),
-                    SynthesisDraft::new(&a.prompt, BTreeSet::new()).render(),
-                )
-            })
-            .collect()
+        crate::reference_configs(&Modularizer::assign_scenario(scenario))
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   release time (read from `Manager::stats` by way of `node_count`).
 //! * [`RouteSpaceCache`] — **session-lifetime** state: one warm space
 //!   per router draft, invalidated by config-IR fingerprint.
-//! * [`VerifierContext`] — both, wired together. Sessions call
+//! * [`VerifierContext`] — both, wired together, plus the
+//!   worker-lifetime verdict memo of `cosynth::incremental` (readable
+//!   through [`VerifierContext::memo_counters`]). Sessions call
 //!   [`VerifierContext::begin_session`], which drains the previous
 //!   session's spaces back into the pool and zeroes the cache counters,
 //!   so per-session accounting (and with it every committed
@@ -131,6 +133,22 @@ impl ManagerPool {
             self.free.push(mgr);
         }
     }
+}
+
+/// Lifetime counters of a context's worker memo (see
+/// `cosynth::incremental`), read through
+/// [`VerifierContext::memo_counters`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoCounters {
+    /// Verdict lookups (per-device local and campion verdicts, whole
+    /// sweeps, whole-network reports) answered from the memo.
+    pub verdict_hits: usize,
+    /// Per-device and whole-network verdicts computed and inserted.
+    pub verdict_misses: usize,
+    /// `(topology, policies)` statics bundles built.
+    pub statics_builds: usize,
+    /// Statics lookups answered by a resident bundle.
+    pub statics_hits: usize,
 }
 
 /// Worker-resident verifier state: the manager pool plus the
@@ -250,6 +268,16 @@ impl VerifierContext {
         };
         self.trace.record(stage, start.elapsed());
         self.cache.space_mut(router).expect("space just ensured")
+    }
+
+    /// The worker memo's lifetime counters.
+    pub fn memo_counters(&self) -> MemoCounters {
+        MemoCounters {
+            verdict_hits: self.memo.hits,
+            verdict_misses: self.memo.misses,
+            statics_builds: self.memo.statics_builds,
+            statics_hits: self.memo.statics_hits,
+        }
     }
 
     /// Lifetime cache totals including the live session's counters.

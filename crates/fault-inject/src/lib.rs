@@ -32,7 +32,9 @@
 //! select the same router, class, and mutation site (splitmix64 stream,
 //! `BTreeMap` iteration order, no ambient randomness). This is what makes
 //! `BENCH_repair.json` reproducible and fault classes *enumerable* rather
-//! than ad hoc.
+//! than ad hoc. Both are a [`FaultSites::scan`] of the snapshot followed
+//! by a draw; a caller that breaks one snapshot under many seeds keeps
+//! the scan and pays only for the draw.
 
 use cisco_cfg::{CiscoConfig, SetClause};
 use llm_sim::rng::SimRng;
@@ -401,55 +403,79 @@ fn stream(seed: u64) -> SimRng {
     )
 }
 
-/// Injects one fault into a clean snapshot: picks a class uniformly over
-/// the classes applicable *somewhere* in the snapshot, then a router
-/// uniformly over the routers that class applies to. Deterministic per
-/// `(configs, seed)`. Returns `None` only for snapshots where no class
-/// applies at all (no BGP anywhere).
-pub fn inject(configs: &BTreeMap<String, String>, seed: u64) -> Option<Injection> {
-    let mut rng = stream(seed);
-    let per_router: Vec<(&String, Vec<FaultClass>)> = configs
-        .iter()
-        .map(|(name, text)| (name, applicable_classes(text)))
-        .collect();
-    let mut classes: Vec<FaultClass> = FaultClass::ALL
-        .into_iter()
-        .filter(|c| per_router.iter().any(|(_, cs)| cs.contains(c)))
-        .collect();
-    // A mutation can still come back as a no-op for a particular router
-    // (e.g. the drawn site renders identically); rotate through the
-    // remaining classes rather than give up.
-    while !classes.is_empty() {
-        let class = classes.remove(rng.index(classes.len()));
-        let routers: Vec<&String> = per_router
-            .iter()
-            .filter(|(_, cs)| cs.contains(&class))
-            .map(|(n, _)| *n)
-            .collect();
-        let router = routers[rng.index(routers.len())];
-        if let Some(injection) = build(configs, router, class, &mut rng) {
-            return Some(injection);
+/// The per-router fault classes of one clean snapshot: the parse-heavy
+/// half of [`inject`] and [`corpus`], split out so a caller that breaks
+/// the same snapshot under many seeds parses every router once instead
+/// of once per seed. The sites belong to the snapshot they were scanned
+/// from; [`FaultSites::inject`] must be handed that same snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultSites {
+    /// Every router with the classes applicable to it, in snapshot
+    /// (`BTreeMap`) order.
+    routers: Vec<(String, Vec<FaultClass>)>,
+}
+
+impl FaultSites {
+    /// Parses every router of `configs` for its applicable classes.
+    pub fn scan(configs: &BTreeMap<String, String>) -> Self {
+        FaultSites {
+            routers: configs
+                .iter()
+                .map(|(name, text)| (name.clone(), applicable_classes(text)))
+                .collect(),
         }
     }
-    None
+
+    /// The routers `class` applies to, in snapshot order.
+    fn routers_for(&self, class: FaultClass) -> Vec<&str> {
+        self.routers
+            .iter()
+            .filter(|(_, cs)| cs.contains(&class))
+            .map(|(n, _)| n.as_str())
+            .collect()
+    }
+
+    /// Injects one fault into the scanned snapshot: picks a class
+    /// uniformly over the classes applicable *somewhere* in it, then a
+    /// router uniformly over the routers that class applies to.
+    /// Deterministic per `(configs, seed)`. Returns `None` only for
+    /// snapshots where no class applies at all (no BGP anywhere).
+    pub fn inject(&self, configs: &BTreeMap<String, String>, seed: u64) -> Option<Injection> {
+        let mut rng = stream(seed);
+        let mut classes: Vec<FaultClass> = FaultClass::ALL
+            .into_iter()
+            .filter(|c| self.routers.iter().any(|(_, cs)| cs.contains(c)))
+            .collect();
+        // A mutation can still come back as a no-op for a particular
+        // router (e.g. the drawn site renders identically); rotate
+        // through the remaining classes rather than give up.
+        while !classes.is_empty() {
+            let class = classes.remove(rng.index(classes.len()));
+            let routers = self.routers_for(class);
+            let router = routers[rng.index(routers.len())];
+            if let Some(injection) = build(configs, router, class, &mut rng) {
+                return Some(injection);
+            }
+        }
+        None
+    }
+}
+
+/// Injects one fault into a clean snapshot ([`FaultSites::inject`] over
+/// a fresh scan). Deterministic per `(configs, seed)`.
+pub fn inject(configs: &BTreeMap<String, String>, seed: u64) -> Option<Injection> {
+    FaultSites::scan(configs).inject(configs, seed)
 }
 
 /// The enumerable corpus for one snapshot: one injection per applicable
 /// fault class (router drawn per class). Deterministic per
 /// `(configs, seed)`.
 pub fn corpus(configs: &BTreeMap<String, String>, seed: u64) -> Vec<Injection> {
+    let sites = FaultSites::scan(configs);
     let mut rng = stream(seed);
-    let per_router: Vec<(&String, Vec<FaultClass>)> = configs
-        .iter()
-        .map(|(name, text)| (name, applicable_classes(text)))
-        .collect();
     let mut out = Vec::new();
     for class in FaultClass::ALL {
-        let routers: Vec<&String> = per_router
-            .iter()
-            .filter(|(_, cs)| cs.contains(&class))
-            .map(|(n, _)| *n)
-            .collect();
+        let routers = sites.routers_for(class);
         if routers.is_empty() {
             continue;
         }
@@ -521,10 +547,25 @@ route-map PREF permit 10
 !
 ";
 
-    fn snapshot() -> BTreeMap<String, String> {
-        let (ast, warnings) = cisco_cfg::parse(CLEAN);
+    /// A second router with BGP but no route-maps.
+    const PEER: &str = "\
+hostname R2
+!
+router bgp 2
+ bgp router-id 2.0.0.2
+ network 9.0.0.0 mask 255.255.255.0
+ neighbor 2.0.0.1 remote-as 1
+!
+";
+
+    fn canonical(text: &str) -> String {
+        let (ast, warnings) = cisco_cfg::parse(text);
         assert!(warnings.is_empty(), "{warnings:?}");
-        BTreeMap::from([("R1".to_string(), cisco_cfg::print(&ast))])
+        cisco_cfg::print(&ast)
+    }
+
+    fn snapshot() -> BTreeMap<String, String> {
+        BTreeMap::from([("R1".to_string(), canonical(CLEAN))])
     }
 
     #[test]
@@ -582,6 +623,48 @@ route-map PREF permit 10
             classes.len() >= 5,
             "seeds must spread over classes: {classes:?}"
         );
+    }
+
+    #[test]
+    fn one_scan_serves_every_seed_with_pinned_draws() {
+        // The draws the snapshot gave before the scan was split from the
+        // draw: which class, router and site each seed picks must not move.
+        let mut snap = snapshot();
+        snap.insert("R2".to_string(), canonical(PEER));
+        let sites = FaultSites::scan(&snap);
+        use FaultClass::*;
+        let draws = [
+            (0, "R1", MissingNeighbor, 12, 13),
+            (1, "R1", PermitDenyFlipped, 25, 25),
+            (2, "R2", WrongNeighbor, 6, 6),
+            (3, "R2", PrefixBoundOffByOne, 5, 5),
+            (4, "R1", ClauseDropped, 24, 25),
+            (5, "R2", MissingNeighbor, 5, 6),
+            (6, "R2", PrefixBoundOffByOne, 5, 5),
+            (7, "R1", PermitDenyFlipped, 22, 22),
+            (8, "R1", WrongNeighbor, 17, 18),
+            (9, "R2", MissingNeighbor, 5, 6),
+            (10, "R1", CommunityWiped, 22, 23),
+            (11, "R1", MissingNeighbor, 12, 13),
+        ];
+        for (seed, device, class, start, end) in draws {
+            let f = sites.inject(&snap, seed).expect("applicable").fault;
+            assert_eq!(
+                (f.device.as_str(), f.class, f.line_start, f.line_end),
+                (device, class, start, end),
+                "seed {seed}"
+            );
+        }
+        let corpus: Vec<(String, FaultClass)> = corpus(&snap, 3)
+            .into_iter()
+            .map(|i| (i.fault.device, i.fault.class))
+            .collect();
+        let mut expected = vec![
+            ("R2".to_string(), WrongNeighbor),
+            ("R2".to_string(), MissingNeighbor),
+        ];
+        expected.extend(FaultClass::ALL[2..].iter().map(|&c| ("R1".to_string(), c)));
+        assert_eq!(corpus, expected);
     }
 
     #[test]
