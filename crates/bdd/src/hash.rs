@@ -16,10 +16,7 @@ pub(crate) fn fx_mix(h: u64, w: u32) -> u64 {
     (h.rotate_left(5) ^ w as u64).wrapping_mul(K)
 }
 
-/// Hashes a `(var, lo, hi)` node triple. (Only the open-addressed
-/// engine calls this; the naive baseline hashes through `FxHasher` or
-/// SipHash.)
-#[cfg_attr(feature = "naive-tables", allow(dead_code))]
+/// Hashes a `(var, lo, hi)` node triple.
 #[inline(always)]
 pub(crate) fn hash3(a: u32, b: u32, c: u32) -> u64 {
     fx_mix(fx_mix(fx_mix(0, a), b), c)

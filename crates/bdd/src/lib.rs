@@ -33,9 +33,6 @@
 //!   and one compare; a colliding insert simply overwrites. Commutative
 //!   apply keys are canonicalized by operand order first. (`not` needs
 //!   no cache — it is O(1).)
-//! * The original `std::collections::HashMap` tables are kept compiled
-//!   behind the `naive-tables` feature as the A/B baseline for
-//!   `bddbench` (see `crates/bdd/README.md`).
 //! * [`Manager::stats`] reports node counts, byte footprint, and
 //!   per-cache hit/miss/eviction counters; [`Manager::with_capacity`]
 //!   pre-sizes everything for a known workload.
@@ -106,9 +103,6 @@ mod tests {
 
     #[test]
     fn engine_name_matches_feature() {
-        #[cfg(feature = "naive-tables")]
-        assert_eq!(Manager::engine(), "naive-hashmap");
-        #[cfg(not(feature = "naive-tables"))]
         assert_eq!(Manager::engine(), "open-addressed");
     }
 }

@@ -15,10 +15,8 @@
 //!
 //! The hot path is `mk` (hash-consed node construction under the
 //! then-edge-regular rule) and the memoized Shannon expansions
-//! `apply`/`ite`. Both go through the engine selected in
-//! [`crate::tables`]: by default an open-addressed unique table plus
-//! direct-mapped lossy op caches; with the `naive-tables` feature, the
-//! original SipHash-keyed `HashMap` tables for A/B comparison.
+//! `apply`/`ite`. Both go through the tables in [`crate::tables`]: an
+//! open-addressed unique table plus direct-mapped lossy op caches.
 
 use crate::node::{Node, Ref, Var};
 use crate::tables::{Cache2, Cache3, ManagerStats, Sizing, UniqueTable, ENGINE};
@@ -50,10 +48,7 @@ pub struct Manager {
     /// filled lazily (the negative literal is its complement edge, so a
     /// single entry covers both polarities). Route-space constraint
     /// builders call `var`/`literal` once per conjunct, so resolving
-    /// them without a unique-table probe matters. The `naive-tables`
-    /// baseline bypasses this (the seed resolved every literal through
-    /// the HashMap).
-    #[cfg_attr(feature = "naive-tables", allow(dead_code))]
+    /// them without a unique-table probe matters.
     lits: Vec<Ref>,
     n_vars: u32,
 }
@@ -110,8 +105,7 @@ impl Manager {
         }
     }
 
-    /// The name of the compiled-in table engine (`"open-addressed"` by
-    /// default, `"naive-hashmap"` under the `naive-tables` feature).
+    /// The name of the table engine (`"open-addressed"`).
     pub fn engine() -> &'static str {
         ENGINE
     }
@@ -247,18 +241,13 @@ impl Manager {
     #[inline]
     pub fn var(&mut self, v: Var) -> Ref {
         debug_assert!(v < self.n_vars, "variable {v} not allocated");
-        #[cfg(not(feature = "naive-tables"))]
-        {
-            let cached = self.lits[v as usize];
-            if cached != NO_REF {
-                return cached;
-            }
-            let r = self.mk(v, Ref::FALSE, Ref::TRUE);
-            self.lits[v as usize] = r;
-            r
+        let cached = self.lits[v as usize];
+        if cached != NO_REF {
+            return cached;
         }
-        #[cfg(feature = "naive-tables")]
-        self.mk(v, Ref::FALSE, Ref::TRUE)
+        let r = self.mk(v, Ref::FALSE, Ref::TRUE);
+        self.lits[v as usize] = r;
+        r
     }
 
     /// The function that is true iff `v` is false: the complement edge
@@ -929,12 +918,7 @@ mod tests {
     fn with_capacity_prereserves_and_behaves_identically() {
         let mut small = Manager::new();
         let mut big = Manager::with_capacity(1 << 18);
-        // The naive baseline deliberately ignores capacity hints (the
-        // seed used `HashMap::new()`), so only the default engine is
-        // expected to pre-reserve.
-        if Manager::engine() == "open-addressed" {
-            assert!(big.stats().unique_capacity > small.stats().unique_capacity);
-        }
+        assert!(big.stats().unique_capacity > small.stats().unique_capacity);
         for m in [&mut small, &mut big] {
             m.new_vars(10);
         }

@@ -1,29 +1,19 @@
 //! The kernel's tables: the hash-consing unique table and the lossy
 //! operation caches.
 //!
-//! Two interchangeable implementations live here, selected at compile
-//! time:
-//!
-//! * the default **open-addressed** engine (`fast`): a CUDD-style
-//!   power-of-two unique table with fx multiplicative hashing and
-//!   tombstone-free linear probing over the node arena, plus fixed-size
-//!   **direct-mapped** op caches — a lookup is one multiply, one mask,
-//!   one compare, zero allocation; entries are overwritten (lossily) on
-//!   index collision, which is sound because op caches are only an
-//!   optimization;
-//! * the `naive-tables` feature (`naive`): the original
-//!   SipHash-keyed `std::collections::HashMap` paths, kept compiled as
-//!   the A/B baseline `bddbench` measures against.
-//!
-//! Both expose the same crate-internal API and the same [`CacheStats`]
-//! accounting, so `Manager` is oblivious to the engine.
+//! A CUDD-style power-of-two unique table with fx multiplicative
+//! hashing and tombstone-free linear probing over the node arena, plus
+//! fixed-size **direct-mapped** op caches — a lookup is one multiply,
+//! one mask, one compare, zero allocation; entries are overwritten
+//! (lossily) on index collision, which is sound because op caches are
+//! only an optimization. Every op cache keeps [`CacheStats`] accounting.
 
+use crate::hash::{fx_mix, hash3};
 use crate::node::{Node, Ref};
 
 /// Hit/miss/eviction counters for one operation cache.
 ///
-/// Evictions only occur in the direct-mapped engine (a colliding entry
-/// overwrites the previous one); the naive engine never evicts.
+/// An eviction is a colliding entry overwriting the previous one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a previously computed result.
@@ -49,8 +39,8 @@ impl CacheStats {
 /// A point-in-time snapshot of the manager's memory and cache behaviour.
 #[derive(Debug, Clone)]
 pub struct ManagerStats {
-    /// Which table engine is compiled in (`"open-addressed"` or
-    /// `"naive-hashmap"`).
+    /// The table engine's name (`"open-addressed"`; `BENCH_bdd.json`
+    /// keys each engine's block by it).
     pub engine: &'static str,
     /// Live nodes, including the terminal.
     pub node_count: usize,
@@ -67,7 +57,7 @@ pub struct ManagerStats {
     pub restrict: CacheStats,
 }
 
-/// Capacity plan shared by both engines: how large each table starts
+/// Capacity plan: how large each table starts
 /// for a given expected node count.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Sizing {
@@ -103,438 +93,293 @@ impl Default for Sizing {
     }
 }
 
-#[cfg(not(feature = "naive-tables"))]
-pub(crate) use fast::{Cache2, Cache3, UniqueTable, ENGINE};
-#[cfg(feature = "naive-tables")]
-pub(crate) use naive::{Cache2, Cache3, UniqueTable, ENGINE};
+pub(crate) const ENGINE: &str = "open-addressed";
 
-#[cfg(not(feature = "naive-tables"))]
-mod fast {
-    use super::*;
-    use crate::hash::{fx_mix, hash3};
+/// Slot sentinel: no node. Valid node indices stay far below this
+/// (the arena is indexed by tagged `u32` refs and holds the
+/// terminal).
+const EMPTY: u32 = u32::MAX;
 
-    pub(crate) const ENGINE: &str = "open-addressed";
+/// One unique-table slot: the node triple inlined next to its arena
+/// index (`lo`/`hi` are the *tagged* child refs of the canonical
+/// form — the complement mark is part of the key). Empty slots carry
+/// `idx == EMPTY` and `var == u32::MAX` (which never matches a
+/// probe, since the terminal is not stored).
+///
+/// Inlining the triple means a probe is a single 16-byte load and
+/// three compares — no dependent load into the node arena, which is
+/// the difference between L1 and L2 latency once the arena outgrows
+/// cache. The arena stays the identity store; the slots are a
+/// read-optimized copy.
+#[derive(Clone, Copy)]
+struct Slot {
+    var: u32,
+    lo: u32,
+    hi: u32,
+    idx: u32,
+}
 
-    /// Slot sentinel: no node. Valid node indices stay far below this
-    /// (the arena is indexed by tagged `u32` refs and holds the
-    /// terminal).
-    const EMPTY: u32 = u32::MAX;
+const EMPTY_SLOT: Slot = Slot {
+    var: u32::MAX,
+    lo: 0,
+    hi: 0,
+    idx: EMPTY,
+};
 
-    /// One unique-table slot: the node triple inlined next to its arena
-    /// index (`lo`/`hi` are the *tagged* child refs of the canonical
-    /// form — the complement mark is part of the key). Empty slots carry
-    /// `idx == EMPTY` and `var == u32::MAX` (which never matches a
-    /// probe, since the terminal is not stored).
+/// Open-addressed unique table: power-of-two slot array, fx-hashed
+/// on `(var, lo, hi)`, linear probing. Nodes are never deleted (no
+/// GC), so probing needs no tombstones and a probe chain ends at the
+/// first empty slot.
+pub(crate) struct UniqueTable {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl UniqueTable {
+    pub(crate) fn with_capacity(nodes_hint: usize) -> UniqueTable {
+        // ≤ 50% load at the hinted size.
+        let slots = (nodes_hint.max(8) * 2).next_power_of_two();
+        UniqueTable {
+            slots: vec![EMPTY_SLOT; slots],
+            len: 0,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub(crate) fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot>()
+    }
+
+    /// Empties the table while keeping its slot array (and thus the
+    /// capacity it grew to) — one `memset`-class fill, no
+    /// deallocation, no page faults on the next warm-up.
+    pub(crate) fn clear(&mut self) {
+        self.slots.fill(EMPTY_SLOT);
+        self.len = 0;
+    }
+
+    /// Finds the canonical regular `Ref` for `node` (arena index
+    /// shifted past the complement bit), appending it to the arena
+    /// if it is new. Amortized O(1); doubles at 50% load.
     ///
-    /// Inlining the triple means a probe is a single 16-byte load and
-    /// three compares — no dependent load into the node arena, which is
-    /// the difference between L1 and L2 latency once the arena outgrows
-    /// cache. The arena stays the identity store; the slots are a
-    /// read-optimized copy.
-    #[derive(Clone, Copy)]
-    struct Slot {
-        var: u32,
-        lo: u32,
-        hi: u32,
-        idx: u32,
+    /// SAFETY: every probe index is masked by `slots.len() - 1` and
+    /// the slot vector's length is a power of two, so the unchecked
+    /// accesses are always in bounds.
+    #[inline]
+    pub(crate) fn get_or_insert(&mut self, node: Node, nodes: &mut Vec<Node>) -> Ref {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let (var, lo, hi) = (node.var, node.lo.0, node.hi.0);
+        let mask = self.slots.len() - 1;
+        let mut i = hash3(var, lo, hi) as usize & mask;
+        loop {
+            debug_assert!(i < self.slots.len());
+            let s = unsafe { *self.slots.get_unchecked(i) };
+            if s.var == var && s.lo == lo && s.hi == hi {
+                return Ref(s.idx << 1);
+            }
+            if s.idx == EMPTY {
+                let r = nodes.len() as u32;
+                // The complement tag claims bit 0 of a Ref, so the
+                // arena tops out at 2^31 nodes; wrapping would alias
+                // new nodes onto existing refs (index 0 is TRUE).
+                // Misuse must be loud, and the check is insert-only.
+                assert!(r < 1 << 31, "BDD arena exceeds 2^31 nodes");
+                nodes.push(node);
+                *unsafe { self.slots.get_unchecked_mut(i) } = Slot {
+                    var,
+                    lo,
+                    hi,
+                    idx: r,
+                };
+                self.len += 1;
+                return Ref(r << 1);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
-    const EMPTY_SLOT: Slot = Slot {
-        var: u32::MAX,
-        lo: 0,
-        hi: 0,
-        idx: EMPTY,
-    };
-
-    /// Open-addressed unique table: power-of-two slot array, fx-hashed
-    /// on `(var, lo, hi)`, linear probing. Nodes are never deleted (no
-    /// GC), so probing needs no tombstones and a probe chain ends at the
-    /// first empty slot.
-    pub(crate) struct UniqueTable {
-        slots: Vec<Slot>,
-        len: usize,
-    }
-
-    impl UniqueTable {
-        pub(crate) fn with_capacity(nodes_hint: usize) -> UniqueTable {
-            // ≤ 50% load at the hinted size.
-            let slots = (nodes_hint.max(8) * 2).next_power_of_two();
-            UniqueTable {
-                slots: vec![EMPTY_SLOT; slots],
-                len: 0,
-            }
-        }
-
-        pub(crate) fn len(&self) -> usize {
-            self.len
-        }
-
-        pub(crate) fn capacity(&self) -> usize {
-            self.slots.len()
-        }
-
-        pub(crate) fn bytes(&self) -> usize {
-            self.slots.len() * std::mem::size_of::<Slot>()
-        }
-
-        /// Empties the table while keeping its slot array (and thus the
-        /// capacity it grew to) — one `memset`-class fill, no
-        /// deallocation, no page faults on the next warm-up.
-        pub(crate) fn clear(&mut self) {
-            self.slots.fill(EMPTY_SLOT);
-            self.len = 0;
-        }
-
-        /// Finds the canonical regular `Ref` for `node` (arena index
-        /// shifted past the complement bit), appending it to the arena
-        /// if it is new. Amortized O(1); doubles at 50% load.
-        ///
-        /// SAFETY: every probe index is masked by `slots.len() - 1` and
-        /// the slot vector's length is a power of two, so the unchecked
-        /// accesses are always in bounds.
-        #[inline]
-        pub(crate) fn get_or_insert(&mut self, node: Node, nodes: &mut Vec<Node>) -> Ref {
-            if (self.len + 1) * 2 > self.slots.len() {
-                self.grow();
-            }
-            let (var, lo, hi) = (node.var, node.lo.0, node.hi.0);
-            let mask = self.slots.len() - 1;
-            let mut i = hash3(var, lo, hi) as usize & mask;
-            loop {
-                debug_assert!(i < self.slots.len());
-                let s = unsafe { *self.slots.get_unchecked(i) };
-                if s.var == var && s.lo == lo && s.hi == hi {
-                    return Ref(s.idx << 1);
-                }
-                if s.idx == EMPTY {
-                    let r = nodes.len() as u32;
-                    // The complement tag claims bit 0 of a Ref, so the
-                    // arena tops out at 2^31 nodes; wrapping would alias
-                    // new nodes onto existing refs (index 0 is TRUE).
-                    // Misuse must be loud, and the check is insert-only.
-                    assert!(r < 1 << 31, "BDD arena exceeds 2^31 nodes");
-                    nodes.push(node);
-                    *unsafe { self.slots.get_unchecked_mut(i) } = Slot {
-                        var,
-                        lo,
-                        hi,
-                        idx: r,
-                    };
-                    self.len += 1;
-                    return Ref(r << 1);
-                }
+    /// Doubles the slot array and rehashes every occupied slot.
+    #[cold]
+    fn grow(&mut self) {
+        let new_len = self.slots.len() * 2;
+        let mask = new_len - 1;
+        let mut slots = vec![EMPTY_SLOT; new_len];
+        for s in self.slots.iter().filter(|s| s.idx != EMPTY) {
+            let mut i = hash3(s.var, s.lo, s.hi) as usize & mask;
+            while slots[i].idx != EMPTY {
                 i = (i + 1) & mask;
             }
+            slots[i] = *s;
         }
-
-        /// Doubles the slot array and rehashes every occupied slot.
-        #[cold]
-        fn grow(&mut self) {
-            let new_len = self.slots.len() * 2;
-            let mask = new_len - 1;
-            let mut slots = vec![EMPTY_SLOT; new_len];
-            for s in self.slots.iter().filter(|s| s.idx != EMPTY) {
-                let mut i = hash3(s.var, s.lo, s.hi) as usize & mask;
-                while slots[i].idx != EMPTY {
-                    i = (i + 1) & mask;
-                }
-                slots[i] = *s;
-            }
-            self.slots = slots;
-        }
-    }
-
-    /// One direct-mapped cache line for a 3-word key.
-    #[derive(Clone, Copy)]
-    struct Line3 {
-        a: u32,
-        b: u32,
-        c: u32,
-        r: u32,
-    }
-
-    /// Direct-mapped lossy cache keyed by three words: `(op, f, g)` for
-    /// apply, `(c, t, e)` for ite. The first key word is never
-    /// `u32::MAX`, which doubles as the invalid sentinel.
-    pub(crate) struct Cache3 {
-        lines: Vec<Line3>,
-        pub(crate) stats: CacheStats,
-    }
-
-    impl Cache3 {
-        pub(crate) fn new(bits: u32) -> Cache3 {
-            Cache3 {
-                lines: vec![
-                    Line3 {
-                        a: EMPTY,
-                        b: 0,
-                        c: 0,
-                        r: 0,
-                    };
-                    1 << bits
-                ],
-                stats: CacheStats::default(),
-            }
-        }
-
-        pub(crate) fn bytes(&self) -> usize {
-            self.lines.len() * std::mem::size_of::<Line3>()
-        }
-
-        /// Invalidates every line (keeps the allocation and the stats
-        /// counters). Required on manager recycling: node indices are
-        /// reassigned, so a stale line would alias a new key onto an old
-        /// result.
-        pub(crate) fn clear(&mut self) {
-            self.lines.fill(Line3 {
-                a: EMPTY,
-                b: 0,
-                c: 0,
-                r: 0,
-            });
-        }
-
-        #[inline]
-        fn index(&self, a: u32, b: u32, c: u32) -> usize {
-            hash3(a, b, c) as usize & (self.lines.len() - 1)
-        }
-
-        // SAFETY (get/put): the index is masked by `lines.len() - 1`
-        // and the line vector's length is a power of two.
-
-        #[inline]
-        pub(crate) fn get(&mut self, a: u32, b: u32, c: u32) -> Option<Ref> {
-            let i = self.index(a, b, c);
-            debug_assert!(i < self.lines.len());
-            let line = unsafe { *self.lines.get_unchecked(i) };
-            if line.a == a && line.b == b && line.c == c {
-                self.stats.hits += 1;
-                Some(Ref(line.r))
-            } else {
-                self.stats.misses += 1;
-                None
-            }
-        }
-
-        #[inline]
-        pub(crate) fn put(&mut self, a: u32, b: u32, c: u32, r: Ref) {
-            let i = self.index(a, b, c);
-            debug_assert!(i < self.lines.len());
-            let line = unsafe { self.lines.get_unchecked_mut(i) };
-            if line.a != EMPTY && (line.a != a || line.b != b || line.c != c) {
-                self.stats.evictions += 1;
-            }
-            *line = Line3 { a, b, c, r: r.0 };
-        }
-    }
-
-    #[derive(Clone, Copy)]
-    struct Line2 {
-        a: u32,
-        b: u32,
-        r: u32,
-    }
-
-    /// Direct-mapped cache keyed by two words (`restrict`'s
-    /// `(f, var·2+value)` key).
-    pub(crate) struct Cache2 {
-        lines: Vec<Line2>,
-        pub(crate) stats: CacheStats,
-    }
-
-    impl Cache2 {
-        pub(crate) fn new(bits: u32) -> Cache2 {
-            Cache2 {
-                lines: vec![
-                    Line2 {
-                        a: EMPTY,
-                        b: 0,
-                        r: 0
-                    };
-                    1 << bits
-                ],
-                stats: CacheStats::default(),
-            }
-        }
-
-        pub(crate) fn bytes(&self) -> usize {
-            self.lines.len() * std::mem::size_of::<Line2>()
-        }
-
-        /// Invalidates every line (see [`Cache3::clear`]).
-        pub(crate) fn clear(&mut self) {
-            self.lines.fill(Line2 {
-                a: EMPTY,
-                b: 0,
-                r: 0,
-            });
-        }
-
-        #[inline]
-        fn index(&self, a: u32, b: u32) -> usize {
-            fx_mix(fx_mix(0, a), b) as usize & (self.lines.len() - 1)
-        }
-
-        // SAFETY (get/put): masked index, power-of-two length.
-
-        #[inline]
-        pub(crate) fn get(&mut self, a: u32, b: u32) -> Option<Ref> {
-            let i = self.index(a, b);
-            debug_assert!(i < self.lines.len());
-            let line = unsafe { *self.lines.get_unchecked(i) };
-            if line.a == a && line.b == b {
-                self.stats.hits += 1;
-                Some(Ref(line.r))
-            } else {
-                self.stats.misses += 1;
-                None
-            }
-        }
-
-        #[inline]
-        pub(crate) fn put(&mut self, a: u32, b: u32, r: Ref) {
-            let i = self.index(a, b);
-            debug_assert!(i < self.lines.len());
-            let line = unsafe { self.lines.get_unchecked_mut(i) };
-            if line.a != EMPTY && (line.a != a || line.b != b) {
-                self.stats.evictions += 1;
-            }
-            *line = Line2 { a, b, r: r.0 };
-        }
+        self.slots = slots;
     }
 }
 
-#[cfg(feature = "naive-tables")]
-mod naive {
-    use super::*;
-    use std::collections::HashMap;
+/// One direct-mapped cache line for a 3-word key.
+#[derive(Clone, Copy)]
+struct Line3 {
+    a: u32,
+    b: u32,
+    c: u32,
+    r: u32,
+}
 
-    pub(crate) const ENGINE: &str = "naive-hashmap";
+/// Direct-mapped lossy cache keyed by three words: `(op, f, g)` for
+/// apply, `(c, t, e)` for ite. The first key word is never
+/// `u32::MAX`, which doubles as the invalid sentinel.
+pub(crate) struct Cache3 {
+    lines: Vec<Line3>,
+    pub(crate) stats: CacheStats,
+}
 
-    /// The original unique table: a SipHash-keyed `HashMap` that stores
-    /// every node a second time as its own key. Capacity hints are
-    /// deliberately ignored — the seed's code path (`HashMap::new()`
-    /// plus organic growth) is exactly what this baseline measures.
-    pub(crate) struct UniqueTable {
-        map: HashMap<Node, u32>,
-    }
-
-    impl UniqueTable {
-        pub(crate) fn with_capacity(_nodes_hint: usize) -> UniqueTable {
-            UniqueTable {
-                map: HashMap::new(),
-            }
-        }
-
-        pub(crate) fn len(&self) -> usize {
-            self.map.len()
-        }
-
-        pub(crate) fn capacity(&self) -> usize {
-            self.map.capacity()
-        }
-
-        pub(crate) fn bytes(&self) -> usize {
-            self.map.capacity() * (std::mem::size_of::<Node>() + std::mem::size_of::<u32>())
-        }
-
-        /// Empties the map, keeping its capacity.
-        pub(crate) fn clear(&mut self) {
-            self.map.clear();
-        }
-
-        #[inline]
-        pub(crate) fn get_or_insert(&mut self, node: Node, nodes: &mut Vec<Node>) -> Ref {
-            if let Some(&r) = self.map.get(&node) {
-                return Ref(r << 1);
-            }
-            let r = nodes.len() as u32;
-            // Bit 0 of a Ref is the complement tag: the arena tops out
-            // at 2^31 nodes, and wrapping must be loud (see the fast
-            // engine's insert for the aliasing hazard).
-            assert!(r < 1 << 31, "BDD arena exceeds 2^31 nodes");
-            nodes.push(node);
-            self.map.insert(node, r);
-            Ref(r << 1)
+impl Cache3 {
+    pub(crate) fn new(bits: u32) -> Cache3 {
+        Cache3 {
+            lines: vec![
+                Line3 {
+                    a: EMPTY,
+                    b: 0,
+                    c: 0,
+                    r: 0,
+                };
+                1 << bits
+            ],
+            stats: CacheStats::default(),
         }
     }
 
-    /// HashMap-backed op cache with a 3-word key. Never evicts (and
-    /// never forgets — the memory profile the lossy caches exist to
-    /// avoid).
-    pub(crate) struct Cache3 {
-        map: HashMap<(u32, u32, u32), u32>,
-        pub(crate) stats: CacheStats,
+    pub(crate) fn bytes(&self) -> usize {
+        self.lines.len() * std::mem::size_of::<Line3>()
     }
 
-    impl Cache3 {
-        pub(crate) fn new(_bits: u32) -> Cache3 {
-            Cache3 {
-                map: HashMap::new(),
-                stats: CacheStats::default(),
-            }
-        }
-
-        pub(crate) fn bytes(&self) -> usize {
-            self.map.capacity() * (std::mem::size_of::<(u32, u32, u32)>() + 4)
-        }
-
-        /// Drops every memoized entry (recycling reassigns node indices).
-        pub(crate) fn clear(&mut self) {
-            self.map.clear();
-        }
-
-        #[inline]
-        pub(crate) fn get(&mut self, a: u32, b: u32, c: u32) -> Option<Ref> {
-            match self.map.get(&(a, b, c)) {
-                Some(&r) => {
-                    self.stats.hits += 1;
-                    Some(Ref(r))
-                }
-                None => {
-                    self.stats.misses += 1;
-                    None
-                }
-            }
-        }
-
-        #[inline]
-        pub(crate) fn put(&mut self, a: u32, b: u32, c: u32, r: Ref) {
-            self.map.insert((a, b, c), r.0);
-        }
+    /// Invalidates every line (keeps the allocation and the stats
+    /// counters). Required on manager recycling: node indices are
+    /// reassigned, so a stale line would alias a new key onto an old
+    /// result.
+    pub(crate) fn clear(&mut self) {
+        self.lines.fill(Line3 {
+            a: EMPTY,
+            b: 0,
+            c: 0,
+            r: 0,
+        });
     }
 
-    /// The baseline's restrict "cache": the seed kernel memoized
-    /// `apply`/`ite`/`not` but **not** `restrict`, so the faithful
-    /// baseline caches nothing here — every lookup misses and every
-    /// store is discarded, exactly like the original recursive
-    /// `restrict`.
-    pub(crate) struct Cache2 {
-        pub(crate) stats: CacheStats,
+    #[inline]
+    fn index(&self, a: u32, b: u32, c: u32) -> usize {
+        hash3(a, b, c) as usize & (self.lines.len() - 1)
     }
 
-    impl Cache2 {
-        pub(crate) fn new(_bits: u32) -> Cache2 {
-            Cache2 {
-                stats: CacheStats::default(),
-            }
-        }
+    // SAFETY (get/put): the index is masked by `lines.len() - 1`
+    // and the line vector's length is a power of two.
 
-        pub(crate) fn bytes(&self) -> usize {
-            0
-        }
-
-        /// Nothing to drop — the baseline restrict cache stores nothing.
-        pub(crate) fn clear(&mut self) {}
-
-        #[inline]
-        pub(crate) fn get(&mut self, _a: u32, _b: u32) -> Option<Ref> {
+    #[inline]
+    pub(crate) fn get(&mut self, a: u32, b: u32, c: u32) -> Option<Ref> {
+        let i = self.index(a, b, c);
+        debug_assert!(i < self.lines.len());
+        let line = unsafe { *self.lines.get_unchecked(i) };
+        if line.a == a && line.b == b && line.c == c {
+            self.stats.hits += 1;
+            Some(Ref(line.r))
+        } else {
             self.stats.misses += 1;
             None
         }
+    }
 
-        #[inline]
-        pub(crate) fn put(&mut self, _a: u32, _b: u32, _r: Ref) {}
+    #[inline]
+    pub(crate) fn put(&mut self, a: u32, b: u32, c: u32, r: Ref) {
+        let i = self.index(a, b, c);
+        debug_assert!(i < self.lines.len());
+        let line = unsafe { self.lines.get_unchecked_mut(i) };
+        if line.a != EMPTY && (line.a != a || line.b != b || line.c != c) {
+            self.stats.evictions += 1;
+        }
+        *line = Line3 { a, b, c, r: r.0 };
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Line2 {
+    a: u32,
+    b: u32,
+    r: u32,
+}
+
+/// Direct-mapped cache keyed by two words (`restrict`'s
+/// `(f, var·2+value)` key).
+pub(crate) struct Cache2 {
+    lines: Vec<Line2>,
+    pub(crate) stats: CacheStats,
+}
+
+impl Cache2 {
+    pub(crate) fn new(bits: u32) -> Cache2 {
+        Cache2 {
+            lines: vec![
+                Line2 {
+                    a: EMPTY,
+                    b: 0,
+                    r: 0
+                };
+                1 << bits
+            ],
+            stats: CacheStats::default(),
+        }
+    }
+
+    pub(crate) fn bytes(&self) -> usize {
+        self.lines.len() * std::mem::size_of::<Line2>()
+    }
+
+    /// Invalidates every line (see [`Cache3::clear`]).
+    pub(crate) fn clear(&mut self) {
+        self.lines.fill(Line2 {
+            a: EMPTY,
+            b: 0,
+            r: 0,
+        });
+    }
+
+    #[inline]
+    fn index(&self, a: u32, b: u32) -> usize {
+        fx_mix(fx_mix(0, a), b) as usize & (self.lines.len() - 1)
+    }
+
+    // SAFETY (get/put): masked index, power-of-two length.
+
+    #[inline]
+    pub(crate) fn get(&mut self, a: u32, b: u32) -> Option<Ref> {
+        let i = self.index(a, b);
+        debug_assert!(i < self.lines.len());
+        let line = unsafe { *self.lines.get_unchecked(i) };
+        if line.a == a && line.b == b {
+            self.stats.hits += 1;
+            Some(Ref(line.r))
+        } else {
+            self.stats.misses += 1;
+            None
+        }
+    }
+
+    #[inline]
+    pub(crate) fn put(&mut self, a: u32, b: u32, r: Ref) {
+        let i = self.index(a, b);
+        debug_assert!(i < self.lines.len());
+        let line = unsafe { self.lines.get_unchecked_mut(i) };
+        if line.a != EMPTY && (line.a != a || line.b != b) {
+            self.stats.evictions += 1;
+        }
+        *line = Line2 { a, b, r: r.0 };
     }
 }
 
@@ -604,13 +449,7 @@ mod tests {
     fn cache2_roundtrip() {
         let mut c2 = Cache2::new(4);
         c2.put(5, 1, Ref(9));
-        // The naive baseline's restrict cache is deliberately inert
-        // (the seed kernel had no restrict memo).
-        if cfg!(feature = "naive-tables") {
-            assert_eq!(c2.get(5, 1), None);
-        } else {
-            assert_eq!(c2.get(5, 1), Some(Ref(9)));
-        }
+        assert_eq!(c2.get(5, 1), Some(Ref(9)));
         assert_eq!(c2.get(5, 0), None);
     }
 

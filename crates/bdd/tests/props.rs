@@ -3,10 +3,8 @@
 //! pointer equality, and the unique table never holds a duplicate
 //! `(var, lo, hi)` triple.
 //!
-//! These run identically against both table engines — build with
-//! `--features naive-tables` to exercise the HashMap baseline — and use
-//! a self-contained splitmix64 generator instead of an external
-//! property-testing crate (the build is fully offline).
+//! They use a self-contained splitmix64 generator instead of an
+//! external property-testing crate (the build is fully offline).
 
 use bdd::{Manager, Ref};
 

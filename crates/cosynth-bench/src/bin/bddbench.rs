@@ -3,21 +3,19 @@
 //!
 //! Replays a deterministic route-space workload (the 40-variable
 //! prefix/length/protocol encoding `policy-symbolic` uses) against the
-//! compiled-in table engine and reports **median ns/op** for the four
-//! op classes the verifiers lean on: `and`, `or`, `ite`, `exists`.
-//!
-//! Results are merged into `BENCH_bdd.json`, keyed by engine, so running
-//! the binary twice —
+//! kernel's table engine and reports **median ns/op** for the op
+//! classes the verifiers lean on: `and`, `or`, `ite`, `exists`, `neg`.
 //!
 //! ```sh
 //! cargo run --release --bin bddbench
-//! cargo run --release --features naive-tables --bin bddbench
 //! ```
 //!
-//! — yields a single file with both engines and a computed `speedup`
-//! block (open-addressed over naive). The op sequence is identical for
-//! both engines; the final node count doubles as a cross-engine
-//! correctness checksum.
+//! Results are merged into `BENCH_bdd.json`, keyed by engine: the run
+//! replaces the `open-addressed` block and keeps every other recorded
+//! block, so the `speedup` block (open-addressed over the retired
+//! `naive-hashmap` engine, whose numbers stay in the file) is recomputed
+//! on every run. The op sequence was identical for both engines; the
+//! final node count doubles as a cross-engine correctness checksum.
 
 use bdd::{Manager, Ref, Var};
 use std::time::Instant;

@@ -149,29 +149,14 @@ FLAGS:
                         rounds that read it. Per-seed session content
                         is byte-identical either way — this is the A/B
                         lever --bench-scale measures.
-    --parallel-verify   Fan a session's initial per-device verification
-                        sweep — including its symbolic space builds —
-                        across scoped worker threads drawing BDD
-                        managers from the session's pool. Kicks in at
-                        8+ unverified devices; verdicts, witnesses, and
-                        warm caches are identical to the sequential
-                        sweep. Requires incremental verification.
     --bench-scale       Size sweep: run the repair fleet at --sessions/
                         --seed once per large family per verification
-                        mode (full, incremental, incremental+parallel),
-                        check per-seed session content is identical
-                        across the three modes, and write
-                        BENCH_scale.json (default --out) with
-                        sessions/s and the wall-clock spread vs router
-                        count. --families may name a subset of the
-                        large families to sweep.
-    --no-pool           Disable manager pooling: workers build every
-                        symbolic space against a fresh BDD manager (the
-                        pre-resident baseline; session content is
-                        byte-identical either way).
-    --no-baseline       Skip the fresh-manager baseline measurement that
-                        synthesis bench runs otherwise record in the
-                        manager_pool block (halves bench wall-clock).
+                        mode (full, incremental), check per-seed
+                        session content is identical across the two
+                        modes, and write BENCH_scale.json (default
+                        --out) with sessions/s and the wall-clock
+                        spread vs router count. --families may name a
+                        subset of the large families to sweep.
     --dump-scenario I   Print scenario I's JSON and exit.
     --help              Print this reference and exit.
 
@@ -212,13 +197,10 @@ struct Args {
     profile: bool,
     queue_depth: Option<usize>,
     deadline_ms: Option<u64>,
-    pool_managers: bool,
-    measure_baseline: bool,
     dump_scenario: Option<usize>,
     backend: BackendChoice,
     bench_backends: bool,
     incremental: bool,
-    parallel_verify: bool,
     bench_scale: bool,
 }
 
@@ -247,13 +229,10 @@ fn parse_args(argv: &[String]) -> Args {
         profile: false,
         queue_depth: None,
         deadline_ms: None,
-        pool_managers: true,
-        measure_baseline: true,
         dump_scenario: None,
         backend: BackendChoice::default(),
         bench_backends: false,
         incremental: true,
-        parallel_verify: false,
         bench_scale: false,
     };
     let mut backend_set = false;
@@ -279,11 +258,8 @@ fn parse_args(argv: &[String]) -> Args {
             "--trace" => args.trace = true,
             "--metrics" => args.metrics = true,
             "--profile" => args.profile = true,
-            "--no-pool" => args.pool_managers = false,
-            "--no-baseline" => args.measure_baseline = false,
             "--bench-backends" => args.bench_backends = true,
             "--no-incremental" => args.incremental = false,
-            "--parallel-verify" => args.parallel_verify = true,
             "--bench-scale" => args.bench_scale = true,
             "--backend" => {
                 let v = value(&mut i, "--backend");
@@ -358,12 +334,6 @@ fn parse_args(argv: &[String]) -> Args {
             "--backend and --route are mutually exclusive (--route picks its own tier ladder)",
         );
     }
-    if args.parallel_verify && !args.incremental {
-        usage_error(
-            "--parallel-verify requires incremental verification (drop --no-incremental); \
-             the parallel sweep is the incremental verifier's prefill",
-        );
-    }
     validate_families(&args);
     args
 }
@@ -428,7 +398,6 @@ fn tuning_of(args: &Args) -> SessionTuning {
         backend: args.backend,
         verify: VerifyMode {
             incremental: args.incremental,
-            parallel: args.parallel_verify,
         },
         scenario_family: pinned_family(args),
         ..Default::default()
@@ -518,7 +487,6 @@ fn main() {
         seed: args.seed,
         threads: args.threads,
         families: args.families.clone(),
-        pool_managers: args.pool_managers,
         tuning: tuning_of(&args),
     };
     match args.use_case.as_str() {
@@ -537,7 +505,6 @@ fn main() {
 fn run_serve(args: &Args) {
     let opts = ServeOptions {
         threads: args.threads,
-        pool_managers: args.pool_managers,
         default_families: args.families.clone(),
         queue_depth: args.queue_depth.unwrap_or(1024),
         tuning: tuning_of(args),
@@ -564,7 +531,7 @@ fn run_serve(args: &Args) {
                     }
                 });
         eprintln!(
-            "fleetd: listening on {}{}, {} workers, pooling {}, queue depth {}{}",
+            "fleetd: listening on {}{}, {} workers, queue depth {}{}",
             listener
                 .local_addr()
                 .map_or_else(|_| addr.clone(), |a| a.to_string()),
@@ -577,16 +544,14 @@ fn run_serve(args: &Args) {
                 None => String::new(),
             },
             opts.threads.max(2),
-            if opts.pool_managers { "on" } else { "off" },
             opts.queue_depth,
             if args.chaos { ", chaos on" } else { "" }
         );
         cosynth_fleet::serve_listener(listener, metrics_listener, &opts)
     } else {
         eprintln!(
-            "fleetd: serving on stdin/stdout, {} workers, pooling {}, queue depth {}{}",
+            "fleetd: serving on stdin/stdout, {} workers, queue depth {}{}",
             opts.threads.max(2),
-            if opts.pool_managers { "on" } else { "off" },
             opts.queue_depth,
             if args.chaos { ", chaos on" } else { "" }
         );
@@ -705,7 +670,6 @@ fn run_profile(args: &Args) {
         seed: args.seed,
         threads: args.threads,
         families: args.families.clone(),
-        pool_managers: args.pool_managers,
         tuning: tuning_of(args),
     };
     let out_path = args
@@ -852,7 +816,6 @@ fn run_bench_backends(args: &Args) {
         seed: args.seed,
         threads: args.threads,
         families: args.families.clone(),
-        pool_managers: args.pool_managers,
         tuning: SessionTuning {
             backend: choice,
             ..tuning_of(args)
@@ -1006,22 +969,9 @@ struct ScaleLeg {
 /// incremental verifier's A/B evidence that session cost scales with
 /// the edit rather than the network.
 fn run_bench_scale(args: &Args) {
-    let modes: [(&'static str, VerifyMode); 3] = [
+    let modes = [
         ("full", VerifyMode::full()),
-        (
-            "incremental",
-            VerifyMode {
-                incremental: true,
-                parallel: false,
-            },
-        ),
-        (
-            "incremental-parallel",
-            VerifyMode {
-                incremental: true,
-                parallel: true,
-            },
-        ),
+        ("incremental", VerifyMode::default()),
     ];
     // Sweep smallest-first so a contract failure surfaces cheaply;
     // --families restricts the sweep (validated large-only).
@@ -1074,7 +1024,6 @@ fn run_bench_scale(args: &Args) {
                 seed: args.seed,
                 threads: args.threads,
                 families: None,
-                pool_managers: args.pool_managers,
                 tuning: SessionTuning {
                     verify,
                     scenario_family: Some(family),
@@ -1103,19 +1052,18 @@ fn run_bench_scale(args: &Args) {
             );
             contract_ok = false;
         }
-        let speedup = legs[0].wall.median / legs[2].wall.median.max(f64::MIN_POSITIVE);
+        let speedup = legs[0].wall.median / legs[1].wall.median.max(f64::MIN_POSITIVE);
         println!(
             "scale: {family:<14} {routers:>3} routers | full {:>8.1} ms | incr {:>8.1} ms | \
-             incr+par {:>8.1} ms | speedup {speedup:.2}x | content {}",
+             speedup {speedup:.2}x | content {}",
             legs[0].wall.median,
             legs[1].wall.median,
-            legs[2].wall.median,
             if identical { "identical" } else { "DIVERGED" }
         );
         families.push((family, routers, legs, identical));
     }
 
-    // Contract: at the largest family, incremental+parallel beats full
+    // Contract: at the largest family, incremental beats full
     // re-verification ≥3× on median session wall-clock; and the
     // per-edit cost grows sub-linearly in router count across the
     // sweep. Per-edit cost is estimated by the p10 session wall — the
@@ -1127,7 +1075,7 @@ fn run_bench_scale(args: &Args) {
     // recorded in the contract for transparency.
     let (largest, largest_routers, largest_legs, _) = families.last().expect("non-empty sweep");
     let largest_speedup =
-        largest_legs[0].wall.median / largest_legs[2].wall.median.max(f64::MIN_POSITIVE);
+        largest_legs[0].wall.median / largest_legs[1].wall.median.max(f64::MIN_POSITIVE);
     let (smallest, smallest_routers, smallest_legs, _) = families.first().expect("non-empty");
     let median_growth =
         largest_legs[1].wall.median / smallest_legs[1].wall.median.max(f64::MIN_POSITIVE);
@@ -1144,7 +1092,7 @@ fn run_bench_scale(args: &Args) {
     };
     if largest_speedup < 3.0 {
         eprintln!(
-            "fleet: scale contract: incremental+parallel is only {largest_speedup:.2}x \
+            "fleet: scale contract: incremental is only {largest_speedup:.2}x \
              faster than full at {largest} ({largest_routers} routers); the bar is 3x"
         );
         contract_ok = false;
@@ -1172,8 +1120,8 @@ fn run_bench_scale(args: &Args) {
         );
         let _ = writeln!(
             out,
-            "      \"speedup_incremental_parallel_vs_full\": {:.4},",
-            legs[0].wall.median / legs[2].wall.median.max(f64::MIN_POSITIVE)
+            "      \"speedup_incremental_vs_full\": {:.4},",
+            legs[0].wall.median / legs[1].wall.median.max(f64::MIN_POSITIVE)
         );
         let _ = writeln!(out, "      \"modes\": {{");
         for (li, leg) in legs.iter().enumerate() {
@@ -1239,25 +1187,13 @@ fn run_bench_scale(args: &Args) {
 fn run_and_report<U: UseCase>(cfg: &FleetConfig, args: &Args) {
     let out_path = args.out.clone().unwrap_or_else(|| U::DEFAULT_OUT.into());
     eprintln!(
-        "fleet: {}, {} sessions, seed {}, {} workers, pooling {}",
+        "fleet: {}, {} sessions, seed {}, {} workers",
         U::NAME,
         cfg.sessions,
         cfg.seed,
-        cfg.threads.max(2),
-        if cfg.pool_managers { "on" } else { "off" }
+        cfg.threads.max(2)
     );
-    let mut report = run_case::<U>(cfg);
-    // The before/after pooling comparison for the manager_pool bench
-    // block: re-run the same shape with fresh-per-space managers.
-    // Content is deterministic, so only throughput is kept.
-    if cfg.pool_managers && args.measure_baseline {
-        eprintln!("fleet: measuring fresh-manager baseline (--no-baseline to skip)");
-        let baseline = run_case::<U>(&FleetConfig {
-            pool_managers: false,
-            ..cfg.clone()
-        });
-        report.baseline_sessions_per_s = Some(baseline.throughput());
-    }
+    let report = run_case::<U>(cfg);
 
     if args.trace {
         for r in &report.results {

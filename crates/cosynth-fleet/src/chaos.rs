@@ -35,6 +35,7 @@ use cosynth::{Modularizer, VerifierContext};
 use criterion::SampleStats;
 use llm_sim::rng::SimRng;
 use std::fmt::Write as _;
+use topo_model::json::{self, Json};
 
 /// Fault directives for one job, drawn from the plan by sequence
 /// number.
@@ -145,7 +146,8 @@ pub struct ChaosReport {
     pub cfg: ChaosConfig,
     /// The service's drain summary.
     pub summary: ServeSummary,
-    /// Latency spread over run sessions (None if nothing ran).
+    /// Latency spread over the sessions that completed or hit their
+    /// deadline, from their result lines' `wall_ms` (None if none ran).
     pub latency: Option<SampleStats>,
     /// JSONL event/result lines the service emitted.
     pub event_lines: usize,
@@ -299,7 +301,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> std::io::Result<ChaosReport> {
         &mut out,
         &ServeOptions {
             threads: cfg.threads,
-            pool_managers: true,
             default_families: None,
             queue_depth: cfg.queue_depth,
             tuning: SessionTuning::default(),
@@ -308,8 +309,25 @@ pub fn run_chaos(cfg: &ChaosConfig) -> std::io::Result<ChaosReport> {
             stream_traces: false,
         },
     )?;
-    let latency = SampleStats::from_samples(&summary.latencies_ms);
-    let event_lines = out.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count();
+    let out = String::from_utf8_lossy(&out);
+    // Latency over the sessions that ran, read off their result lines;
+    // a panicked session's sentinel result carries no wall time.
+    let walls: Vec<f64> = out
+        .lines()
+        .filter_map(|line| json::parse(line).ok())
+        .filter(|r| {
+            matches!(
+                r.get("outcome").and_then(Json::as_str),
+                Some("completed" | "deadline_exceeded")
+            )
+        })
+        .filter_map(|r| match r.get("wall_ms") {
+            Some(Json::Num(ms)) => Some(*ms),
+            _ => None,
+        })
+        .collect();
+    let latency = SampleStats::from_samples(&walls);
+    let event_lines = out.lines().filter(|l| !l.is_empty()).count();
     Ok(ChaosReport {
         cfg,
         summary,

@@ -29,8 +29,8 @@
 //! (and, for repair, the same injected fault) against the same
 //! simulated-model stream, regardless of worker count, scheduling, or
 //! manager pooling — only wall-clock figures vary between runs. The
-//! `pooling_determinism` test pins pooled against fresh-per-space runs
-//! field by field.
+//! `pooling_determinism` test pins a pooled fleet against one-shot
+//! sessions, each on its own unpooled context, field by field.
 
 use cosynth::session::RetryPolicy;
 use cosynth::{Modularizer, VerifierContext};
@@ -77,10 +77,6 @@ pub struct FleetConfig {
     pub threads: usize,
     /// Optional family filter (names from [`family_names`]).
     pub families: Option<Vec<String>>,
-    /// Whether workers recycle BDD managers across sessions (the
-    /// resident-engine default). `false` is the fresh-per-space
-    /// baseline: identical session content, no allocation amortization.
-    pub pool_managers: bool,
     /// Robustness knobs applied to every session: deadline, transport
     /// fault rates, retry policy. The default is the trusting shape
     /// (unlimited budget, perfect transport) — byte-identical to the
@@ -95,7 +91,6 @@ impl Default for FleetConfig {
             seed: 1,
             threads: default_threads(),
             families: None,
-            pool_managers: true,
             tuning: SessionTuning::default(),
         }
     }
@@ -118,10 +113,10 @@ pub struct SessionTuning {
     /// historical `simulated-gpt4` — byte-identical session content to
     /// the pre-backend fleet.
     pub backend: BackendChoice,
-    /// Re-verification strategy (incremental dirty-set bookkeeping and
-    /// the parallel sweep fan-out; see `cosynth::incremental`). Per-seed
-    /// session content is byte-identical across modes — the `fleet`
-    /// flags `--no-incremental` / `--parallel-verify` map onto this.
+    /// Re-verification strategy (incremental dirty-set bookkeeping; see
+    /// `cosynth::incremental`). Per-seed session content is
+    /// byte-identical across modes — the `fleet` flag `--no-incremental`
+    /// maps onto this.
     pub verify: cosynth::VerifyMode,
     /// Pin every session to one named scenario family instead of the
     /// default rotation — how the large internet-scale families
@@ -370,14 +365,8 @@ pub struct FleetReport<U: UseCase> {
     pub seed: u64,
     /// Total wall-clock, milliseconds.
     pub wall_ms: f64,
-    /// Whether workers recycled managers.
-    pub pooled: bool,
     /// Manager-pool and space-cache counters, summed over workers.
     pub pool: PoolCounters,
-    /// Throughput of a fresh-per-space baseline run of the same shape,
-    /// when the caller measured one (the `fleet` binary does for bench
-    /// writes); lands in the `manager_pool` bench block.
-    pub baseline_sessions_per_s: Option<f64>,
 }
 
 impl<U: UseCase> FleetReport<U> {
@@ -433,7 +422,6 @@ pub(crate) fn job_indices(sessions: usize, families: Option<&[String]>) -> Vec<u
 fn run_pool<R: Send>(
     threads: usize,
     jobs: &[usize],
-    pooling: bool,
     run: impl Fn(usize, &mut VerifierContext) -> R + Sync,
     on_panic: impl Fn(usize) -> R + Sync,
 ) -> (Vec<(usize, R)>, PoolCounters) {
@@ -452,11 +440,7 @@ fn run_pool<R: Send>(
             let run = &run;
             let on_panic = &on_panic;
             scope.spawn(move || {
-                let mut ctx = if pooling {
-                    VerifierContext::new()
-                } else {
-                    VerifierContext::without_pooling()
-                };
+                let mut ctx = VerifierContext::new();
                 loop {
                     // Own queue first (front), then steal from the back
                     // of the busiest-looking victim.
@@ -514,7 +498,6 @@ pub fn run_case<U: UseCase>(cfg: &FleetConfig) -> FleetReport<U> {
     let (results, pool) = run_pool(
         threads,
         &jobs,
-        cfg.pool_managers,
         |index, ctx| U::run_session(seed, index, ctx, &tuning),
         U::panic_result,
     );
@@ -527,9 +510,7 @@ pub fn run_case<U: UseCase>(cfg: &FleetConfig) -> FleetReport<U> {
         threads,
         seed: cfg.seed,
         wall_ms,
-        pooled: cfg.pool_managers,
         pool,
-        baseline_sessions_per_s: None,
     }
 }
 
@@ -562,36 +543,13 @@ pub fn bench_prelude<U: UseCase>(
     );
     let p = &report.pool;
     let _ = writeln!(out, "  \"manager_pool\": {{");
-    let _ = writeln!(out, "    \"pooling\": {},", report.pooled);
     let _ = writeln!(out, "    \"workers\": {},", p.workers);
     let _ = writeln!(out, "    \"manager_allocs\": {},", p.manager_allocs);
     let _ = writeln!(out, "    \"manager_reuses\": {},", p.manager_reuses);
     let _ = writeln!(out, "    \"reuse_rate\": {:.4},", p.reuse_rate());
     let _ = writeln!(out, "    \"peak_nodes\": {},", p.peak_nodes);
     let _ = writeln!(out, "    \"space_cache_hits\": {},", p.cache_hits);
-    let _ = writeln!(out, "    \"space_cache_misses\": {},", p.cache_misses);
-    match report.baseline_sessions_per_s {
-        Some(fresh) => {
-            let _ = writeln!(out, "    \"sessions_per_s_fresh\": {fresh:.2},");
-            let _ = writeln!(
-                out,
-                "    \"sessions_per_s_pooled\": {:.2},",
-                report.throughput()
-            );
-            let _ = writeln!(
-                out,
-                "    \"pooling_speedup\": {:.2}",
-                report.throughput() / fresh.max(1e-9)
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "    \"sessions_per_s_pooled\": {:.2}",
-                report.throughput()
-            );
-        }
-    }
+    let _ = writeln!(out, "    \"space_cache_misses\": {}", p.cache_misses);
     let _ = writeln!(out, "  }},");
     out
 }
@@ -623,7 +581,6 @@ mod tests {
             seed: 1,
             threads: 3,
             families: None,
-            pool_managers: true,
             tuning: SessionTuning::default(),
         };
         let report = run_fleet(&cfg);
@@ -660,7 +617,6 @@ mod tests {
             seed: 2,
             threads: 2,
             families: Some(vec!["ring".into()]),
-            pool_managers: true,
             tuning: SessionTuning::default(),
         });
         assert_eq!(report.results.len(), 3);
@@ -674,7 +630,6 @@ mod tests {
             seed: 1,
             threads: 3,
             families: None,
-            pool_managers: true,
             tuning: SessionTuning::default(),
         };
         let report = run_case::<Repair>(&cfg);
@@ -711,7 +666,6 @@ mod tests {
             seed: 1,
             threads: 2,
             families: None,
-            pool_managers: true,
             tuning: SessionTuning {
                 scenario_family: Some("as-graph-64"),
                 ..SessionTuning::default()
@@ -752,7 +706,6 @@ mod tests {
         let (results, counters) = run_pool(
             3,
             &jobs,
-            true,
             |index, _ctx| {
                 if index % 4 == 2 {
                     panic!("injected worker panic");
@@ -780,7 +733,6 @@ mod tests {
         let (results, counters) = run_pool(
             2,
             &jobs,
-            true,
             |index, ctx| {
                 ctx.begin_session();
                 let scenario = scenario_for(1, 0);
@@ -824,7 +776,6 @@ mod tests {
             seed: 2,
             threads: 2,
             families: Some(vec!["star".into()]),
-            pool_managers: true,
             tuning: SessionTuning::default(),
         });
         assert_eq!(report.results.len(), 3);

@@ -5,7 +5,7 @@
 //! reader/writer thread pair per client connection, every connection
 //! speaks the same newline-JSON batch protocol as stdin `--serve`, and
 //! all of them feed one bounded admission queue — sharded per worker
-//! with work-stealing ([`ShardedQueue`]) so the hot pop path never
+//! with work-stealing (`ShardedQueue`) so the hot pop path never
 //! contends across the pool — drained by the resident workers. Where
 //! the stdin pump runs batches one
 //! at a time, connections here pipeline freely — a client may have any
@@ -248,11 +248,7 @@ pub fn serve_listener(
 /// panic-contained, folds the registry and global ledger, and routes
 /// the completion back to its connection.
 fn worker_loop(core: &Core<'_>, shard: usize) {
-    let mut ctx = if core.opts.pool_managers {
-        cosynth::VerifierContext::new()
-    } else {
-        cosynth::VerifierContext::without_pooling()
-    };
+    let mut ctx = cosynth::VerifierContext::new();
     // Registry shards are 1-based (shard 0 belongs to the front-ends);
     // queue shards are 0-based per worker.
     while let Some(sj) = core.queue.pop(shard - 1) {
@@ -268,7 +264,6 @@ fn worker_loop(core: &Core<'_>, shard: usize) {
             );
         }
         let done = run_job(sj.job, &mut ctx, &core.opts.tuning, core.opts.stream_traces);
-        let ran = !matches!(done.class, CompletionClass::Shed);
         {
             // One critical section per completion: the outcome counter
             // and the in-flight gauge move together, so the scrape
@@ -276,62 +271,9 @@ fn worker_loop(core: &Core<'_>, shard: usize) {
             let mut acc = lock_clean(&core.accounting);
             acc.in_flight -= 1;
             core.mirror(&acc);
-            let reg = &core.reg;
-            let ids = &core.ids;
-            match done.class {
-                CompletionClass::Completed { .. } => {
-                    reg.inc(shard, ids.completed);
-                    reg.add_labeled(ids.tenant_sessions, &sj.client, 1);
-                }
-                CompletionClass::DeadlineExceeded => {
-                    reg.inc(shard, ids.deadline_exceeded);
-                    reg.add_labeled(ids.tenant_sessions, &sj.client, 1);
-                    reg.add_labeled(ids.tenant_deadline_exceeded, &sj.client, 1);
-                }
-                CompletionClass::Panicked => {
-                    reg.inc(shard, ids.quarantined);
-                    reg.add_labeled(ids.tenant_sessions, &sj.client, 1);
-                }
-                CompletionClass::Shed => {
-                    reg.inc(shard, ids.shed_over_deadline);
-                    reg.add_labeled(ids.tenant_shed, &sj.client, 1);
-                }
-            }
-            if ran {
-                reg.add(shard, ids.transport_retries, done.retries as u64);
-                reg.observe_ns(shard, ids.session, (done.wall_ms * 1e6) as u64);
-                ids.stages.observe(reg, shard, &done.trace);
-                ids.fold_cost(reg, shard, &done.cost, &sj.client);
-            }
+            core.ids.record(&core.reg, shard, &sj.client, &done);
         }
-        {
-            let mut ledger = lock_clean(&core.ledger);
-            match done.class {
-                CompletionClass::Completed { ok } => {
-                    ledger.sessions += 1;
-                    ledger.completed += 1;
-                    if !ok {
-                        ledger.failures += 1;
-                    }
-                }
-                CompletionClass::DeadlineExceeded => {
-                    ledger.sessions += 1;
-                    ledger.deadline_exceeded += 1;
-                    ledger.failures += 1;
-                }
-                CompletionClass::Panicked => {
-                    ledger.sessions += 1;
-                    ledger.quarantined += 1;
-                    ledger.failures += 1;
-                }
-                CompletionClass::Shed => ledger.shed_over_deadline += 1,
-            }
-            if ran {
-                ledger.latencies_ms.push(done.wall_ms);
-                ledger.transport_retries += done.retries;
-                ledger.cost.absorb(&done.cost);
-            }
-        }
+        lock_clean(&core.ledger).record(&done);
         // The connection may already be gone (client hung up): the
         // completion is accounted above either way.
         let _ = sj.reply.send(ConnEvent::Done(sj.batch, Box::new(done)));
@@ -683,34 +625,7 @@ fn writer_loop(
             ConnEvent::Line(line) => write(&mut out, &mut dead, &line),
             ConnEvent::Eof => eof = true,
             ConnEvent::Done(seq, done) => {
-                {
-                    let mut conn = lock_clean(conn_ledger);
-                    match done.class {
-                        CompletionClass::Completed { ok } => {
-                            conn.sessions += 1;
-                            conn.completed += 1;
-                            if !ok {
-                                conn.failures += 1;
-                            }
-                        }
-                        CompletionClass::DeadlineExceeded => {
-                            conn.sessions += 1;
-                            conn.deadline_exceeded += 1;
-                            conn.failures += 1;
-                        }
-                        CompletionClass::Panicked => {
-                            conn.sessions += 1;
-                            conn.quarantined += 1;
-                            conn.failures += 1;
-                        }
-                        CompletionClass::Shed => conn.shed_over_deadline += 1,
-                    }
-                    if !matches!(done.class, CompletionClass::Shed) {
-                        conn.latencies_ms.push(done.wall_ms);
-                        conn.transport_retries += done.retries;
-                        conn.cost.absorb(&done.cost);
-                    }
-                }
+                lock_clean(conn_ledger).record(&done);
                 write(&mut out, &mut dead, &done.line);
                 if let Some(trace_line) = &done.trace_line {
                     write(&mut out, &mut dead, trace_line);

@@ -3,7 +3,7 @@
 //! Keeps the worker pool and its warm [`VerifierContext`]s alive across
 //! batches: workers are spawned once, each owns a manager pool for its
 //! whole lifetime, and job batches stream through a per-worker sharded
-//! queue with work-stealing ([`ShardedQueue`]). The
+//! queue with work-stealing (`ShardedQueue`). The
 //! protocol is line-oriented on both sides:
 //!
 //! * **Requests** (one JSON object per line on stdin):
@@ -58,8 +58,6 @@ use topo_model::json::{self, Json, ObjBuilder};
 pub struct ServeOptions {
     /// Resident worker threads (min 2).
     pub threads: usize,
-    /// Whether workers recycle BDD managers across sessions.
-    pub pool_managers: bool,
     /// Topology-family filter applied to requests that carry none of
     /// their own (the CLI's `--families` under `--serve`).
     pub default_families: Option<Vec<String>>,
@@ -87,7 +85,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             threads: crate::default_threads(),
-            pool_managers: true,
             default_families: None,
             queue_depth: 1024,
             tuning: SessionTuning::default(),
@@ -230,9 +227,6 @@ pub struct ServeSummary {
     pub quarantined: usize,
     /// Transport retries absorbed across all sessions.
     pub transport_retries: usize,
-    /// Wall-clock of every run session, milliseconds, in completion
-    /// order (the chaos harness folds these into latency percentiles).
-    pub latencies_ms: Vec<f64>,
     /// Per-backend model-cost ledger folded over every session that ran
     /// (shed jobs and panicked sessions contribute empty ledgers).
     pub cost: CostLedger,
@@ -261,6 +255,37 @@ impl ServeSummary {
             && self.shed_queue_full == 0
             && self.shed_over_deadline == 0
             && self.accounted()
+    }
+
+    /// Folds one dequeued job's typed outcome into the ledger: the
+    /// outcome counter, the per-session contract, and — for a session
+    /// that ran — its retries and model cost.
+    pub(crate) fn record(&mut self, done: &Completion) {
+        match done.class {
+            CompletionClass::Completed { ok } => {
+                self.sessions += 1;
+                self.completed += 1;
+                if !ok {
+                    self.failures += 1;
+                }
+            }
+            CompletionClass::DeadlineExceeded => {
+                self.sessions += 1;
+                self.deadline_exceeded += 1;
+                self.failures += 1;
+            }
+            CompletionClass::Panicked => {
+                self.sessions += 1;
+                self.quarantined += 1;
+                self.failures += 1;
+            }
+            CompletionClass::Shed => {
+                self.shed_over_deadline += 1;
+                return;
+            }
+        }
+        self.transport_retries += done.retries;
+        self.cost.absorb(&done.cost);
     }
 }
 
@@ -732,9 +757,39 @@ impl MetricIds {
         }
     }
 
+    /// Folds one dequeued job's typed outcome into the registry (shard
+    /// `shard`, tenant `client`): the registry-side twin of
+    /// [`ServeSummary::record`].
+    pub(crate) fn record(&self, reg: &Registry, shard: usize, client: &str, done: &Completion) {
+        match done.class {
+            CompletionClass::Completed { .. } => {
+                reg.inc(shard, self.completed);
+                reg.add_labeled(self.tenant_sessions, client, 1);
+            }
+            CompletionClass::DeadlineExceeded => {
+                reg.inc(shard, self.deadline_exceeded);
+                reg.add_labeled(self.tenant_sessions, client, 1);
+                reg.add_labeled(self.tenant_deadline_exceeded, client, 1);
+            }
+            CompletionClass::Panicked => {
+                reg.inc(shard, self.quarantined);
+                reg.add_labeled(self.tenant_sessions, client, 1);
+            }
+            CompletionClass::Shed => {
+                reg.inc(shard, self.shed_over_deadline);
+                reg.add_labeled(self.tenant_shed, client, 1);
+                return;
+            }
+        }
+        reg.add(shard, self.transport_retries, done.retries as u64);
+        reg.observe_ns(shard, self.session, (done.wall_ms * 1e6) as u64);
+        self.stages.observe(reg, shard, &done.trace);
+        self.fold_cost(reg, shard, &done.cost, client);
+    }
+
     /// Folds one *ran* completion's cost ledger into the global and
     /// per-tenant cost counters (shard `shard`).
-    pub(crate) fn fold_cost(&self, reg: &Registry, shard: usize, cost: &CostLedger, client: &str) {
+    fn fold_cost(&self, reg: &Registry, shard: usize, cost: &CostLedger, client: &str) {
         reg.add(shard, self.llm_calls, cost.total_calls());
         reg.add(shard, self.milli_cost, cost.total_milli_cost());
         for (i, t) in Tier::ALL.iter().enumerate() {
@@ -833,11 +888,7 @@ pub fn serve(
             let stream_traces = opts.stream_traces;
             let tx = tx.clone();
             scope.spawn(move || {
-                let mut ctx = if opts.pool_managers {
-                    VerifierContext::new()
-                } else {
-                    VerifierContext::without_pooling()
-                };
+                let mut ctx = VerifierContext::new();
                 while let Some(job) = queue.pop(w) {
                     // A send can only fail after serve() returned, which
                     // cannot happen while workers are still scoped.
@@ -1004,50 +1055,12 @@ pub fn serve(
                 let mut batch_shed = shed;
                 for _ in 0..accepted {
                     let done = rx.recv().expect("workers outlive the batch");
-                    let ran = !matches!(done.class, CompletionClass::Shed);
+                    summary.record(&done);
+                    ids.record(reg, 0, client, &done);
                     match done.class {
-                        CompletionClass::Completed { ok } => {
-                            summary.sessions += 1;
-                            summary.completed += 1;
-                            reg.inc(0, ids.completed);
-                            reg.add_labeled(ids.tenant_sessions, client, 1);
-                            summary.latencies_ms.push(done.wall_ms);
-                            summary.transport_retries += done.retries;
-                            if !ok {
-                                failed += 1;
-                            }
-                        }
-                        CompletionClass::DeadlineExceeded => {
-                            summary.sessions += 1;
-                            summary.deadline_exceeded += 1;
-                            reg.inc(0, ids.deadline_exceeded);
-                            reg.add_labeled(ids.tenant_sessions, client, 1);
-                            reg.add_labeled(ids.tenant_deadline_exceeded, client, 1);
-                            summary.latencies_ms.push(done.wall_ms);
-                            summary.transport_retries += done.retries;
-                            failed += 1;
-                        }
-                        CompletionClass::Panicked => {
-                            summary.sessions += 1;
-                            summary.quarantined += 1;
-                            reg.inc(0, ids.quarantined);
-                            reg.add_labeled(ids.tenant_sessions, client, 1);
-                            summary.latencies_ms.push(done.wall_ms);
-                            failed += 1;
-                        }
-                        CompletionClass::Shed => {
-                            summary.shed_over_deadline += 1;
-                            reg.inc(0, ids.shed_over_deadline);
-                            reg.add_labeled(ids.tenant_shed, client, 1);
-                            batch_shed += 1;
-                        }
-                    }
-                    if ran {
-                        reg.add(0, ids.transport_retries, done.retries as u64);
-                        reg.observe_ns(0, ids.session, (done.wall_ms * 1e6) as u64);
-                        ids.stages.observe(reg, 0, &done.trace);
-                        ids.fold_cost(reg, 0, &done.cost, client);
-                        summary.cost.absorb(&done.cost);
+                        CompletionClass::Shed => batch_shed += 1,
+                        CompletionClass::Completed { ok: true } => {}
+                        _ => failed += 1,
                     }
                     writeln!(output, "{}", done.line)?;
                     if let Some(trace_line) = &done.trace_line {
@@ -1055,7 +1068,6 @@ pub fn serve(
                     }
                     output.flush()?;
                 }
-                summary.failures += failed;
                 if jobs.len() < request.count {
                     // The family filter matched nothing in the probe window
                     // — surface it instead of silently under-delivering.
@@ -1128,7 +1140,6 @@ pub fn serve(
             .u64("milli_cost", summary.cost.total_milli_cost())
             .bool("cost_accounted", summary.cost.conserved())
             .u64("workers", p.workers as u64)
-            .bool("pooling", opts.pool_managers)
             .u64("manager_reuses", p.manager_reuses as u64)
             .u64("manager_allocs", p.manager_allocs as u64)
             .u64("manager_quarantined", p.quarantined as u64)

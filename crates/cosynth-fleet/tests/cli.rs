@@ -21,8 +21,6 @@ fn help_covers_the_serve_flags_and_exits_zero() {
         "--families",
         "--out",
         "--serve",
-        "--no-pool",
-        "--no-baseline",
         "--dump-scenario",
         "--backend",
         "--route",
@@ -40,12 +38,20 @@ fn help_covers_the_serve_flags_and_exits_zero() {
 
 #[test]
 fn unknown_flag_exits_nonzero_with_a_usable_message() {
-    let out = fleet().arg("--bogus-flag").output().expect("spawn fleet");
-    assert!(!out.status.success());
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2: {out:?}");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--bogus-flag"), "{err}");
-    assert!(err.contains("--help"), "must point at the reference: {err}");
+    // The removed A/B switches are unknown flags like any other.
+    for flag in [
+        "--bogus-flag",
+        "--parallel-verify",
+        "--no-pool",
+        "--no-baseline",
+    ] {
+        let out = fleet().arg(flag).output().expect("spawn fleet");
+        assert!(!out.status.success());
+        assert_eq!(out.status.code(), Some(2), "usage errors exit 2: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(flag), "{err}");
+        assert!(err.contains("--help"), "must point at the reference: {err}");
+    }
 }
 
 #[test]

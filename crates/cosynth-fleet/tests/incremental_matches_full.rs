@@ -1,7 +1,7 @@
 //! A/B determinism pin for incremental re-verification: per-seed
 //! session **content** is byte-identical between full re-verification
-//! (`--no-incremental`), the incremental dirty-set schedule (default),
-//! and the parallel sweep fan-out — across seeds and both use cases.
+//! (`--no-incremental`) and the incremental dirty-set schedule (default)
+//! — across seeds and both use cases.
 //! Wall-clock, trace span counts, and cache/pool counters are the only
 //! excluded fields (see `cosynth::incremental` for why).
 //!
@@ -59,28 +59,15 @@ fn synthesis_signature(tuning: &SessionTuning, seed: u64, index: usize) -> Strin
     )
 }
 
-fn modes() -> [(&'static str, VerifyMode); 3] {
+fn modes() -> [(&'static str, VerifyMode); 2] {
     [
         ("full", VerifyMode::full()),
-        (
-            "incremental",
-            VerifyMode {
-                incremental: true,
-                parallel: false,
-            },
-        ),
-        (
-            "incremental-parallel",
-            VerifyMode {
-                incremental: true,
-                parallel: true,
-            },
-        ),
+        ("incremental", VerifyMode::default()),
     ]
 }
 
 /// 64 sessions — two seeds × sixteen indices × both use cases — each
-/// run under all three verification modes; every content field must
+/// run under both verification modes; every content field must
 /// match the full-re-verification baseline exactly.
 #[test]
 fn incremental_matches_full_across_seeds_and_use_cases() {

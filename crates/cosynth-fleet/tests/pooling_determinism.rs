@@ -1,8 +1,8 @@
 //! Determinism guard for the resident engine: a fleet run whose workers
-//! recycle BDD managers (`pool_managers: true`) must produce **byte-
-//! identical** session content to a run that builds every symbolic
-//! space against a fresh manager — across both use cases. Only
-//! wall-clock fields may differ.
+//! recycle BDD managers must produce **byte-identical** session content
+//! to one-shot sessions over the same indices, each building every
+//! symbolic space against a fresh manager on its own unpooled context
+//! — across both use cases. Only wall-clock fields may differ.
 //!
 //! This is the contract that lets the pooled path replace the fresh
 //! path without re-validating any committed `BENCH_*.json` provenance:
@@ -12,27 +12,41 @@
 
 use cosynth::VerifierContext;
 use cosynth_fleet::{
-    run_case, run_repair_session_in, FleetConfig, Repair, SessionTuning, Synthesis,
+    run_case, run_repair_session_in, FleetConfig, Repair, SessionTuning, Synthesis, UseCase,
 };
 
 const SESSIONS: usize = 16;
 
-fn cfg(pool_managers: bool) -> FleetConfig {
+fn cfg() -> FleetConfig {
     FleetConfig {
         sessions: SESSIONS,
         seed: 1,
         threads: 2,
         families: None,
-        pool_managers,
         tuning: SessionTuning::default(),
     }
 }
 
+/// The fresh side: one-shot sessions over `indices`, each on its own
+/// unpooled context, which must show zero manager reuse.
+fn one_shot<U: UseCase>(indices: impl Iterator<Item = usize>) -> Vec<U::Result> {
+    indices
+        .map(|index| {
+            let mut ctx = VerifierContext::without_pooling();
+            let result = U::run_session(1, index, &mut ctx, &SessionTuning::default());
+            ctx.flush();
+            assert_eq!(ctx.pool.reuses, 0, "one-shot session {index} recycled");
+            result
+        })
+        .collect()
+}
+
 #[test]
 fn pooled_and_fresh_synthesis_fleets_are_byte_identical() {
-    let fresh = run_case::<Synthesis>(&cfg(false));
-    let pooled = run_case::<Synthesis>(&cfg(true));
-    assert_eq!(fresh.results.len(), SESSIONS);
+    let pooled = run_case::<Synthesis>(&cfg());
+    let fresh = one_shot::<Synthesis>(pooled.results.iter().map(|r| r.index));
+    let fresh_rows = Synthesis::aggregate(&fresh);
+    assert_eq!(fresh.len(), SESSIONS);
     assert_eq!(pooled.results.len(), SESSIONS);
     // The pooled run must actually have recycled — otherwise this test
     // compares the fresh path against itself.
@@ -41,8 +55,7 @@ fn pooled_and_fresh_synthesis_fleets_are_byte_identical() {
         "pooled run never recycled: {:?}",
         pooled.pool
     );
-    assert_eq!(fresh.pool.manager_reuses, 0, "{:?}", fresh.pool);
-    for (a, b) in fresh.results.iter().zip(&pooled.results) {
+    for (a, b) in fresh.iter().zip(&pooled.results) {
         assert_eq!(a.index, b.index);
         assert_eq!(a.scenario, b.scenario, "session {}", a.index);
         assert_eq!(a.family, b.family, "session {}", a.index);
@@ -57,7 +70,7 @@ fn pooled_and_fresh_synthesis_fleets_are_byte_identical() {
         assert_eq!(a.panicked, b.panicked, "session {}", a.index);
     }
     // Aggregate rows agree on everything except wall-clock spreads.
-    for (a, b) in fresh.rows.iter().zip(&pooled.rows) {
+    for (a, b) in fresh_rows.iter().zip(&pooled.rows) {
         assert_eq!(a.family, b.family);
         assert_eq!(a.sessions, b.sessions);
         assert_eq!(a.converged, b.converged);
@@ -68,14 +81,14 @@ fn pooled_and_fresh_synthesis_fleets_are_byte_identical() {
 
 #[test]
 fn pooled_and_fresh_repair_fleets_are_byte_identical() {
-    let fresh = run_case::<Repair>(&cfg(false));
-    let pooled = run_case::<Repair>(&cfg(true));
+    let pooled = run_case::<Repair>(&cfg());
+    let fresh = one_shot::<Repair>(pooled.results.iter().map(|r| r.index));
     assert!(
         pooled.pool.manager_reuses > 0,
         "pooled run never recycled: {:?}",
         pooled.pool
     );
-    for (a, b) in fresh.results.iter().zip(&pooled.results) {
+    for (a, b) in fresh.iter().zip(&pooled.results) {
         assert_eq!(a.index, b.index);
         assert_eq!(a.scenario, b.scenario, "session {}", a.index);
         assert_eq!(a.class, b.class, "session {}", a.index);

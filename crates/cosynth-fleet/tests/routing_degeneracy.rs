@@ -23,7 +23,6 @@ fn cfg(backend: BackendChoice) -> FleetConfig {
         seed: 1,
         threads: 2,
         families: None,
-        pool_managers: true,
         tuning: SessionTuning {
             backend,
             ..SessionTuning::default()

@@ -58,26 +58,11 @@
 //!   worker answers the sweeps and the final simulation of session
 //!   *k+1* from session *k*'s work.
 //!
-//! ## Parallel mode
-//!
-//! With [`VerifyMode::parallel`] the one-time O(n) sweeps fan out over
-//! scoped threads: each missing local verdict is computed standalone on
-//! a worker with a pooled BDD manager from the [`VerifierContext`]
-//! (spaces built via `bf_lite::space_for_checks_in` come back with
-//! their fingerprint and are installed warm into the session cache),
-//! and missing campion verdicts are chunked across workers that each
-//! reuse one pooled manager for their whole chunk (campion findings are
-//! canonical regardless of manager history). Per-device verdicts are
-//! pure, so the fan-out returns the same first-in-assignment-order
-//! localization the sequential sweep returns; the only difference is
-//! that a parallel round computes *all* missing verdicts instead of
-//! early-exiting, which pre-warms later rounds.
-//!
 //! ## What "byte-identical" excludes
 //!
 //! Per-seed session **content** — configs, repaired, rounds,
 //! localizations, the global report, leverage, the prompt log, cost —
-//! is identical across full / incremental / incremental+parallel; the
+//! is identical across full and incremental re-verification; the
 //! fleet A/B test pins this. Wall-clock, trace span *counts* (skipped
 //! parses, deferred sims), and space-cache/pool counters necessarily
 //! differ between modes and are excluded from the identity.
@@ -113,35 +98,25 @@ impl std::fmt::Write for HashWriter<'_> {
     }
 }
 
-/// Re-verification strategy for a session. Default: incremental on,
-/// parallel off — the `--no-incremental` / `--parallel-verify` fleet
-/// flags map straight onto the two fields.
+/// Re-verification strategy for a session. Default: incremental on —
+/// the `--no-incremental` fleet flag turns it off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyMode {
     /// Memoize per-device verdicts across rounds and re-verify only the
     /// dirty set after each edit (plus defer unobservable sims).
     pub incremental: bool,
-    /// Fan the one-time per-device sweeps out over scoped threads with
-    /// pooled managers. Implies the incremental bookkeeping.
-    pub parallel: bool,
 }
 
 impl Default for VerifyMode {
     fn default() -> Self {
-        VerifyMode {
-            incremental: true,
-            parallel: false,
-        }
+        VerifyMode { incremental: true }
     }
 }
 
 impl VerifyMode {
     /// The historical schedule: full re-verification every round.
     pub fn full() -> Self {
-        VerifyMode {
-            incremental: false,
-            parallel: false,
-        }
+        VerifyMode { incremental: false }
     }
 }
 
@@ -477,7 +452,6 @@ impl VerdictMemo {
 /// `RepairSession::run_in` when [`VerifyMode::incremental`] is on.
 pub(crate) struct IncrementalVerifier {
     statics: Arc<SessionStatics>,
-    parallel: bool,
     /// FxHash of everything `check_scenario` reads besides the configs:
     /// the topology fingerprint plus the expectations. Scenarios at
     /// different indices that share topology and intent collide here on
@@ -490,32 +464,8 @@ pub(crate) struct IncrementalVerifier {
     campion: Vec<Option<MemoEntry>>,
 }
 
-/// Below this many missing verdicts the fan-out costs more than it
-/// saves (thread spawn + manager shuffling); the sweep stays sequential.
-const PARALLEL_THRESHOLD: usize = 8;
-
-/// Upper bound on worker threads for one fan-out.
-const MAX_WORKERS: usize = 8;
-
-/// A worker-memo key: `(input fingerprint, config-text fingerprint)`.
-type MemoKey = (u64, u64);
-/// One local-prefill work item: device index, memo key, pooled manager.
-type LocalItem = (usize, MemoKey, bdd::Manager);
-/// One campion-prefill work item: device index, campion key, local key
-/// (the local key lets a worker reuse the memoized parse).
-type CampionItem = (usize, MemoKey, MemoKey);
-
-fn worker_count(items: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_WORKERS)
-        .min(items)
-        .max(1)
-}
-
 impl IncrementalVerifier {
-    pub(crate) fn new(scenario: &Scenario, parallel: bool, ctx: &mut VerifierContext) -> Self {
+    pub(crate) fn new(scenario: &Scenario, ctx: &mut VerifierContext) -> Self {
         // Everything derived from the scenario comes out of the worker
         // memo on a pinned family.
         let (skey, statics) = statics_for(scenario, ctx);
@@ -528,7 +478,6 @@ impl IncrementalVerifier {
         let n = statics.assignments.len();
         IncrementalVerifier {
             statics,
-            parallel,
             scenario_hash: h.finish(),
             sweep_base: sb.finish(),
             local: vec![None; n],
@@ -637,9 +586,6 @@ impl IncrementalVerifier {
         ctx: &mut VerifierContext,
     ) -> Option<Localization> {
         let statics = Arc::clone(&self.statics);
-        if self.parallel {
-            self.prefill_local(scenario, &statics, configs, ctx);
-        }
         for (i, assignment) in statics.assignments.iter().enumerate() {
             let Some(text) = configs.get(&assignment.name) else {
                 continue;
@@ -687,9 +633,6 @@ impl IncrementalVerifier {
             if verdict.is_some() {
                 return verdict;
             }
-        }
-        if self.parallel {
-            self.prefill_campion(&statics, configs, ctx);
         }
         for (i, assignment) in statics.assignments.iter().enumerate() {
             let Some(text) = configs.get(&assignment.name) else {
@@ -744,190 +687,6 @@ impl IncrementalVerifier {
         }
         None
     }
-
-    /// Computes every missing local verdict on scoped worker threads.
-    /// Each worker takes a chunk of devices and one pooled manager per
-    /// device (the same count the sequential sweep would pin in the
-    /// cache); built spaces come back with their fingerprint and are
-    /// installed warm, so the post-fill sequential pass is all memo
-    /// hits and the cache is exactly as warm as a sequential sweep
-    /// would have left it.
-    fn prefill_local(
-        &mut self,
-        scenario: &Scenario,
-        statics: &SessionStatics,
-        configs: &BTreeMap<String, String>,
-        ctx: &mut VerifierContext,
-    ) {
-        // Resolve worker-memo hits inline first — a warm worker answers
-        // most of the sweep without touching a thread — and fan out only
-        // the true misses.
-        let mut todo: Vec<(usize, MemoKey)> = Vec::new();
-        for (i, a) in statics.assignments.iter().enumerate() {
-            if self.local[i].is_some() {
-                continue;
-            }
-            let Some(text) = configs.get(&a.name) else {
-                continue;
-            };
-            let textfx = fx(text.as_bytes());
-            let tkey = (statics.keys[i].local, textfx);
-            match ctx.memo.local.get(&tkey) {
-                Some(c) => {
-                    ctx.memo.hits += 1;
-                    self.local[i] = Some(MemoEntry {
-                        textfx,
-                        verdict: c.verdict.clone(),
-                    });
-                }
-                None => todo.push((i, tkey)),
-            }
-        }
-        if todo.len() < PARALLEL_THRESHOLD {
-            return;
-        }
-        let workers = worker_count(todo.len());
-        let mut work: Vec<Vec<LocalItem>> = (0..workers).map(|_| Vec::new()).collect();
-        for (j, (i, tkey)) in todo.into_iter().enumerate() {
-            work[j % workers].push((i, tkey, ctx.pool.acquire()));
-        }
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(i, tkey, mgr)| {
-                                let a = &statics.assignments[i];
-                                let text = configs[&a.name].as_str();
-                                let (device, verdict, built) =
-                                    repair::local_verdict_standalone(scenario, a, text, mgr);
-                                (i, tkey, device, verdict, built)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("local-verdict worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (i, tkey, device, verdict, built) in results {
-            match built {
-                Ok((fingerprint, space)) => {
-                    let start = std::time::Instant::now();
-                    ctx.cache.install(
-                        &mut ctx.pool,
-                        &statics.assignments[i].name,
-                        fingerprint,
-                        space,
-                    );
-                    // The build itself ran on a worker; the span records
-                    // the install so SpaceBuild counts still mirror the
-                    // cache's miss counter.
-                    ctx.trace
-                        .record(telemetry::Stage::SpaceBuild, start.elapsed());
-                }
-                Err(mgr) => ctx.pool.release(mgr),
-            }
-            ctx.memo.misses += 1;
-            ctx.memo.insert_local(
-                tkey,
-                CachedLocal {
-                    device,
-                    verdict: verdict.clone(),
-                },
-            );
-            self.local[i] = Some(MemoEntry {
-                textfx: tkey.1,
-                verdict,
-            });
-        }
-    }
-
-    /// Computes every missing campion verdict on scoped worker threads;
-    /// each worker reuses one pooled manager across its whole chunk.
-    fn prefill_campion(
-        &mut self,
-        statics: &SessionStatics,
-        configs: &BTreeMap<String, String>,
-        ctx: &mut VerifierContext,
-    ) {
-        // Same shape as the local prefill: worker-memo hits inline,
-        // threads only for the misses. Each fan-out item carries both
-        // its campion key and its local key so a worker can reuse the
-        // memoized parse instead of re-parsing the text.
-        let mut todo: Vec<CampionItem> = Vec::new();
-        for (i, a) in statics.assignments.iter().enumerate() {
-            if self.campion[i].is_some() {
-                continue;
-            }
-            let Some(text) = configs.get(&a.name) else {
-                continue;
-            };
-            let keys = statics.keys[i];
-            let textfx = fx(text.as_bytes());
-            let ckey = (keys.campion, textfx);
-            match ctx.memo.campion.get(&ckey) {
-                Some(v) => {
-                    ctx.memo.hits += 1;
-                    self.campion[i] = Some(MemoEntry {
-                        textfx,
-                        verdict: v.clone(),
-                    });
-                }
-                None => todo.push((i, ckey, (keys.local, textfx))),
-            }
-        }
-        if todo.len() < PARALLEL_THRESHOLD {
-            return;
-        }
-        let workers = worker_count(todo.len());
-        let mut work: Vec<(Vec<CampionItem>, bdd::Manager)> = (0..workers)
-            .map(|_| (Vec::new(), ctx.pool.acquire()))
-            .collect();
-        for (j, item) in todo.into_iter().enumerate() {
-            work[j % workers].0.push(item);
-        }
-        let memo = &ctx.memo;
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|(chunk, mut mgr)| {
-                    s.spawn(move || {
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for (i, ckey, lkey) in chunk {
-                            let a = &statics.assignments[i];
-                            let text = configs[&a.name].as_str();
-                            let device = match memo.local.get(&lkey) {
-                                Some(c) => c.device.clone(),
-                                None => repair::parse_device(text, &a.name).device,
-                            };
-                            let (verdict, back) =
-                                repair::campion_verdict_with(a, text, &device, mgr);
-                            mgr = back;
-                            out.push((i, ckey, lkey.1, verdict));
-                        }
-                        (out, mgr)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campion worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (chunk, mgr) in results {
-            ctx.pool.release(mgr);
-            for (i, ckey, textfx, verdict) in chunk {
-                ctx.memo.misses += 1;
-                ctx.memo.insert_campion(ckey, verdict.clone());
-                self.campion[i] = Some(MemoEntry { textfx, verdict });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -936,13 +695,7 @@ mod tests {
 
     #[test]
     fn default_mode_is_incremental_sequential() {
-        assert_eq!(
-            VerifyMode::default(),
-            VerifyMode {
-                incremental: true,
-                parallel: false
-            }
-        );
+        assert_eq!(VerifyMode::default(), VerifyMode { incremental: true });
         assert!(!VerifyMode::full().incremental);
     }
 
@@ -1008,13 +761,13 @@ mod tests {
             .find(|s| s.intent == a.intent)
             .expect("some later index repeats the intent");
         assert_eq!(a.policies, b.policies, "same intent, same policies");
-        let v1 = IncrementalVerifier::new(&a, false, &mut ctx);
-        let v2 = IncrementalVerifier::new(&b, false, &mut ctx);
+        let v1 = IncrementalVerifier::new(&a, &mut ctx);
+        let v2 = IncrementalVerifier::new(&b, &mut ctx);
         assert!(Arc::ptr_eq(&v1.statics, &v2.statics));
         let c = scenario_gen::generate_family("as-graph-64", 4, 0);
         let mut c2 = c.clone();
         c2.policies = a.policies.clone();
-        let v3 = IncrementalVerifier::new(&c2, false, &mut ctx);
+        let v3 = IncrementalVerifier::new(&c2, &mut ctx);
         assert!(
             !Arc::ptr_eq(&v1.statics, &v3.statics),
             "a different topology must not share statics even with equal policies"

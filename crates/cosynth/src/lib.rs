@@ -39,9 +39,9 @@
 //!   (`run_scenario_in` / `run_in` are the pooled session entry points).
 //! * Incremental re-verification → [`incremental`]: the dependency
 //!   tracker + per-device verdict memo that make repair-session cost
-//!   scale with the edit instead of the network, plus the parallel
-//!   sweep fan-out ([`VerifyMode`] selects the strategy; content is
-//!   byte-identical across modes).
+//!   scale with the edit instead of the network ([`VerifyMode`] selects
+//!   full or incremental re-verification; content is byte-identical
+//!   across the two).
 
 pub mod composer;
 pub mod humanizer;

@@ -187,7 +187,7 @@ impl RepairSession {
         let mut inc = self
             .verify
             .incremental
-            .then(|| IncrementalVerifier::new(scenario, self.verify.parallel, ctx));
+            .then(|| IncrementalVerifier::new(scenario, ctx));
         // Assignments are pure in (topology, policies); incremental mode
         // shares one Arc'd copy across sessions on a pinned family via
         // the worker memo instead of re-deriving ~n prompts per session.
@@ -381,8 +381,8 @@ pub fn localize(
 
 /// Parses a rendered config and applies the assignment-name fixup the
 /// VPP loop relies on (drafts rarely carry a hostname). Pure in
-/// `(text, name)`; shared by the sequential sweep, the memoized
-/// re-verification in [`crate::incremental`], and the parallel fan-out.
+/// `(text, name)`; shared by the sweep and the memoized
+/// re-verification in [`crate::incremental`].
 pub(crate) fn parse_device(text: &str, name: &str) -> bf_lite::ParsedConfig {
     let mut parsed = bf_lite::parse_config(text, Some(Vendor::Cisco));
     if parsed.device.name.is_empty() {
@@ -466,93 +466,6 @@ pub(crate) fn local_verdict_in(
     (device, None)
 }
 
-/// [`local_verdict_in`] without the context: the symbolic space (when
-/// the check set needs one) is built into the caller-provided pooled
-/// manager, and comes back with its cache fingerprint so the caller can
-/// install it warm. The parallel fan-out runs this on worker threads,
-/// where neither the cache nor the trace can be borrowed; an unused
-/// manager comes back in the `Err` slot for release. Verdicts are
-/// byte-identical to the context path — same parse, same check order,
-/// and pooled managers reproduce fresh managers' results exactly.
-#[allow(clippy::type_complexity)]
-pub(crate) fn local_verdict_standalone(
-    scenario: &Scenario,
-    assignment: &RouterAssignment,
-    text: &str,
-    mgr: bdd::Manager,
-) -> (
-    config_ir::Device,
-    Option<Localization>,
-    Result<(u64, policy_symbolic::RouteSpace), bdd::Manager>,
-) {
-    let parsed = parse_device(text, &assignment.name);
-    if let Some(w) = parsed.warnings.first() {
-        let (line_start, line_end) = if w.line > 0 {
-            (w.line, w.line)
-        } else {
-            whole_file(text)
-        };
-        let loc = Localization {
-            device: assignment.name.clone(),
-            line_start,
-            line_end,
-            reason: Humanizer::syntax(w),
-        };
-        return (parsed.device, Some(loc), Err(mgr));
-    }
-    let device = parsed.device;
-    let findings = topo_model::verify_router(&scenario.topology, &assignment.name, &device);
-    if let Some(f) = findings.first() {
-        let (line_start, line_end) = topology_span(text, f);
-        let loc = Localization {
-            device: assignment.name.clone(),
-            line_start,
-            line_end,
-            reason: Humanizer::topology(f),
-        };
-        return (device, Some(loc), Err(mgr));
-    }
-    let mut spare = Some(mgr);
-    let mut built = None;
-    if assignment.checks.iter().any(LocalPolicyCheck::is_symbolic) {
-        let fingerprint = crate::space_cache::ir_fingerprint(&device, &assignment.checks);
-        let mgr = spare.take().expect("manager not yet consumed");
-        built = Some((
-            fingerprint,
-            bf_lite::space_for_checks_in(mgr, &device, &assignment.checks),
-        ));
-    }
-    let mut space = built.as_mut().map(|(_, s)| s);
-    for check in &assignment.checks {
-        let result = match space.as_deref_mut() {
-            Some(space) if check.is_symbolic() => {
-                bf_lite::check_local_policy_in(space, &device, check)
-            }
-            _ => bf_lite::check_local_policy(&device, check),
-        };
-        if let Err(witness) = result {
-            let map = check_map(check);
-            let (line_start, line_end) = map_span(text, &map).unwrap_or(whole_file(text));
-            let loc = Localization {
-                device: assignment.name.clone(),
-                line_start,
-                line_end,
-                reason: Humanizer::semantic(&map, check, &witness),
-            };
-            return (
-                device,
-                Some(loc),
-                Ok(built.expect("symbolic witness implies a built space")),
-            );
-        }
-    }
-    (
-        device,
-        None,
-        built.ok_or_else(|| spare.expect("manager unused when no space was built")),
-    )
-}
-
 /// The campion verdict for one locally-clean device: the structural/
 /// behavioral diff against the reference device rebuilt from the
 /// router's own prompt. Pure in `(assignment, text, device)`.
@@ -562,30 +475,16 @@ pub(crate) fn campion_verdict_in(
     device: &config_ir::Device,
     ctx: &mut VerifierContext,
 ) -> Option<Localization> {
+    let intended = llm_sim::synth_task::reference_device(&llm_sim::synth_task::understand_prompt(
+        &assignment.prompt,
+    ));
     // The behaviour diff builds the largest BDDs in the workspace;
     // drawing its manager from the worker pool is what keeps the
     // final (all-channels-silent) verification round off the
     // fresh-allocation path.
-    let (loc, mgr) = campion_verdict_with(assignment, text, device, ctx.pool.acquire());
+    let (findings, mgr) = campion_lite::compare_in(ctx.pool.acquire(), &intended, device);
     ctx.pool.release(mgr);
-    loc
-}
-
-/// [`campion_verdict_in`] threading the manager explicitly, so a
-/// parallel worker can reuse one pooled manager across its whole chunk
-/// of devices — campion findings are canonical regardless of manager
-/// history, so reuse without clearing is sound.
-pub(crate) fn campion_verdict_with(
-    assignment: &RouterAssignment,
-    text: &str,
-    device: &config_ir::Device,
-    mgr: bdd::Manager,
-) -> (Option<Localization>, bdd::Manager) {
-    let intended = llm_sim::synth_task::reference_device(&llm_sim::synth_task::understand_prompt(
-        &assignment.prompt,
-    ));
-    let (findings, mgr) = campion_lite::compare_in(mgr, &intended, device);
-    let loc = findings.first().map(|f| {
+    findings.first().map(|f| {
         let (line_start, line_end) = campion_span(text, f);
         Localization {
             device: assignment.name.clone(),
@@ -593,8 +492,7 @@ pub(crate) fn campion_verdict_with(
             line_end,
             reason: Humanizer::campion(f),
         }
-    });
-    (loc, mgr)
+    })
 }
 
 fn fallback_localization(

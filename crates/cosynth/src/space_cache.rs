@@ -115,27 +115,6 @@ impl RouteSpaceCache {
         &mut self.entries.get_mut(router).expect("just ensured").space
     }
 
-    /// Installs a space built *outside* the cache — the parallel sweep
-    /// builds spaces on worker threads, where the cache cannot be
-    /// borrowed — releasing any stale entry's manager to `pool`.
-    /// Counted as a miss: the build happened, just elsewhere, so the
-    /// hit/miss ledger keeps meaning "lookups answered warm" vs
-    /// "spaces built".
-    pub fn install(
-        &mut self,
-        pool: &mut crate::verifier_ctx::ManagerPool,
-        router: &str,
-        fingerprint: u64,
-        space: RouteSpace,
-    ) {
-        self.misses += 1;
-        if let Some(stale) = self.entries.remove(router) {
-            pool.release(stale.space.into_manager());
-        }
-        self.entries
-            .insert(router.to_string(), Entry { fingerprint, space });
-    }
-
     /// The cached space for `router`, if one is live — a plain map
     /// lookup with no fingerprint work. Used by
     /// [`crate::verifier_ctx::VerifierContext`] to re-borrow the space

@@ -45,8 +45,8 @@ use telemetry::{SessionTrace, Stage};
 pub struct ManagerPool {
     free: Vec<Manager>,
     /// When false, released managers are dropped instead of retained —
-    /// the fresh-per-space baseline the determinism guard and the
-    /// `manager_pool` bench block compare against.
+    /// the fresh-per-space shape of a one-shot session, which the
+    /// determinism guard compares resident workers against.
     retain: bool,
     /// Acquisitions served by a recycled manager.
     pub reuses: usize,
@@ -72,15 +72,10 @@ impl ManagerPool {
     }
 
     /// A pool that never retains: every acquire allocates, every
-    /// release drops. Counters still run, so baselines report the same
-    /// shape.
+    /// release drops. Counters still run, so one-shot sessions report
+    /// the same shape.
     pub fn disabled() -> Self {
         ManagerPool::default()
-    }
-
-    /// Whether released managers are recycled.
-    pub fn is_pooling(&self) -> bool {
-        self.retain
     }
 
     /// Managers currently parked in the pool.
@@ -104,7 +99,7 @@ impl ManagerPool {
     /// the unique table grows organically and the grown manager is what
     /// gets recycled. A *disabled* pool reproduces the historical
     /// fresh-per-space path exactly (default capacity per build), which
-    /// is what the `manager_pool` bench block's baseline measures.
+    /// is what every one-shot session runs.
     pub fn acquire(&mut self) -> Manager {
         match self.free.pop() {
             Some(m) => {
@@ -200,8 +195,8 @@ impl VerifierContext {
         Self::with_pool(ManagerPool::new())
     }
 
-    /// A context that builds every space fresh — the baseline shape
-    /// (identical results, no reuse).
+    /// A context that builds every space fresh — the one-shot shape
+    /// (identical results, no reuse) that `run_scenario` / `run` use.
     pub fn without_pooling() -> Self {
         Self::with_pool(ManagerPool::disabled())
     }

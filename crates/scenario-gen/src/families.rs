@@ -161,7 +161,7 @@ pub fn multi_homed(n_isps: usize) -> (Topology, StubSet) {
 /// router (adjacent to the customer's entry router, which is what the
 /// prefer-customer intent needs), and one peer off the first edge
 /// router of each of the next three pods. Internal routers do not
-/// originate their link subnets (see [`originate_stubs_only`]), so the
+/// originate their link subnets (see `originate_stubs_only`), so the
 /// simulated route universe also stays bounded.
 pub fn fat_tree_multi(pods: usize) -> (Topology, StubSet) {
     assert!(pods >= 2, "multi-pod fat-tree needs >= 2 pods");

@@ -111,10 +111,10 @@ fn topology_stream(seed: u64, size: usize) -> SimRng {
 
 /// Generates scenario `index` of the stream `seed` for one **named**
 /// family, bypassing the rotation. Rotation families draw their size
-/// from the stream exactly like [`generate]`; the [`LARGE_FAMILIES`]
+/// from the stream exactly like [`generate`]; the [`LARGE_FAMILIES`]
 /// have their size fixed by name and their topology fixed per
 /// `(seed, family)` — the multi-pod fat trees structurally, the AS
-/// graphs via [`topology_stream`] — while the intent still varies per
+/// graphs via `topology_stream` — while the intent still varies per
 /// index. Same determinism contract as [`generate`]. Panics on unknown
 /// names — CLIs validate against [`FAMILIES`] + [`LARGE_FAMILIES`]
 /// first.
