@@ -1209,6 +1209,18 @@ fn run_and_report<U: UseCase>(cfg: &FleetConfig, args: &Args) {
     }
     println!("{}", U::table(&report.rows));
     println!("{}", U::summary_line(&report));
+    let p = &report.pool;
+    eprintln!(
+        "fleet: worker memo: {} verdict hits, {} misses, {} confirmation mismatches; \
+         reference texts {} rendered, {} reused; pinned networks {} drawn, {} reused",
+        p.memo_hits,
+        p.memo_misses,
+        p.confirm_mismatches,
+        p.texts_rendered,
+        p.texts_reused,
+        p.networks_drawn,
+        p.networks_reused
+    );
     if report.results.len() < cfg.sessions {
         eprintln!(
             "fleet: only {} of {} requested sessions ran (does --families name \

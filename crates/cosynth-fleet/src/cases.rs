@@ -334,9 +334,9 @@ impl UseCase for Synthesis {
 /// Renders the known-good config for every internal router of a
 /// scenario (the snapshot `fault-inject` breaks and the fixed point a
 /// repair session should restore), from scratch on every call. Repair
-/// jobs take the same texts from
-/// [`VerifierContext::reference_snapshot`], which renders them through
-/// the same [`cosynth::reference_configs`] once per network per worker.
+/// jobs take the same texts from the worker's reference snapshot
+/// ([`VerifierContext::prepare_repair`]), which renders each distinct
+/// router prompt once per worker.
 pub fn clean_configs_for(scenario: &Scenario) -> BTreeMap<String, String> {
     cosynth::reference_configs(&Modularizer::assign_scenario(scenario))
 }
@@ -404,19 +404,20 @@ impl RepairSessionResult {
 /// under the fleet's robustness tuning: scenario `index` of stream
 /// `seed`, broken by its deterministic fault, repaired by the
 /// paper-calibrated simulated model with the repair error-model
-/// pathologies. The known-good snapshot and its fault sites come from
-/// the context, so a worker renders and parses each network once.
+/// pathologies. The job comes from the context
+/// ([`VerifierContext::prepare_repair`]): a pinned family's network is
+/// drawn once per worker, each known-good text is rendered once per
+/// distinct prompt, and the broken snapshot shares every unbroken text
+/// with the worker's reference.
 pub fn run_repair_session_tuned(
     seed: u64,
     index: usize,
     ctx: &mut VerifierContext,
     tuning: &SessionTuning,
 ) -> RepairSessionResult {
-    let scenario = crate::scenario_for_tuned(seed, index, tuning);
-    let reference = ctx.reference_snapshot(&scenario);
-    let injection = reference
-        .sites
-        .inject(&reference.configs, fault_seed(seed, index))
+    let scenario = crate::scenario_in(seed, index, tuning, ctx);
+    let job = ctx
+        .prepare_repair(scenario, fault_seed(seed, index))
         .expect("every rendered snapshot has an applicable fault class");
     let llm_seed = seed
         .wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
@@ -429,20 +430,21 @@ pub fn run_repair_session_tuned(
         ..Default::default()
     };
     let t0 = Instant::now();
-    let outcome = session.run_in(&mut *llm, &scenario, &injection, ctx);
+    let outcome = session.run_job(&mut *llm, &job, ctx);
+    let (scenario, fault) = (job.scenario(), job.fault());
     RepairSessionResult {
         index,
-        scenario: scenario.name,
-        family: scenario.family,
-        intent: scenario.intent,
-        class: injection.fault.class.as_str().to_string(),
-        device: injection.fault.device.clone(),
+        scenario: scenario.name.clone(),
+        family: scenario.family.clone(),
+        intent: scenario.intent.clone(),
+        class: fault.class.as_str().to_string(),
+        device: fault.device.clone(),
         repaired: outcome.repaired,
         rounds: outcome.rounds,
         localized: outcome
             .first_localization
             .as_ref()
-            .map(|l| l.agrees(&injection.fault))
+            .map(|l| l.agrees(fault))
             .unwrap_or(false),
         auto: outcome.leverage.auto,
         human: outcome.leverage.human,

@@ -11,14 +11,15 @@
 //!   simulate), aggregated into leverage ratios, fault-survival counts,
 //!   and convergence rounds per topology family
 //!   (`BENCH_scenarios.json`).
-//! * [`cases::Repair`]: each session takes the scenario's known-good
-//!   configs and their fault sites from the worker's context
-//!   ([`VerifierContext::reference_snapshot`], rendered and parsed once
-//!   per network per worker), lets `fault-inject` break exactly one
-//!   router, and drives `cosynth::RepairSession` — localize via the
-//!   verifier channels, prompt, re-verify — aggregating repair rate,
-//!   localization precision, and rounds-to-fix per fault class ×
-//!   topology family (`BENCH_repair.json`).
+//! * [`cases::Repair`]: each session's job comes from the worker's
+//!   context ([`VerifierContext::prepare_repair`]): a pinned large
+//!   family's network is drawn once per worker, each known-good text is
+//!   rendered and scanned once per distinct prompt, and `fault-inject`
+//!   breaks exactly one router in a snapshot that shares every other
+//!   text with the worker's reference. `cosynth::RepairSession::run_job`
+//!   then localizes via the verifier channels, prompts and re-verifies,
+//!   aggregating repair rate, localization precision, and rounds-to-fix
+//!   per fault class × topology family (`BENCH_repair.json`).
 //!
 //! Workers are **resident**: each owns a [`VerifierContext`] whose
 //! manager pool recycles BDD tables across every session the worker
@@ -207,6 +208,28 @@ pub fn scenario_for_tuned(seed: u64, index: usize, tuning: &SessionTuning) -> Sc
     }
 }
 
+/// [`scenario_for_tuned`] drawn through the worker's context: a pinned
+/// large family's network is drawn once per worker
+/// ([`VerifierContext::pinned_network`]) and each index applies its
+/// intent to a copy. Equal to [`scenario_for_tuned`].
+pub(crate) fn scenario_in(
+    seed: u64,
+    index: usize,
+    tuning: &SessionTuning,
+    ctx: &mut VerifierContext,
+) -> Scenario {
+    match tuning.scenario_family {
+        Some(family) if scenario_gen::large_family_size(family).is_some() => {
+            let network = ctx.pinned_network(family, seed, || {
+                scenario_gen::pinned_network(family, seed).expect("large families pin a network")
+            });
+            let (topology, stubs) = &*network;
+            scenario_gen::pinned_scenario(family, seed, index, topology.clone(), stubs)
+        }
+        _ => scenario_for_tuned(seed, index, tuning),
+    }
+}
+
 /// A use case the generic fleet pipeline can drive: how to run one
 /// session against a worker-resident [`VerifierContext`], how to reduce
 /// session results to aggregate rows, and how to render reports. The
@@ -319,6 +342,17 @@ pub struct PoolCounters {
     pub statics_builds: usize,
     /// Statics lookups answered by a resident bundle.
     pub statics_hits: usize,
+    /// Whole-snapshot memo hits whose confirmation disagreed (see
+    /// [`cosynth::MemoCounters::confirm_mismatches`]).
+    pub confirm_mismatches: usize,
+    /// Known-good reference texts rendered and scanned.
+    pub texts_rendered: usize,
+    /// Reference texts served by an earlier render of the same prompt.
+    pub texts_reused: usize,
+    /// Pinned large-family networks drawn.
+    pub networks_drawn: usize,
+    /// Pinned-network lookups answered by a network already drawn.
+    pub networks_reused: usize,
 }
 
 impl PoolCounters {
@@ -338,6 +372,11 @@ impl PoolCounters {
         self.memo_misses += memo.verdict_misses;
         self.statics_builds += memo.statics_builds;
         self.statics_hits += memo.statics_hits;
+        self.confirm_mismatches += memo.confirm_mismatches;
+        self.texts_rendered += memo.texts_rendered;
+        self.texts_reused += memo.texts_reused;
+        self.networks_drawn += memo.networks_drawn;
+        self.networks_reused += memo.networks_reused;
     }
 
     /// Fraction of space builds served by a recycled manager.
@@ -675,10 +714,16 @@ mod tests {
         let p = report.pool;
         // One topology and at most four intents, on two workers.
         assert!(p.statics_builds <= 8, "{p:?}");
-        // Each session looks its bundle up twice: once for the job's
-        // reference snapshot and once for its incremental verifier.
-        assert_eq!(p.statics_builds + p.statics_hits, 32, "{p:?}");
+        // Each session looks its bundle up once, when its job is
+        // prepared; the incremental verifier reuses the job's bundle.
+        assert_eq!(p.statics_builds + p.statics_hits, 16, "{p:?}");
+        // One network draw per worker, and the intents' references
+        // share the texts of every router whose prompt they share.
+        assert!(p.networks_drawn <= 2, "{p:?}");
+        assert_eq!(p.networks_drawn + p.networks_reused, 16, "{p:?}");
+        assert!(p.texts_reused > p.texts_rendered, "{p:?}");
         assert!(p.memo_hits > 0 && p.memo_misses > 0, "{p:?}");
+        assert_eq!(p.confirm_mismatches, 0, "{p:?}");
     }
 
     #[test]

@@ -119,27 +119,26 @@ pub(crate) fn parse_internal(name: &str, text: &str) -> Device {
     device
 }
 
-/// Assembles the simulation snapshot: internal routers from their
-/// (parsed) configs, stubs straight from their topology specs. `parse`
-/// lowers one internal router's config text; it must agree with
-/// [`parse_internal`] (the incremental verifier passes a memo-backed
-/// hook that clones already-parsed devices instead of re-parsing the
-/// whole network per simulation).
-fn build_snapshot_with(
-    topology: &Topology,
-    configs: &BTreeMap<String, String>,
-    parse: &mut dyn FnMut(&str, &str) -> Device,
-) -> Snapshot {
+/// An internal router's device from its config text, if it has one: the
+/// parsed text ([`parse_internal`]), or an empty device when the config
+/// is missing — sessions to it fail and show up in session_problems.
+pub(crate) fn lower_internal(name: &str, text: Option<&str>) -> Device {
+    match text {
+        Some(text) => parse_internal(name, text),
+        None => Device::named(name),
+    }
+}
+
+/// Assembles the simulation snapshot: internal routers as `internal`
+/// lowers them by name, stubs straight from their topology specs.
+/// `internal` must agree with [`lower_internal`] on the configs being
+/// checked (the incremental verifier passes a memo-backed hook that
+/// clones already-parsed devices instead of re-parsing the whole
+/// network per simulation).
+fn build_snapshot_with(topology: &Topology, internal: &mut dyn FnMut(&str) -> Device) -> Snapshot {
     let mut devices = Vec::new();
     for spec in topology.internal_routers() {
-        match configs.get(&spec.name) {
-            Some(text) => devices.push(parse(&spec.name, text)),
-            None => {
-                // A missing config is an empty device — sessions to it
-                // fail and show up in session_problems.
-                devices.push(Device::named(&spec.name));
-            }
-        }
+        devices.push(internal(&spec.name));
     }
     for spec in topology.stubs() {
         devices.push(device_from_spec(spec));
@@ -148,8 +147,8 @@ fn build_snapshot_with(
 }
 
 fn build_snapshot(topology: &Topology, configs: &BTreeMap<String, String>) -> Snapshot {
-    build_snapshot_with(topology, configs, &mut |name, text| {
-        parse_internal(name, text)
+    build_snapshot_with(topology, &mut |name| {
+        lower_internal(name, configs.get(name).map(String::as_str))
     })
 }
 
@@ -160,21 +159,22 @@ pub fn check_scenario(
     scenario: &Scenario,
     configs: &BTreeMap<String, String>,
 ) -> GlobalCheckReport {
-    check_scenario_with(scenario, configs, parse_internal)
+    check_scenario_with(scenario, |name| {
+        lower_internal(name, configs.get(name).map(String::as_str))
+    })
 }
 
-/// [`check_scenario`] with a caller-supplied internal-router lowering.
-/// The hook must return exactly what [`parse_internal`] returns for the
-/// same `(name, text)` — the incremental verifier serves clones of
+/// [`check_scenario`] with a caller-supplied internal-router lowering:
+/// `internal(name)` must return exactly what [`lower_internal`] returns
+/// for that router's config — the incremental verifier serves clones of
 /// devices it already parsed during localization, which keeps the
 /// report byte-identical while skipping an O(network) reparse per
 /// simulation.
 pub(crate) fn check_scenario_with(
     scenario: &Scenario,
-    configs: &BTreeMap<String, String>,
-    mut parse: impl FnMut(&str, &str) -> Device,
+    mut internal: impl FnMut(&str) -> Device,
 ) -> GlobalCheckReport {
-    let snapshot = build_snapshot_with(&scenario.topology, configs, &mut parse);
+    let snapshot = build_snapshot_with(&scenario.topology, &mut internal);
     let report = run(&snapshot);
     let mut violations = Vec::new();
     for e in &scenario.expectations {

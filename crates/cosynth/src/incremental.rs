@@ -46,17 +46,23 @@
 //! from the scenario is derivable once per family:
 //!
 //! * `SessionStatics` — the assignments, the per-device memo-key
-//!   bases, the name→index map, the dependency tracker, and (built on
-//!   first request) the [`ReferenceSnapshot`] — is a pure function of
-//!   `(topology, policies)` and is shared through an `Arc` in the worker
-//!   memo; a later session pays one streamed hash of the topology
-//!   instead of re-deriving ~n prompts and keys, and a later repair job
-//!   breaks the stored known-good texts instead of re-rendering and
-//!   re-parsing the network.
-//! * `VerdictMemo` keeps per-device local/campion verdicts and whole
-//!   `GlobalCheckReport`s keyed by content fingerprints, so a warm
-//!   worker answers the sweeps and the final simulation of session
-//!   *k+1* from session *k*'s work.
+//!   bases, the snapshot name layout, the dependency tracker, and
+//!   (built on first request) the [`ReferenceSnapshot`] — is a pure
+//!   function of `(topology, policies)` and is shared through an `Arc`
+//!   in the worker memo; a later session pays one streamed hash of the
+//!   topology instead of re-deriving ~n prompts and keys, and a later
+//!   repair job ([`VerifierContext::prepare_repair`]) draws its fault
+//!   from the stored known-good texts instead of re-rendering and
+//!   re-parsing the network. The reference holds no `Arc` back to its
+//!   bundle, so an evicted bundle is freed with its snapshot.
+//! * `VerdictMemo` keeps per-device local/campion verdicts, whole
+//!   sweeps and whole `GlobalCheckReport`s keyed by content
+//!   fingerprints, so a warm worker answers the sweeps and the final
+//!   simulation of session *k+1* from session *k*'s work. Whole-snapshot
+//!   keys fold the per-text fingerprints a
+//!   [`ConfigSnapshot`] carries, and their entries are confirmed on
+//!   every hit. The memo also keeps each rendered known-good text by its
+//!   exact prompt and each drawn pinned network by `(family, seed)`.
 //!
 //! ## What "byte-identical" excludes
 //!
@@ -69,21 +75,16 @@
 
 use crate::modularizer::{Modularizer, RouterAssignment};
 use crate::repair::{self, Localization};
+use crate::snapshot::{ConfigSnapshot, SnapshotLayout, SnapshotText};
 use crate::verifier_ctx::VerifierContext;
 use bdd::FxHasher;
-use fault_inject::FaultSites;
+use fault_inject::{FaultClass, FaultSites, GroundTruth};
 use llm_sim::synth_task::SynthesisDraft;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::hash::{Hash as _, Hasher as _};
 use std::sync::{Arc, OnceLock};
-use topo_model::Scenario;
-
-fn fx(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
+use topo_model::{Scenario, StubSet, Topology};
 
 /// Streams `Debug` renderings straight into an `FxHasher`, skipping the
 /// intermediate `String` a format-then-hash pass would allocate — at
@@ -206,32 +207,83 @@ struct DeviceKeys {
 pub fn reference_configs(assignments: &[RouterAssignment]) -> BTreeMap<String, String> {
     assignments
         .iter()
-        .map(|a| {
-            (
-                a.name.clone(),
-                SynthesisDraft::new(&a.prompt, BTreeSet::new()).render(),
-            )
-        })
+        .map(|a| (a.name.clone(), render_reference(&a.prompt)))
         .collect()
+}
+
+/// The known-good config for one router prompt — a pure function of the
+/// prompt alone.
+fn render_reference(prompt: &str) -> String {
+    SynthesisDraft::new(prompt, BTreeSet::new()).render()
 }
 
 /// The known-good snapshot of one `(topology, policies)` pair, kept in
 /// the worker memo next to the assignments it was rendered from: the
-/// clean config texts plus their scanned [`FaultSites`], so every repair
-/// job on that network draws its fault without re-rendering or
-/// re-parsing a router. Get it through
+/// clean config texts, fingerprinted, plus their [`FaultSites`], so
+/// every repair job on that network draws its fault without rendering
+/// or parsing a router. Get it through
 /// [`VerifierContext::reference_snapshot`].
+///
+/// It holds no reference to the statics bundle that owns it (only the
+/// shared name layout), so evicting the bundle frees both.
 #[derive(Debug)]
 pub struct ReferenceSnapshot {
-    /// Every internal router's known-good config, keyed by name.
-    pub configs: BTreeMap<String, String>,
-    /// The fault classes applicable to each router of `configs`.
+    snapshot: ConfigSnapshot,
+    /// The fault classes applicable to each router of the snapshot.
     pub sites: FaultSites,
+}
+
+impl ReferenceSnapshot {
+    /// Every internal router's known-good config, keyed by name.
+    pub fn configs(&self) -> BTreeMap<String, String> {
+        self.snapshot.to_map()
+    }
+
+    /// Renders and scans the reference of `statics`' network. A text is
+    /// a pure function of its prompt, so a router whose exact prompt the
+    /// worker has rendered before reuses that text and its fault classes
+    /// from the memo instead of rendering and parsing it again.
+    fn build(statics: &SessionStatics, memo: &mut VerdictMemo) -> Self {
+        let n = statics.assignments.len();
+        let mut texts = Vec::with_capacity(n);
+        let mut classes = Vec::with_capacity(n);
+        for a in statics.assignments.iter() {
+            let rendered = match memo.rendered.get(&a.prompt) {
+                Some(r) => {
+                    memo.texts_reused += 1;
+                    r.clone()
+                }
+                None => {
+                    memo.texts_rendered += 1;
+                    let text = render_reference(&a.prompt);
+                    let r = Rendered {
+                        classes: fault_inject::applicable_classes(&text),
+                        text: SnapshotText::new(text),
+                    };
+                    memo.insert_rendered(a.prompt.clone(), r.clone());
+                    r
+                }
+            };
+            classes.push((a.name.clone(), rendered.classes));
+            texts.push(Some(rendered.text));
+        }
+        ReferenceSnapshot {
+            snapshot: ConfigSnapshot::from_texts(Arc::clone(&statics.layout), texts),
+            sites: FaultSites::from_classes(classes),
+        }
+    }
+}
+
+/// One rendered known-good text and the fault classes that apply to it.
+#[derive(Clone)]
+struct Rendered {
+    text: SnapshotText,
+    classes: Vec<FaultClass>,
 }
 
 /// Everything a repair session derives from the scenario that is a pure
 /// function of `(topology, policies)`: the modular assignments, the
-/// per-device memo-key bases, the assignment index of each router, the
+/// per-device memo-key bases, the name layout of its snapshots, the
 /// dependency tracker, and the reference snapshot. Built once per
 /// `(topology, policies)` per worker and shared via `Arc` — a session on
 /// a pinned family pays one streamed topology hash instead of
@@ -240,12 +292,13 @@ pub(crate) struct SessionStatics {
     assignments: Arc<Vec<RouterAssignment>>,
     /// Memo-key bases, aligned with `assignments`.
     keys: Vec<DeviceKeys>,
-    /// Assignment index of each internal router.
-    index: HashMap<String, usize>,
+    /// The assignment order every snapshot of this network follows.
+    layout: Arc<SnapshotLayout>,
     tracker: DependencyTracker,
-    /// Rendered on the first [`VerifierContext::reference_snapshot`]
-    /// call, so a bundle built for a caller that brings its own broken
-    /// snapshot (a direct `RepairSession::run_in` call) never renders it.
+    /// Built on the first [`VerifierContext::reference_snapshot`] or
+    /// [`VerifierContext::prepare_repair`] call, so a bundle built for a
+    /// caller that brings its own broken snapshot (a direct
+    /// `RepairSession::run_in` call) never renders it.
     reference: OnceLock<Arc<ReferenceSnapshot>>,
 }
 
@@ -284,15 +337,11 @@ impl SessionStatics {
                 }
             })
             .collect();
-        let index = assignments
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.name.clone(), i))
-            .collect();
+        let layout = SnapshotLayout::new(assignments.iter().map(|a| a.name.clone()).collect());
         SessionStatics {
             assignments: Arc::new(assignments),
             keys,
-            index,
+            layout: Arc::new(layout),
             tracker: DependencyTracker::new(scenario),
             reference: OnceLock::new(),
         }
@@ -329,22 +378,109 @@ fn statics_for(
     (key, statics)
 }
 
+/// A repair job ready to run: its scenario, the known-good snapshot with
+/// one fault drawn into it, the fault's ground truth, and the statics
+/// bundle of its network. Prepared by [`VerifierContext::prepare_repair`]
+/// and run by [`crate::RepairSession::run_job`]; the snapshot and the
+/// scenario travel together, so a session cannot pair one with another
+/// network.
+pub struct RepairJob {
+    scenario: Scenario,
+    snapshot: ConfigSnapshot,
+    fault: GroundTruth,
+    statics: Arc<SessionStatics>,
+    /// The statics bundle's `(topology, policies)` fingerprint.
+    key: (u64, u64),
+}
+
+impl RepairJob {
+    /// The scenario the job repairs.
+    pub fn scenario(&self) -> &Scenario {
+        &self.scenario
+    }
+
+    /// The broken snapshot: the reference texts with the fault's router
+    /// replaced.
+    pub fn snapshot(&self) -> &ConfigSnapshot {
+        &self.snapshot
+    }
+
+    /// What was broken, where.
+    pub fn fault(&self) -> &GroundTruth {
+        &self.fault
+    }
+}
+
 impl VerifierContext {
     /// The known-good snapshot of `scenario`'s network — every internal
-    /// router's clean config plus its scanned fault sites — rendered
-    /// and scanned once per `(topology, policies)` pair this context
-    /// has seen, and shared by every later call on the same pair. The
-    /// reuse follows the content alone: a pair repeats when a pinned
-    /// family draws the same topology and intent again. Equal to
-    /// rendering the scenario's assignments afresh and scanning them.
+    /// router's clean config plus its scanned fault sites — built once
+    /// per `(topology, policies)` pair this context has seen, and shared
+    /// by every later call on the same pair. Equal to rendering the
+    /// scenario's assignments afresh and scanning them.
     pub fn reference_snapshot(&mut self, scenario: &Scenario) -> Arc<ReferenceSnapshot> {
         let (_, statics) = statics_for(scenario, self);
-        let snapshot = statics.reference.get_or_init(|| {
-            let configs = reference_configs(&statics.assignments);
-            let sites = FaultSites::scan(&configs);
-            Arc::new(ReferenceSnapshot { configs, sites })
-        });
-        Arc::clone(snapshot)
+        self.reference_of(&statics)
+    }
+
+    fn reference_of(&mut self, statics: &SessionStatics) -> Arc<ReferenceSnapshot> {
+        let memo = &mut self.memo;
+        let reference = statics
+            .reference
+            .get_or_init(|| Arc::new(ReferenceSnapshot::build(statics, memo)));
+        Arc::clone(reference)
+    }
+
+    /// Prepares repair job `scenario` broken under `fault_seed`: one
+    /// statics lookup, one fault draw from the network's reference
+    /// snapshot, and a job snapshot that shares every other text with
+    /// that reference. The broken snapshot and ground truth equal
+    /// `fault_inject::inject` on the scenario's freshly rendered configs.
+    /// `None` only when no fault class applies anywhere in the network.
+    pub fn prepare_repair(&mut self, scenario: Scenario, fault_seed: u64) -> Option<RepairJob> {
+        let (key, statics) = statics_for(&scenario, self);
+        let reference = self.reference_of(&statics);
+        let (text, fault) = reference
+            .sites
+            .draw(|name| reference.snapshot.get(name), fault_seed)?;
+        let mut snapshot = reference.snapshot.clone();
+        snapshot.set(&fault.device, text);
+        Some(RepairJob {
+            scenario,
+            snapshot,
+            fault,
+            statics,
+            key,
+        })
+    }
+
+    /// The pinned network of large family `family` at `seed` — its
+    /// topology and stub set — drawn by `draw` the first time this
+    /// context sees the pair and shared afterwards. The context keys the
+    /// network on `(family, seed)` alone, so `draw` must be that pair's
+    /// generator (`scenario_gen::pinned_network`).
+    pub fn pinned_network(
+        &mut self,
+        family: &str,
+        seed: u64,
+        draw: impl FnOnce() -> (Topology, StubSet),
+    ) -> Arc<(Topology, StubSet)> {
+        let memo = &mut self.memo;
+        if let Some((_, network)) = memo
+            .networks
+            .iter()
+            .find(|((f, s), _)| f == family && *s == seed)
+        {
+            memo.networks_reused += 1;
+            return Arc::clone(network);
+        }
+        memo.networks_drawn += 1;
+        let network = Arc::new(draw());
+        if memo.networks.len() >= NETWORK_CAP {
+            memo.networks.clear();
+        }
+        memo.networks
+            .push(((family.to_string(), seed), Arc::clone(&network)));
+        network
     }
 }
 
@@ -359,6 +495,17 @@ const CROSS_CAP: usize = 4096;
 /// family the worker has seen.
 const STATICS_CAP: usize = 64;
 
+/// Distinct pinned networks kept per worker — one per large family and
+/// seed the worker has run.
+const NETWORK_CAP: usize = 8;
+
+/// A pinned network's `(family, seed)`.
+type PinnedKey = (String, u64);
+
+/// The confirmation stored beside a whole-snapshot memo entry: see
+/// [`ConfigSnapshot::confirmation`].
+type Confirmation = (usize, u64);
+
 /// The **worker-lifetime** verdict memo, resident in the
 /// [`VerifierContext`] next to the manager pool.
 ///
@@ -370,14 +517,18 @@ const STATICS_CAP: usize = 64;
 /// same spec, checks, and text as in session *k*: a resident worker can
 /// answer those sweeps from this memo without recomputing anything.
 ///
-/// Keys are `(input fingerprint, text fingerprint)` 64-bit FxHash
-/// pairs; a wrong answer needs a collision on both halves
+/// Per-device keys are `(input fingerprint, text fingerprint)` 64-bit
+/// FxHash pairs; a wrong answer needs a collision on both halves
 /// simultaneously (~2⁻¹²⁸ per candidate pair), which is treated as
-/// impossible. Only the **incremental** verifier consults the memo —
-/// `--no-incremental` keeps the historical recompute-everything path
-/// untouched — and hits return clones of pure values, so session
-/// content stays byte-identical across modes and across worker
-/// placements.
+/// impossible. Whole-snapshot keys fold one fingerprint per router, so
+/// their entries also store the snapshot's [`Confirmation`] — total
+/// length plus a fold of independent second fingerprints — and a hit
+/// whose confirmation differs is recomputed and counted
+/// (`confirm_mismatches`). Only the **incremental** verifier consults
+/// the memo — `--no-incremental` keeps the historical
+/// recompute-everything path untouched — and hits return clones of pure
+/// values, so session content stays byte-identical across modes and
+/// across worker placements.
 #[derive(Default)]
 pub(crate) struct VerdictMemo {
     local: HashMap<(u64, u64), CachedLocal>,
@@ -387,26 +538,41 @@ pub(crate) struct VerdictMemo {
     /// exactly those inputs, so sessions that converge back to the same
     /// snapshot (the common case: a repair restores the reference text)
     /// share one simulation.
-    global: HashMap<(u64, u64), crate::composer::GlobalCheckReport>,
+    global: HashMap<(u64, u64), (Confirmation, crate::composer::GlobalCheckReport)>,
     /// Whole-sweep localizations, keyed on `(topology + policies, every
     /// internal config text)`. The sweep is pure in exactly those
     /// inputs (assignment order, checks, and prompts all derive from
     /// topology + policies), so a snapshot the worker has swept before
     /// — above all the per-intent reference snapshot every converging
     /// session ends on, whose clean sweep is the costliest scan of the
-    /// session — returns its verdict for the cost of hashing the texts.
-    sweep: HashMap<(u64, u64), Option<Localization>>,
+    /// session — returns its verdict for the cost of folding the texts'
+    /// fingerprints.
+    sweep: HashMap<(u64, u64), (Confirmation, Option<Localization>)>,
     /// Scenario-static bundles, keyed on `(topology fingerprint,
     /// policies fingerprint)`.
     statics: HashMap<(u64, u64), Arc<SessionStatics>>,
+    /// Known-good texts by their exact prompt (the render's only input).
+    rendered: HashMap<String, Rendered>,
+    /// Pinned networks by `(family, seed)`.
+    networks: Vec<(PinnedKey, Arc<(Topology, StubSet)>)>,
     /// Sweep verdicts answered from the memo.
     pub(crate) hits: usize,
     /// Sweep verdicts computed (and inserted).
     pub(crate) misses: usize,
+    /// Whole-snapshot hits whose confirmation differed (recomputed).
+    pub(crate) confirm_mismatches: usize,
     /// Statics lookups that had to build the bundle.
     pub(crate) statics_builds: usize,
     /// Statics lookups answered by a resident bundle.
     pub(crate) statics_hits: usize,
+    /// Reference texts rendered and scanned.
+    pub(crate) texts_rendered: usize,
+    /// Reference texts served by an earlier render of the same prompt.
+    pub(crate) texts_reused: usize,
+    /// Pinned networks drawn.
+    pub(crate) networks_drawn: usize,
+    /// Pinned-network lookups answered by a drawn network.
+    pub(crate) networks_reused: usize,
 }
 
 impl VerdictMemo {
@@ -424,18 +590,22 @@ impl VerdictMemo {
         self.campion.insert(key, verdict);
     }
 
-    fn insert_global(&mut self, key: (u64, u64), report: crate::composer::GlobalCheckReport) {
+    fn insert_global(
+        &mut self,
+        key: (u64, u64),
+        entry: (Confirmation, crate::composer::GlobalCheckReport),
+    ) {
         if self.global.len() >= CROSS_CAP {
             self.global.clear();
         }
-        self.global.insert(key, report);
+        self.global.insert(key, entry);
     }
 
-    fn insert_sweep(&mut self, key: (u64, u64), verdict: Option<Localization>) {
+    fn insert_sweep(&mut self, key: (u64, u64), entry: (Confirmation, Option<Localization>)) {
         if self.sweep.len() >= CROSS_CAP {
             self.sweep.clear();
         }
-        self.sweep.insert(key, verdict);
+        self.sweep.insert(key, entry);
     }
 
     fn insert_statics(&mut self, key: (u64, u64), statics: Arc<SessionStatics>) {
@@ -444,12 +614,37 @@ impl VerdictMemo {
         }
         self.statics.insert(key, statics);
     }
+
+    fn insert_rendered(&mut self, prompt: String, rendered: Rendered) {
+        if self.rendered.len() >= CROSS_CAP {
+            self.rendered.clear();
+        }
+        self.rendered.insert(prompt, rendered);
+    }
+
+    /// The memoized whole-snapshot entry under `key`, if its stored
+    /// confirmation matches; a mismatch is counted and reads as a miss.
+    fn confirmed<'a, V>(
+        map: &'a HashMap<(u64, u64), (Confirmation, V)>,
+        key: &(u64, u64),
+        confirm: Confirmation,
+        mismatches: &mut usize,
+    ) -> Option<&'a V> {
+        let (stored, value) = map.get(key)?;
+        if *stored == confirm {
+            Some(value)
+        } else {
+            *mismatches += 1;
+            None
+        }
+    }
 }
 
 /// Session-scoped incremental re-verification state: the shared
 /// scenario statics plus the two per-device verdict memos (index-
 /// aligned with the assignments). Created per repair session by
-/// `RepairSession::run_in` when [`VerifyMode::incremental`] is on.
+/// `RepairSession::run_job` / `run_in` when [`VerifyMode::incremental`]
+/// is on.
 pub(crate) struct IncrementalVerifier {
     statics: Arc<SessionStatics>,
     /// FxHash of everything `check_scenario` reads besides the configs:
@@ -465,10 +660,20 @@ pub(crate) struct IncrementalVerifier {
 }
 
 impl IncrementalVerifier {
+    /// The verifier for a session that brings its own snapshot: looks
+    /// the scenario's statics bundle up in the worker memo.
     pub(crate) fn new(scenario: &Scenario, ctx: &mut VerifierContext) -> Self {
-        // Everything derived from the scenario comes out of the worker
-        // memo on a pinned family.
-        let (skey, statics) = statics_for(scenario, ctx);
+        let (key, statics) = statics_for(scenario, ctx);
+        Self::with_statics(scenario, statics, key)
+    }
+
+    /// The verifier for a prepared job, on the bundle its preparation
+    /// already looked up.
+    pub(crate) fn for_job(job: &RepairJob) -> Self {
+        Self::with_statics(&job.scenario, Arc::clone(&job.statics), job.key)
+    }
+
+    fn with_statics(scenario: &Scenario, statics: Arc<SessionStatics>, skey: (u64, u64)) -> Self {
         let mut h = FxHasher::default();
         h.write(&skey.0.to_le_bytes());
         scenario.expectations.hash(&mut h);
@@ -491,6 +696,11 @@ impl IncrementalVerifier {
         Arc::clone(&self.statics.assignments)
     }
 
+    /// The name layout the session's snapshot must follow.
+    pub(crate) fn layout(&self) -> Arc<SnapshotLayout> {
+        Arc::clone(&self.statics.layout)
+    }
+
     /// The deferred whole-network check. Two memo layers, both sound by
     /// purity of `check_scenario` in `(topology, expectations, configs)`:
     /// the whole **report** is served from the worker memo when this
@@ -504,34 +714,31 @@ impl IncrementalVerifier {
     pub(crate) fn check_global(
         &self,
         scenario: &Scenario,
-        configs: &BTreeMap<String, String>,
+        snapshot: &ConfigSnapshot,
         ctx: &mut VerifierContext,
     ) -> crate::composer::GlobalCheckReport {
-        let mut h = FxHasher::default();
-        for (name, text) in configs {
-            h.write(name.as_bytes());
-            h.write(&[0]);
-            h.write(text.as_bytes());
-            h.write(&[1]);
-        }
-        let key = (self.scenario_hash, h.finish());
-        if let Some(report) = ctx.memo.global.get(&key) {
-            ctx.memo.hits += 1;
+        let key = (self.scenario_hash, snapshot.key());
+        let confirm = snapshot.confirmation();
+        let memo = &mut ctx.memo;
+        if let Some(report) =
+            VerdictMemo::confirmed(&memo.global, &key, confirm, &mut memo.confirm_mismatches)
+        {
+            memo.hits += 1;
             return report.clone();
         }
-        ctx.memo.misses += 1;
+        memo.misses += 1;
         let statics = &self.statics;
-        let memo = &ctx.memo;
-        let report = crate::composer::check_scenario_with(scenario, configs, |name, text| {
-            if let Some(&i) = statics.index.get(name) {
-                let k = statics.keys[i];
-                if let Some(c) = memo.local.get(&(k.local, fx(text.as_bytes()))) {
-                    return c.device.clone();
-                }
+        let report = crate::composer::check_scenario_with(scenario, |name| {
+            let parsed = statics.layout.index_of(name).and_then(|i| {
+                let text = snapshot.text(i)?;
+                memo.local.get(&(statics.keys[i].local, text.fx))
+            });
+            match parsed {
+                Some(c) => c.device.clone(),
+                None => crate::composer::lower_internal(name, snapshot.get(name)),
             }
-            crate::composer::parse_internal(name, text)
         });
-        ctx.memo.insert_global(key, report.clone());
+        memo.insert_global(key, (confirm, report.clone()));
         report
     }
 
@@ -539,7 +746,7 @@ impl IncrementalVerifier {
     /// the next sweep recomputes exactly those.
     pub(crate) fn invalidate_edit(&mut self, device: &str) {
         for d in self.statics.tracker.dirty_of(device) {
-            if let Some(&i) = self.statics.index.get(&d) {
+            if let Some(i) = self.statics.layout.index_of(&d) {
                 self.local[i] = None;
                 self.campion[i] = None;
             }
@@ -553,56 +760,52 @@ impl IncrementalVerifier {
     ///
     /// The whole sweep is itself a pure function of `(topology,
     /// policies, configs)`, so a snapshot the worker has swept before is
-    /// answered from the worker memo for the cost of hashing the config
-    /// texts — the per-intent reference snapshot every converging
+    /// answered from the worker memo for the cost of folding the texts'
+    /// fingerprints — the per-intent reference snapshot every converging
     /// session ends on makes this the common case on a pinned family.
     pub(crate) fn localize(
         &mut self,
         scenario: &Scenario,
-        configs: &BTreeMap<String, String>,
+        snapshot: &ConfigSnapshot,
         ctx: &mut VerifierContext,
     ) -> Option<Localization> {
-        let mut h = FxHasher::default();
-        for (name, text) in configs {
-            h.write(name.as_bytes());
-            h.write(&[0]);
-            h.write(text.as_bytes());
-            h.write(&[1]);
-        }
-        let skey = (self.sweep_base, h.finish());
-        if let Some(v) = ctx.memo.sweep.get(&skey) {
-            ctx.memo.hits += 1;
+        debug_assert!(snapshot.follows(&self.statics.layout));
+        let key = (self.sweep_base, snapshot.key());
+        let confirm = snapshot.confirmation();
+        let memo = &mut ctx.memo;
+        if let Some(v) =
+            VerdictMemo::confirmed(&memo.sweep, &key, confirm, &mut memo.confirm_mismatches)
+        {
+            memo.hits += 1;
             return v.clone();
         }
-        let verdict = self.localize_uncached(scenario, configs, ctx);
-        ctx.memo.insert_sweep(skey, verdict.clone());
+        let verdict = self.localize_uncached(scenario, snapshot, ctx);
+        ctx.memo.insert_sweep(key, (confirm, verdict.clone()));
         verdict
     }
 
     fn localize_uncached(
         &mut self,
         scenario: &Scenario,
-        configs: &BTreeMap<String, String>,
+        snapshot: &ConfigSnapshot,
         ctx: &mut VerifierContext,
     ) -> Option<Localization> {
         let statics = Arc::clone(&self.statics);
         for (i, assignment) in statics.assignments.iter().enumerate() {
-            let Some(text) = configs.get(&assignment.name) else {
+            let Some(text) = snapshot.text(i) else {
                 continue;
             };
             let verdict = match &self.local[i] {
                 Some(m) => {
                     debug_assert_eq!(
-                        m.textfx,
-                        fx(text.as_bytes()),
+                        m.textfx, text.fx,
                         "memo entry for {} outlived an edit the tracker missed",
                         assignment.name
                     );
                     m.verdict.clone()
                 }
                 None => {
-                    let textfx = fx(text.as_bytes());
-                    let tkey = (statics.keys[i].local, textfx);
+                    let tkey = (statics.keys[i].local, text.fx);
                     let cached = ctx.memo.local.get(&tkey).map(|c| c.verdict.clone());
                     let verdict = match cached {
                         Some(v) => {
@@ -612,7 +815,7 @@ impl IncrementalVerifier {
                         None => {
                             ctx.memo.misses += 1;
                             let (device, verdict) =
-                                repair::local_verdict_in(scenario, assignment, text, ctx);
+                                repair::local_verdict_in(scenario, assignment, text.as_str(), ctx);
                             ctx.memo.insert_local(
                                 tkey,
                                 CachedLocal {
@@ -624,7 +827,7 @@ impl IncrementalVerifier {
                         }
                     };
                     self.local[i] = Some(MemoEntry {
-                        textfx,
+                        textfx: text.fx,
                         verdict: verdict.clone(),
                     });
                     verdict
@@ -635,23 +838,21 @@ impl IncrementalVerifier {
             }
         }
         for (i, assignment) in statics.assignments.iter().enumerate() {
-            let Some(text) = configs.get(&assignment.name) else {
+            let Some(text) = snapshot.text(i) else {
                 continue;
             };
             let verdict = match &self.campion[i] {
                 Some(m) => {
                     debug_assert_eq!(
-                        m.textfx,
-                        fx(text.as_bytes()),
+                        m.textfx, text.fx,
                         "campion memo for {} outlived an edit the tracker missed",
                         assignment.name
                     );
                     m.verdict.clone()
                 }
                 None => {
-                    let textfx = fx(text.as_bytes());
                     let keys = statics.keys[i];
-                    let ckey = (keys.campion, textfx);
+                    let ckey = (keys.campion, text.fx);
                     let cached = ctx.memo.campion.get(&ckey).cloned();
                     let verdict = match cached {
                         Some(v) => {
@@ -664,18 +865,20 @@ impl IncrementalVerifier {
                             // round, so the reparse is warning-free —
                             // and skippable when the worker memo still
                             // holds the parse.
-                            let device = match ctx.memo.local.get(&(keys.local, textfx)) {
+                            let device = match ctx.memo.local.get(&(keys.local, text.fx)) {
                                 Some(c) => c.device.clone(),
-                                None => repair::parse_device(text, &assignment.name).device,
+                                None => {
+                                    repair::parse_device(text.as_str(), &assignment.name).device
+                                }
                             };
                             let verdict =
-                                repair::campion_verdict_in(assignment, text, &device, ctx);
+                                repair::campion_verdict_in(assignment, text.as_str(), &device, ctx);
                             ctx.memo.insert_campion(ckey, verdict.clone());
                             verdict
                         }
                     };
                     self.campion[i] = Some(MemoEntry {
-                        textfx,
+                        textfx: text.fx,
                         verdict: verdict.clone(),
                     });
                     verdict
@@ -746,6 +949,42 @@ mod tests {
                 dirty.len()
             );
         }
+    }
+
+    #[test]
+    fn a_colliding_sweep_entry_is_confirmed_recomputed_and_counted() {
+        // Plant the clean snapshot's sweep verdict under the broken
+        // snapshot's key, as a key collision would: the broken snapshot's
+        // sweep must see the confirmation disagree, return its own
+        // verdict, and replace the planted entry.
+        let scenario = scenario_gen::generate(3, 1);
+        let clean = crate::reference_configs(&Modularizer::assign_scenario(&scenario));
+        let broken = fault_inject::inject(&clean, 5).expect("applicable fault");
+        let expected = repair::localize(
+            &scenario,
+            &Modularizer::assign_scenario(&scenario),
+            &broken.configs,
+            &mut VerifierContext::new(),
+        );
+        assert!(expected.is_some(), "the fault is localizable");
+
+        let mut ctx = VerifierContext::new();
+        let mut inc = IncrementalVerifier::new(&scenario, &mut ctx);
+        let a = ConfigSnapshot::with_layout(inc.layout(), &clean);
+        let b = ConfigSnapshot::with_layout(inc.layout(), &broken.configs);
+        assert_eq!(inc.localize(&scenario, &a, &mut ctx), None);
+        let planted = ctx.memo.sweep[&(inc.sweep_base, a.key())].clone();
+        let b_key = (inc.sweep_base, b.key());
+        ctx.memo.sweep.insert(b_key, planted);
+
+        let mut inc = IncrementalVerifier::new(&scenario, &mut ctx);
+        assert_eq!(inc.localize(&scenario, &b, &mut ctx), expected);
+        assert_eq!(ctx.memo_counters().confirm_mismatches, 1);
+        assert_eq!(ctx.memo.sweep[&b_key], (b.confirmation(), expected.clone()));
+        // The replaced entry now confirms: a second sweep is a plain hit.
+        let mut inc = IncrementalVerifier::new(&scenario, &mut ctx);
+        assert_eq!(inc.localize(&scenario, &b, &mut ctx), expected);
+        assert_eq!(ctx.memo_counters().confirm_mismatches, 1);
     }
 
     #[test]

@@ -52,6 +52,7 @@ pub mod modularizer;
 pub mod repair;
 pub mod report;
 pub mod session;
+pub mod snapshot;
 pub mod space_cache;
 pub mod synthesis;
 pub mod translation;
@@ -60,12 +61,15 @@ pub mod verifier_ctx;
 pub use composer::{check_scenario, compose_and_check, GlobalCheckReport, GlobalViolation};
 pub use humanizer::Humanizer;
 pub use iip::IipDatabase;
-pub use incremental::{reference_configs, DependencyTracker, ReferenceSnapshot, VerifyMode};
+pub use incremental::{
+    reference_configs, DependencyTracker, ReferenceSnapshot, RepairJob, VerifyMode,
+};
 pub use leverage::Leverage;
 pub use modularizer::{LocalPolicySpec, Modularizer, RouterAssignment};
 pub use repair::{Localization, RepairOutcome, RepairSession};
 pub use report::{scenario_table, FamilyRow};
 pub use session::{LoggedPrompt, PromptKind, SessionLimits, SessionTranscript};
+pub use snapshot::ConfigSnapshot;
 pub use space_cache::RouteSpaceCache;
 pub use synthesis::{SpecStyle, SynthesisOutcome, SynthesisSession};
 pub use translation::{ErrorRow, TranslationOutcome, TranslationSession};

@@ -20,16 +20,17 @@
 //! human rewrite instruction — same leverage accounting as the other
 //! two use cases.
 
-use crate::composer::{check_scenario, GlobalCheckReport};
+use crate::composer::{check_scenario_with, lower_internal, GlobalCheckReport};
 use crate::humanizer::Humanizer;
 use crate::iip::IipDatabase;
-use crate::incremental::{IncrementalVerifier, VerifyMode};
+use crate::incremental::{IncrementalVerifier, RepairJob, VerifyMode};
 use crate::leverage::Leverage;
 use crate::modularizer::{Modularizer, RouterAssignment};
 use crate::session::{
     LoggedPrompt, PromptKind, RetryPolicy, SessionBudget, SessionLimits, SessionTranscript,
     TransportStats,
 };
+use crate::snapshot::ConfigSnapshot;
 use crate::verifier_ctx::VerifierContext;
 use bf_lite::{LocalPolicyCheck, Vendor};
 use campion_lite::CampionFinding;
@@ -159,8 +160,10 @@ impl RepairSession {
 
     /// [`RepairSession::run`] against a caller-owned [`VerifierContext`]
     /// whose manager pool survives the session — the resident-worker
-    /// entry point. Content and accounting are byte-identical to the
-    /// one-shot path.
+    /// entry point for a broken snapshot the caller built itself. The
+    /// map becomes a [`ConfigSnapshot`], which hashes every text once.
+    /// Content and accounting are byte-identical to the one-shot path
+    /// and to [`RepairSession::run_job`] on the same fault.
     pub fn run_in<M: LanguageModel + ?Sized>(
         &self,
         llm: &mut M,
@@ -168,8 +171,47 @@ impl RepairSession {
         injection: &Injection,
         ctx: &mut VerifierContext,
     ) -> RepairOutcome {
+        let inc = self
+            .verify
+            .incremental
+            .then(|| IncrementalVerifier::new(scenario, ctx));
+        let snapshot = match &inc {
+            Some(inc) => ConfigSnapshot::with_layout(inc.layout(), &injection.configs),
+            None => ConfigSnapshot::from_map(
+                scenario.topology.internal_routers().map(|r| r.name.clone()),
+                &injection.configs,
+            ),
+        };
+        self.run_snapshot(llm, scenario, snapshot, inc, ctx)
+    }
+
+    /// Runs a job prepared by [`VerifierContext::prepare_repair`]: the
+    /// session starts from the job's snapshot, which shares every
+    /// unbroken text with the worker's reference snapshot, and reuses the
+    /// statics bundle the preparation looked up.
+    pub fn run_job<M: LanguageModel + ?Sized>(
+        &self,
+        llm: &mut M,
+        job: &RepairJob,
+        ctx: &mut VerifierContext,
+    ) -> RepairOutcome {
+        let inc = self
+            .verify
+            .incremental
+            .then(|| IncrementalVerifier::for_job(job));
+        self.run_snapshot(llm, job.scenario(), job.snapshot().clone(), inc, ctx)
+    }
+
+    /// The one repair loop of both verification modes.
+    fn run_snapshot<M: LanguageModel + ?Sized>(
+        &self,
+        llm: &mut M,
+        scenario: &Scenario,
+        mut configs: ConfigSnapshot,
+        mut inc: Option<IncrementalVerifier>,
+        ctx: &mut VerifierContext,
+    ) -> RepairOutcome {
         ctx.begin_session();
-        let mut configs = injection.configs.clone();
         let cost0 = llm.cost();
         let mut t = SessionTranscript::new(llm, self.iips.system_message())
             .with_budget(self.budget)
@@ -177,17 +219,6 @@ impl RepairSession {
         let mut first_localization: Option<Localization> = None;
         let mut rounds = 0usize;
         let mut deadline_exceeded = false;
-        // Incremental mode memoizes per-device verdicts across rounds
-        // and defers the whole-network simulation until its result is
-        // observable (`global` is `None` while stale). Full mode keeps
-        // the historical eager schedule: one sim up front and one after
-        // every edit. Both modes simulate exactly the configs the
-        // outcome reports, so `outcome.global` — like every other
-        // content field — is byte-identical between them.
-        let mut inc = self
-            .verify
-            .incremental
-            .then(|| IncrementalVerifier::new(scenario, ctx));
         // Assignments are pure in (topology, policies); incremental mode
         // shares one Arc'd copy across sessions on a pinned family via
         // the worker memo instead of re-deriving ~n prompts per session.
@@ -197,12 +228,19 @@ impl RepairSession {
             None => std::sync::Arc::new(Modularizer::assign_scenario(scenario)),
         };
         let assignments: &[RouterAssignment] = &assignments_arc;
+        // Incremental mode memoizes per-device verdicts across rounds
+        // and defers the whole-network simulation until its result is
+        // observable (`global` is `None` while stale). Full mode keeps
+        // the historical eager schedule: one sim up front and one after
+        // every edit. Both modes simulate exactly the configs the
+        // outcome reports, so `outcome.global` — like every other
+        // content field — is byte-identical between them.
         let mut global = if inc.is_some() {
             None
         } else {
             Some(
                 t.trace
-                    .time(Stage::Sim, || check_scenario(scenario, &configs)),
+                    .time(Stage::Sim, || simulate(scenario, &configs, None, ctx)),
             )
         };
         let repaired = loop {
@@ -212,39 +250,23 @@ impl RepairSession {
             // overlap by design.
             let loc = t.trace.time(Stage::Localize, || match inc.as_mut() {
                 Some(inc) => inc.localize(scenario, &configs, ctx),
-                None => localize(scenario, assignments, &configs, ctx),
+                None => localize_by(scenario, assignments, |name| configs.get(name), ctx),
             });
-            // Deferred sims in incremental mode go through the
-            // verifier's parse hook, which serves clones of devices the
-            // sweep already parsed instead of re-parsing the network.
             if loc.is_none() {
-                if global.is_none() {
-                    global = Some(t.trace.time(Stage::Sim, || match inc.as_ref() {
-                        Some(inc) => inc.check_global(scenario, &configs, ctx),
-                        None => check_scenario(scenario, &configs),
-                    }));
-                }
-                if global.as_ref().expect("just ensured").holds() {
+                let report = global.get_or_insert_with(|| {
+                    t.trace.time(Stage::Sim, || {
+                        simulate(scenario, &configs, inc.as_ref(), ctx)
+                    })
+                });
+                if report.holds() {
                     break true;
                 }
             }
             if t.over_budget() {
                 deadline_exceeded = true;
-                if global.is_none() {
-                    global = Some(t.trace.time(Stage::Sim, || match inc.as_ref() {
-                        Some(inc) => inc.check_global(scenario, &configs, ctx),
-                        None => check_scenario(scenario, &configs),
-                    }));
-                }
                 break false;
             }
             if rounds >= self.limits.max_rounds {
-                if global.is_none() {
-                    global = Some(t.trace.time(Stage::Sim, || match inc.as_ref() {
-                        Some(inc) => inc.check_global(scenario, &configs, ctx),
-                        None => check_scenario(scenario, &configs),
-                    }));
-                }
                 break false;
             }
             // A failing global check with every local channel silent
@@ -259,38 +281,43 @@ impl RepairSession {
                 .iter()
                 .find(|a| a.name == loc.device)
                 .expect("localization names an internal router");
-            let current = configs.get(&loc.device).cloned().unwrap_or_default();
             let escalate = rounds > self.limits.attempts_per_finding;
             let kind = if escalate {
                 PromptKind::Human
             } else {
                 PromptKind::Auto
             };
-            let prompt = repair_prompt(assignment, &loc, &current, escalate);
-            let next = t.send_expecting_config(kind, prompt, &current);
-            configs.insert(loc.device.clone(), next);
-            match inc.as_mut() {
+            let current = configs.get(&loc.device).unwrap_or_default();
+            let prompt = repair_prompt(assignment, &loc, current, escalate);
+            let next = t.send_expecting_config(kind, prompt, current);
+            configs.set(&loc.device, next);
+            global = match inc.as_mut() {
                 Some(inc) => {
                     // The edit dirties its dependency neighborhood and
                     // staleness-marks the sim; both are recomputed only
                     // when next observed.
                     inc.invalidate_edit(&loc.device);
-                    global = None;
+                    None
                 }
-                None => {
-                    global = Some(
-                        t.trace
-                            .time(Stage::Sim, || check_scenario(scenario, &configs)),
-                    );
-                }
-            }
+                None => Some(
+                    t.trace
+                        .time(Stage::Sim, || simulate(scenario, &configs, None, ctx)),
+                ),
+            };
         };
-        let global = global.expect("every break path computes the final report");
+        // Incremental mode simulates a snapshot only once its report is
+        // observable: here, when the session stopped without a clean
+        // sweep.
+        let global = global.unwrap_or_else(|| {
+            t.trace.time(Stage::Sim, || {
+                simulate(scenario, &configs, inc.as_ref(), ctx)
+            })
+        });
         let mut trace = t.trace;
         trace.merge(&ctx.trace);
         let cost = t.backend_cost().since(&cost0);
         RepairOutcome {
-            configs,
+            configs: configs.to_map(),
             repaired,
             rounds,
             first_localization,
@@ -304,6 +331,21 @@ impl RepairSession {
             trace,
             cost,
         }
+    }
+}
+
+/// The whole-network check of `configs`: through the incremental
+/// verifier's report memo and parse hook when there is one, else the
+/// reference path that parses every router.
+fn simulate(
+    scenario: &Scenario,
+    configs: &ConfigSnapshot,
+    inc: Option<&IncrementalVerifier>,
+    ctx: &mut VerifierContext,
+) -> GlobalCheckReport {
+    match inc {
+        Some(inc) => inc.check_global(scenario, configs, ctx),
+        None => check_scenario_with(scenario, |name| lower_internal(name, configs.get(name))),
     }
 }
 
@@ -356,9 +398,25 @@ pub fn localize(
     configs: &BTreeMap<String, String>,
     ctx: &mut VerifierContext,
 ) -> Option<Localization> {
-    let mut clean: Vec<(&RouterAssignment, &String, config_ir::Device)> = Vec::new();
+    localize_by(
+        scenario,
+        assignments,
+        |name| configs.get(name).map(String::as_str),
+        ctx,
+    )
+}
+
+/// [`localize`] over any snapshot, whose texts `text_of` looks up by
+/// router name.
+fn localize_by<'a>(
+    scenario: &Scenario,
+    assignments: &[RouterAssignment],
+    text_of: impl Fn(&str) -> Option<&'a str>,
+    ctx: &mut VerifierContext,
+) -> Option<Localization> {
+    let mut clean: Vec<(&RouterAssignment, &str, config_ir::Device)> = Vec::new();
     for assignment in assignments {
-        let Some(text) = configs.get(&assignment.name) else {
+        let Some(text) = text_of(&assignment.name) else {
             continue;
         };
         match local_verdict_in(scenario, assignment, text, ctx) {
@@ -497,17 +555,14 @@ pub(crate) fn campion_verdict_in(
 
 fn fallback_localization(
     assignments: &[RouterAssignment],
-    configs: &BTreeMap<String, String>,
+    configs: &ConfigSnapshot,
 ) -> Localization {
     let assignment = assignments
         .iter()
         .find(|a| !a.checks.is_empty())
         .or_else(|| assignments.first())
         .expect("scenario has internal routers");
-    let text = configs
-        .get(&assignment.name)
-        .map(String::as_str)
-        .unwrap_or("");
+    let text = configs.get(&assignment.name).unwrap_or("");
     let (line_start, line_end) = whole_file(text);
     Localization {
         device: assignment.name.clone(),

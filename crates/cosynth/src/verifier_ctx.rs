@@ -140,10 +140,23 @@ pub struct MemoCounters {
     pub verdict_hits: usize,
     /// Per-device and whole-network verdicts computed and inserted.
     pub verdict_misses: usize,
+    /// Whole-sweep and whole-report memo hits whose stored confirmation
+    /// (total text length plus a second, independent fingerprint)
+    /// disagreed with the snapshot's: the key collided, so the verdict
+    /// was recomputed and the entry replaced.
+    pub confirm_mismatches: usize,
     /// `(topology, policies)` statics bundles built.
     pub statics_builds: usize,
     /// Statics lookups answered by a resident bundle.
     pub statics_hits: usize,
+    /// Known-good reference texts rendered and scanned.
+    pub texts_rendered: usize,
+    /// Reference texts served by an earlier render of the same prompt.
+    pub texts_reused: usize,
+    /// Pinned large-family networks drawn.
+    pub networks_drawn: usize,
+    /// Pinned-network lookups answered by a network already drawn.
+    pub networks_reused: usize,
 }
 
 /// Worker-resident verifier state: the manager pool plus the
@@ -173,8 +186,10 @@ pub struct VerifierContext {
     /// parse rounds). Reset by [`Self::begin_session`] and merged into
     /// the outcome's trace by the session driver.
     pub trace: SessionTrace,
-    /// Worker-lifetime per-device verdict memo, consulted only by the
-    /// incremental verifier (`crate::incremental`). Survives
+    /// Worker-lifetime memo of `crate::incremental`: verdicts, consulted
+    /// only by the incremental verifier, plus the statics bundles,
+    /// rendered reference texts and pinned networks that repair job
+    /// preparation reads in either mode. Survives
     /// [`Self::begin_session`] by design: on a fleet pinned to one
     /// `(seed, family)` topology, sessions differ only in their intent
     /// and fault, so most devices' verdicts recur verbatim across
@@ -270,8 +285,13 @@ impl VerifierContext {
         MemoCounters {
             verdict_hits: self.memo.hits,
             verdict_misses: self.memo.misses,
+            confirm_mismatches: self.memo.confirm_mismatches,
             statics_builds: self.memo.statics_builds,
             statics_hits: self.memo.statics_hits,
+            texts_rendered: self.memo.texts_rendered,
+            texts_reused: self.memo.texts_reused,
+            networks_drawn: self.memo.networks_drawn,
+            networks_reused: self.memo.networks_reused,
         }
     }
 

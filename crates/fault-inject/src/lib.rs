@@ -34,7 +34,8 @@
 //! `BENCH_repair.json` reproducible and fault classes *enumerable* rather
 //! than ad hoc. Both are a [`FaultSites::scan`] of the snapshot followed
 //! by a draw; a caller that breaks one snapshot under many seeds keeps
-//! the scan and pays only for the draw.
+//! the scan and pays only for the draw, and [`FaultSites::draw`] returns
+//! just the broken router's text, so that caller copies no snapshot.
 
 use cisco_cfg::{CiscoConfig, SetClause};
 use llm_sim::rng::SimRng;
@@ -407,11 +408,12 @@ fn stream(seed: u64) -> SimRng {
 /// half of [`inject`] and [`corpus`], split out so a caller that breaks
 /// the same snapshot under many seeds parses every router once instead
 /// of once per seed. The sites belong to the snapshot they were scanned
-/// from; [`FaultSites::inject`] must be handed that same snapshot.
+/// from; [`FaultSites::inject`] and [`FaultSites::draw`] must be handed
+/// that same snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSites {
-    /// Every router with the classes applicable to it, in snapshot
-    /// (`BTreeMap`) order.
+    /// Every router with the classes applicable to it, in name order
+    /// (the snapshot's `BTreeMap` order, which every draw indexes into).
     routers: Vec<(String, Vec<FaultClass>)>,
 }
 
@@ -426,6 +428,16 @@ impl FaultSites {
         }
     }
 
+    /// The sites of a snapshot whose routers' [`applicable_classes`] the
+    /// caller already knows, in any order: equal to a [`FaultSites::scan`]
+    /// of that snapshot. Routers are kept in name order, so every seed
+    /// draws the same fault it would after a scan.
+    pub fn from_classes(routers: impl IntoIterator<Item = (String, Vec<FaultClass>)>) -> Self {
+        let mut routers: Vec<(String, Vec<FaultClass>)> = routers.into_iter().collect();
+        routers.sort_by(|a, b| a.0.cmp(&b.0));
+        FaultSites { routers }
+    }
+
     /// The routers `class` applies to, in snapshot order.
     fn routers_for(&self, class: FaultClass) -> Vec<&str> {
         self.routers
@@ -435,12 +447,19 @@ impl FaultSites {
             .collect()
     }
 
-    /// Injects one fault into the scanned snapshot: picks a class
-    /// uniformly over the classes applicable *somewhere* in it, then a
-    /// router uniformly over the routers that class applies to.
-    /// Deterministic per `(configs, seed)`. Returns `None` only for
-    /// snapshots where no class applies at all (no BGP anywhere).
-    pub fn inject(&self, configs: &BTreeMap<String, String>, seed: u64) -> Option<Injection> {
+    /// Draws one fault in the scanned snapshot, whose texts `text_of`
+    /// looks up by router name: picks a class uniformly over the classes
+    /// applicable *somewhere* in it, then a router uniformly over the
+    /// routers that class applies to. Returns the broken router's text
+    /// and the ground truth — every other router is unchanged, so no
+    /// snapshot is copied. Deterministic per `(snapshot, seed)`. Returns
+    /// `None` only for snapshots where no class applies at all (no BGP
+    /// anywhere).
+    pub fn draw<'a>(
+        &self,
+        text_of: impl Fn(&str) -> Option<&'a str>,
+        seed: u64,
+    ) -> Option<(String, GroundTruth)> {
         let mut rng = stream(seed);
         let mut classes: Vec<FaultClass> = FaultClass::ALL
             .into_iter()
@@ -453,11 +472,21 @@ impl FaultSites {
             let class = classes.remove(rng.index(classes.len()));
             let routers = self.routers_for(class);
             let router = routers[rng.index(routers.len())];
-            if let Some(injection) = build(configs, router, class, &mut rng) {
-                return Some(injection);
+            let Some(clean) = text_of(router) else {
+                continue;
+            };
+            if let Some(broken) = break_router(clean, router, class, &mut rng) {
+                return Some(broken);
             }
         }
         None
+    }
+
+    /// [`FaultSites::draw`] on `configs`, returned as the whole broken
+    /// snapshot. Deterministic per `(configs, seed)`.
+    pub fn inject(&self, configs: &BTreeMap<String, String>, seed: u64) -> Option<Injection> {
+        let broken = self.draw(|name| configs.get(name).map(String::as_str), seed)?;
+        Some(with_broken(configs, broken))
     }
 }
 
@@ -480,33 +509,45 @@ pub fn corpus(configs: &BTreeMap<String, String>, seed: u64) -> Vec<Injection> {
             continue;
         }
         let router = routers[rng.index(routers.len())];
-        if let Some(injection) = build(configs, router, class, &mut rng) {
-            out.push(injection);
+        let Some(clean) = configs.get(router) else {
+            continue;
+        };
+        if let Some(broken) = break_router(clean, router, class, &mut rng) {
+            out.push(with_broken(configs, broken));
         }
     }
     out
 }
 
-fn build(
-    configs: &BTreeMap<String, String>,
+/// Mutates `router`'s clean text with one fault of `class`: the broken
+/// text plus its ground truth.
+fn break_router(
+    clean: &str,
     router: &str,
     class: FaultClass,
     rng: &mut SimRng,
-) -> Option<Injection> {
-    let clean = configs.get(router)?;
+) -> Option<(String, GroundTruth)> {
     let (mutated, line_start, line_end, detail) = mutate_config(clean, class, rng)?;
-    let mut configs = configs.clone();
-    configs.insert(router.to_string(), mutated);
-    Some(Injection {
-        configs,
-        fault: GroundTruth {
+    Some((
+        mutated,
+        GroundTruth {
             device: router.to_string(),
             class,
             line_start,
             line_end,
             detail,
         },
-    })
+    ))
+}
+
+/// The clean snapshot with one router replaced by its broken text.
+fn with_broken(
+    configs: &BTreeMap<String, String>,
+    (text, fault): (String, GroundTruth),
+) -> Injection {
+    let mut configs = configs.clone();
+    configs.insert(fault.device.clone(), text);
+    Injection { configs, fault }
 }
 
 #[cfg(test)]
@@ -647,13 +688,27 @@ router bgp 2
             (10, "R1", CommunityWiped, 22, 23),
             (11, "R1", MissingNeighbor, 12, 13),
         ];
+        // Sites assembled from per-router classes in any order are the
+        // scan, and a draw is the injection without the snapshot copy.
+        let assembled = FaultSites::from_classes(
+            snap.iter()
+                .rev()
+                .map(|(name, text)| (name.clone(), applicable_classes(text))),
+        );
+        assert_eq!(assembled, sites);
         for (seed, device, class, start, end) in draws {
-            let f = sites.inject(&snap, seed).expect("applicable").fault;
+            let injection = sites.inject(&snap, seed).expect("applicable");
+            let f = &injection.fault;
             assert_eq!(
                 (f.device.as_str(), f.class, f.line_start, f.line_end),
                 (device, class, start, end),
                 "seed {seed}"
             );
+            let (text, fault) = assembled
+                .draw(|name| snap.get(name).map(String::as_str), seed)
+                .expect("applicable");
+            assert_eq!(&fault, f, "seed {seed}");
+            assert_eq!(text, injection.configs[device], "seed {seed}");
         }
         let corpus: Vec<(String, FaultClass)> = corpus(&snap, 3)
             .into_iter()

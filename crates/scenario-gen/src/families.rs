@@ -7,30 +7,9 @@
 //! [`RouterRole::Core`]; stubs are [`RouterRole::ExternalStub`].
 
 use llm_sim::rng::SimRng;
-use net_model::Prefix;
 use topo_model::builder::TopologyBuilder;
+pub use topo_model::StubSet;
 use topo_model::{RouterRole, Topology};
-
-/// The stubs of a generated topology, by role in the intent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StubSet {
-    /// The designated customer stub (reachable under every intent).
-    pub customer: String,
-    /// The customer's announced prefix.
-    pub customer_prefix: Prefix,
-    /// Peer stubs `(name, announced prefix)` — the ISPs/peers the
-    /// intents tag, filter, or block.
-    pub peers: Vec<(String, Prefix)>,
-}
-
-impl StubSet {
-    /// All stubs, customer first.
-    pub fn all(&self) -> Vec<(String, Prefix)> {
-        let mut v = vec![(self.customer.clone(), self.customer_prefix)];
-        v.extend(self.peers.iter().cloned());
-        v
-    }
-}
 
 /// A line `R1 — R2 — … — Rn`, customer stub on `R1`, one peer stub per
 /// remaining router. `n >= 3`.

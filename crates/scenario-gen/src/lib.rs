@@ -109,19 +109,14 @@ fn topology_stream(seed: u64, size: usize) -> SimRng {
     )
 }
 
-/// Generates scenario `index` of the stream `seed` for one **named**
-/// family, bypassing the rotation. Rotation families draw their size
-/// from the stream exactly like [`generate`]; the [`LARGE_FAMILIES`]
-/// have their size fixed by name and their topology fixed per
-/// `(seed, family)` — the multi-pod fat trees structurally, the AS
-/// graphs via `topology_stream` — while the intent still varies per
-/// index. Same determinism contract as [`generate`]. Panics on unknown
-/// names — CLIs validate against [`FAMILIES`] + [`LARGE_FAMILIES`]
-/// first.
-pub fn generate_family(family: &str, seed: u64, index: usize) -> Scenario {
-    let mut rng = stream(seed, index);
-    let intent = Intent::ALL[rng.index(Intent::ALL.len())];
-    let (topology, stubs) = match family {
+/// The network every index of a large family runs on at `seed`: the
+/// topology and its stub set, fixed per `(seed, family)` — the multi-pod
+/// fat trees structurally, the AS graphs via `topology_stream`. `None`
+/// for the rotation families, whose size (and so topology) is drawn per
+/// index. A caller that runs many indices of one large family draws this
+/// once and hands a copy to [`pinned_scenario`] per index.
+pub fn pinned_network(family: &str, seed: u64) -> Option<(Topology, StubSet)> {
+    Some(match family {
         "fat-tree-36" => families::fat_tree_multi(4),
         "fat-tree-72" => families::fat_tree_multi(8),
         "fat-tree-144" => families::fat_tree_multi(16),
@@ -129,8 +124,42 @@ pub fn generate_family(family: &str, seed: u64, index: usize) -> Scenario {
         "as-graph-128" => families::as_graph(128, &mut topology_stream(seed, 128)),
         "as-graph-256" => families::as_graph(256, &mut topology_stream(seed, 256)),
         "as-graph-512" => families::as_graph(512, &mut topology_stream(seed, 512)),
-        other => build_family(&mut rng, other),
-    };
+        _ => return None,
+    })
+}
+
+/// Scenario `index` of a large family at `seed`, on `topology` and
+/// `stubs` — the family's [`pinned_network`] at that seed. Only the
+/// intent is drawn per index. The topology is taken by value because an
+/// intent may extend it (prefer-customer announces the contested prefix
+/// from two stubs), so each index works on its own copy.
+pub fn pinned_scenario(
+    family: &str,
+    seed: u64,
+    index: usize,
+    topology: Topology,
+    stubs: &StubSet,
+) -> Scenario {
+    let intent = Intent::ALL[stream(seed, index).index(Intent::ALL.len())];
+    let name = format!("{family}-{}-s{seed}-i{index}", intent.as_str());
+    intents::apply(intent, topology, stubs, family, name)
+}
+
+/// Generates scenario `index` of the stream `seed` for one **named**
+/// family, bypassing the rotation. Rotation families draw their size
+/// from the stream exactly like [`generate`]; the [`LARGE_FAMILIES`]
+/// have their size fixed by name and their topology fixed per
+/// `(seed, family)` ([`pinned_network`]), while the intent still varies
+/// per index ([`pinned_scenario`]). Same determinism contract as
+/// [`generate`]. Panics on unknown names — CLIs validate against
+/// [`FAMILIES`] + [`LARGE_FAMILIES`] first.
+pub fn generate_family(family: &str, seed: u64, index: usize) -> Scenario {
+    if let Some((topology, stubs)) = pinned_network(family, seed) {
+        return pinned_scenario(family, seed, index, topology, &stubs);
+    }
+    let mut rng = stream(seed, index);
+    let intent = Intent::ALL[rng.index(Intent::ALL.len())];
+    let (topology, stubs) = build_family(&mut rng, family);
     let name = format!("{family}-{}-s{seed}-i{index}", intent.as_str());
     intents::apply(intent, topology, &stubs, family, name)
 }
@@ -163,15 +192,23 @@ mod tests {
         // order (intent, then size) is shared.
         let s = generate(9, 5); // index 5 % 5 == 0 -> "chain"
         assert_eq!(generate_family("chain", 9, 5), s);
+        // Rotation families draw their network per index: nothing pins.
+        assert!(FAMILIES.iter().all(|f| pinned_network(f, 9).is_none()));
     }
 
     #[test]
     fn large_families_validate_and_have_fixed_size() {
         for family in LARGE_FAMILIES {
             let size = large_family_size(family).unwrap();
+            let (topology, stubs) = pinned_network(family, 11).expect("large families pin");
             for index in 0..3 {
                 let s = generate_family(family, 11, index);
                 assert_eq!(s, generate_family(family, 11, index), "{family}");
+                assert_eq!(
+                    s,
+                    pinned_scenario(family, 11, index, topology.clone(), &stubs),
+                    "{family}: network + intent must compose to generate_family"
+                );
                 assert!(
                     s.topology.validate().is_empty(),
                     "{}: {:?}",

@@ -35,7 +35,7 @@ pub mod verifier;
 
 pub use builder::TopologyBuilder;
 pub use describe::{describe_network, describe_router};
-pub use scenario::{Expectation, RouterPolicy, Scenario};
+pub use scenario::{Expectation, RouterPolicy, Scenario, StubSet};
 pub use star::{star, StarRoles};
 pub use topology::{IfaceSpec, NeighborSpec, RouterRole, RouterSpec, Topology};
 pub use verifier::{verify_router, TopologyFinding};

@@ -66,6 +66,30 @@ pub enum Expectation {
     },
 }
 
+/// The stubs of a generated topology, by role in the intent: the handle
+/// the `scenario-gen` intent synthesizers work from, and (with the
+/// topology) everything a pinned network fixes before an intent is
+/// applied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StubSet {
+    /// The designated customer stub (reachable under every intent).
+    pub customer: String,
+    /// The customer's announced prefix.
+    pub customer_prefix: Prefix,
+    /// Peer stubs `(name, announced prefix)` — the ISPs/peers the
+    /// intents tag, filter, or block.
+    pub peers: Vec<(String, Prefix)>,
+}
+
+impl StubSet {
+    /// All stubs, customer first.
+    pub fn all(&self) -> Vec<(String, Prefix)> {
+        let mut v = vec![(self.customer.clone(), self.customer_prefix)];
+        v.extend(self.peers.iter().cloned());
+        v
+    }
+}
+
 /// One generated verification scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
