@@ -131,8 +131,9 @@ FLAGS:
                         recomputed per scrape.
     --metrics           (--serve only) Emit a {\"event\":\"metrics\"}
                         registry snapshot at drain: the accounting
-                        counters, queue high-water mark, pool reuse and
-                        space-cache hit rates, and per-stage latency
+                        counters, queue high-water mark, pool reuse,
+                        space-cache and verdict-memo hit rates, memo
+                        confirmation mismatches, and per-stage latency
                         histograms. A {\"metrics\":true} request line
                         gets a mid-run snapshot whether or not this
                         flag is set.
@@ -141,14 +142,18 @@ FLAGS:
                         session's trace into per-family stage
                         histograms, and write BENCH_telemetry.json
                         (default --out) instead of the usual reports.
-    --no-incremental    Full re-verification: after each rectification
-                        edit, re-check every device and re-run the
-                        whole-network sim, instead of only the edited
-                        device's dirty set (itself plus its internal
-                        BGP neighbors) with the sim deferred to the
-                        rounds that read it. Per-seed session content
-                        is byte-identical either way — this is the A/B
-                        lever --bench-scale measures.
+    --no-incremental    Full re-verification, bypassing the worker's
+                        verdict memo: a repair session re-checks every
+                        device and re-runs the whole-network sim after
+                        each edit, instead of only the edited device's
+                        dirty set (itself plus its internal BGP
+                        neighbors) with the sim deferred to the rounds
+                        that read it; a synthesis session recomputes
+                        every draft's verdict and its final sim instead
+                        of reusing the ones the worker has computed.
+                        Per-seed session content is byte-identical
+                        either way — this is the A/B lever --bench-scale
+                        measures.
     --bench-scale       Size sweep: run the repair fleet at --sessions/
                         --seed once per large family per verification
                         mode (full, incremental), check per-seed

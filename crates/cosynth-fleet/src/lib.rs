@@ -114,10 +114,10 @@ pub struct SessionTuning {
     /// historical `simulated-gpt4` — byte-identical session content to
     /// the pre-backend fleet.
     pub backend: BackendChoice,
-    /// Re-verification strategy (incremental dirty-set bookkeeping; see
-    /// `cosynth::incremental`). Per-seed session content is
-    /// byte-identical across modes — the `fleet` flag `--no-incremental`
-    /// maps onto this.
+    /// Re-verification strategy (the worker's verdict memo and repair's
+    /// dirty-set bookkeeping; see `cosynth::incremental`). Per-seed
+    /// session content is byte-identical across modes — the `fleet` flag
+    /// `--no-incremental` maps onto this.
     pub verify: cosynth::VerifyMode,
     /// Pin every session to one named scenario family instead of the
     /// default rotation — how the large internet-scale families

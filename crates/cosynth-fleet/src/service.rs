@@ -812,8 +812,9 @@ impl MetricIds {
 /// queue high-water mark, and per-stage latency histograms, with
 /// `accounted` recomputed from the snapshot itself (so a consumer can
 /// check the conservation law without waiting for the drain line).
-/// Pool-derived rates are only available at drain, after the workers
-/// have reported their contexts.
+/// Pool-derived rates (manager reuse, space-cache and verdict-memo hit
+/// rates, memo confirmation mismatches) are only available at drain,
+/// after the workers have reported their contexts.
 pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounters>) -> String {
     let snap = reg.snapshot();
     // The extended conservation law: on the socket front-end a snapshot
@@ -843,16 +844,25 @@ pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounte
         .bool("accounted", accounted)
         .bool("cost_accounted", cost_accounted);
     if let Some(p) = pool {
-        let lookups = p.cache_hits + p.cache_misses;
-        b = b.f64("manager_reuse_rate", p.reuse_rate(), 4).f64(
-            "space_cache_hit_rate",
-            if lookups == 0 {
+        // The verdict memo sits in front of the space cache: a draft the
+        // worker has checked before never reaches the cache, so the two
+        // hit rates are read together.
+        let rate = |hits: usize, misses: usize| {
+            if hits + misses == 0 {
                 0.0
             } else {
-                p.cache_hits as f64 / lookups as f64
-            },
-            4,
-        );
+                hits as f64 / (hits + misses) as f64
+            }
+        };
+        b = b
+            .f64("manager_reuse_rate", p.reuse_rate(), 4)
+            .f64(
+                "space_cache_hit_rate",
+                rate(p.cache_hits, p.cache_misses),
+                4,
+            )
+            .f64("verdict_memo_hit_rate", rate(p.memo_hits, p.memo_misses), 4)
+            .u64("confirm_mismatches", p.confirm_mismatches as u64);
     }
     b.raw("registry", &format!("{{{}}}", snap.to_json_fields()))
         .finish()
@@ -1548,6 +1558,18 @@ mod tests {
             assert_eq!(counter(drain, "quarantined"), summary.quarantined as u64);
             assert!(drain.get("manager_reuse_rate").is_some(), "{text}");
             assert!(drain.get("space_cache_hit_rate").is_some(), "{text}");
+            let Some(Json::Num(memo_rate)) = drain.get("verdict_memo_hit_rate") else {
+                panic!("drain carries the verdict-memo hit rate: {text}");
+            };
+            assert!(
+                *memo_rate > 0.0 && *memo_rate < 1.0,
+                "both use cases check drafts through the memo: {text}"
+            );
+            assert_eq!(
+                drain.get("confirm_mismatches").and_then(Json::as_u32),
+                Some(0),
+                "{text}"
+            );
             assert!(
                 drain
                     .get("registry")

@@ -38,9 +38,13 @@ fn repair_signature(tuning: &SessionTuning, seed: u64, index: usize) -> String {
 }
 
 /// Everything a synthesis session reports that is content, not timing.
-fn synthesis_signature(tuning: &SessionTuning, seed: u64, index: usize) -> String {
-    let mut ctx = VerifierContext::new();
-    let r = run_session_tuned(seed, index, &mut ctx, tuning);
+fn synthesis_signature(
+    tuning: &SessionTuning,
+    seed: u64,
+    index: usize,
+    ctx: &mut VerifierContext,
+) -> String {
+    let r = run_session_tuned(seed, index, ctx, tuning);
     format!(
         "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:?}",
         r.index,
@@ -83,7 +87,7 @@ fn incremental_matches_full_across_seeds_and_use_cases() {
                     (
                         name,
                         repair_signature(&tuning, seed, index),
-                        synthesis_signature(&tuning, seed, index),
+                        synthesis_signature(&tuning, seed, index, &mut VerifierContext::new()),
                     )
                 })
                 .collect();
@@ -150,6 +154,37 @@ fn incremental_matches_full_on_a_large_family() {
             "fat-tree-36 i{index}: warm incremental diverged from cold full"
         );
     }
+}
+
+/// The synthesis counterpart: one resident context runs the rotation's
+/// sessions in incremental mode, so its verdict and report memos are hot
+/// with earlier sessions' drafts and snapshots, and every session must
+/// still match a cold full-mode session. A memo key that leaves out an
+/// input the verdict reads shows up here.
+#[test]
+fn incremental_synthesis_matches_full_on_a_warm_worker() {
+    let full = SessionTuning {
+        verify: VerifyMode::full(),
+        ..Default::default()
+    };
+    let incremental = SessionTuning::default();
+    let mut warm_ctx = VerifierContext::new();
+    for seed in [1, 7] {
+        for index in 0..32 {
+            let cold = synthesis_signature(&full, seed, index, &mut VerifierContext::new());
+            let warm = synthesis_signature(&incremental, seed, index, &mut warm_ctx);
+            assert_eq!(
+                warm, cold,
+                "synthesis s{seed} i{index}: warm incremental diverged from cold full"
+            );
+        }
+    }
+    let memo = warm_ctx.memo_counters();
+    assert!(
+        memo.verdict_hits > 0,
+        "the warm worker must answer checks from its memo: {memo:?}"
+    );
+    assert_eq!(memo.confirm_mismatches, 0, "{memo:?}");
 }
 
 /// Dirty-set soundness: edit one device, and every device outside

@@ -105,18 +105,17 @@ pub fn device_from_spec(spec: &RouterSpec) -> Device {
     d
 }
 
-/// The default internal-router lowering: parse the config text and
-/// apply the hostname fixup (config files may omit the hostname; the
-/// composer names devices from the folder layout as Batfish does).
-/// Pure in `(name, text)` — the incremental verifier's parse hook
-/// relies on this to substitute memoized parses for fresh ones.
-pub(crate) fn parse_internal(name: &str, text: &str) -> Device {
-    let parsed = bf_lite::parse_config(text, Some(bf_lite::Vendor::Cisco));
-    let mut device = parsed.device;
-    if device.name.is_empty() {
-        device.name = name.to_string();
+/// Parses an internal router's config text and applies the hostname
+/// fixup (config files may omit the hostname; the composer names devices
+/// from the folder layout as Batfish does). Pure in `(name, text)` — the
+/// local verdict parses through here, which is what lets the memo's
+/// parse hooks substitute its stored devices for fresh parses.
+pub(crate) fn parse_internal(name: &str, text: &str) -> bf_lite::ParsedConfig {
+    let mut parsed = bf_lite::parse_config(text, Some(bf_lite::Vendor::Cisco));
+    if parsed.device.name.is_empty() {
+        parsed.device.name = name.to_string();
     }
-    device
+    parsed
 }
 
 /// An internal router's device from its config text, if it has one: the
@@ -124,7 +123,7 @@ pub(crate) fn parse_internal(name: &str, text: &str) -> Device {
 /// is missing — sessions to it fail and show up in session_problems.
 pub(crate) fn lower_internal(name: &str, text: Option<&str>) -> Device {
     match text {
-        Some(text) => parse_internal(name, text),
+        Some(text) => parse_internal(name, text).device,
         None => Device::named(name),
     }
 }

@@ -28,9 +28,9 @@
 //!   structural/behavioral diff against the router's intent) — and
 //!   invalidates exactly the dirty set after each edit. Verdicts are
 //!   pure functions of `(scenario, assignment, config text)` (see
-//!   `repair::local_verdict_in`), so a memo hit is byte-identical to a
-//!   recompute; each entry stores the fingerprint of the text it was
-//!   computed from and debug-asserts it on every hit.
+//!   `local_verdict`), so a memo hit is byte-identical to a recompute;
+//!   each entry stores the fingerprint of the text it was computed from
+//!   and debug-asserts it on every hit.
 //!
 //! The sweep preserves the full sweep's semantics exactly: devices are
 //! visited in assignment order, the first local finding wins, and the
@@ -59,32 +59,52 @@
 //!   sweeps and whole `GlobalCheckReport`s keyed by content
 //!   fingerprints, so a warm worker answers the sweeps and the final
 //!   simulation of session *k+1* from session *k*'s work. Whole-snapshot
-//!   keys fold the per-text fingerprints a
-//!   [`ConfigSnapshot`] carries, and their entries are confirmed on
-//!   every hit. The memo also keeps each rendered known-good text by its
-//!   exact prompt and each drawn pinned network by `(family, seed)`.
+//!   keys fold the per-text fingerprints a [`ConfigSnapshot`] carries.
+//!   Every entry stores a confirmation (text length plus an independent
+//!   second fingerprint) that each hit compares. The memo also keeps
+//!   each rendered known-good text by its exact prompt and each drawn
+//!   pinned network by `(family, seed)`.
+//!
+//! ## Synthesis
+//!
+//! A synthesis session re-checks a router's draft every rectification
+//! round, and the model often returns the draft unchanged. Every draft
+//! goes through the same memoized local verdict as repair's sweep, under
+//! the same per-device key, so a draft the worker has checked before —
+//! in this session or an earlier one — costs one hash; the final
+//! whole-network check goes through the same report memo as repair's.
+//! A synthesis session builds no statics bundle: `DraftKeys` computes
+//! its routers' key bases with the code the bundle uses, and its entries
+//! keep no parsed device, since the report memo serves most final
+//! checks.
 //!
 //! ## What "byte-identical" excludes
 //!
 //! Per-seed session **content** — configs, repaired, rounds,
 //! localizations, the global report, leverage, the prompt log, cost —
-//! is identical across full and incremental re-verification; the
-//! fleet A/B test pins this. Wall-clock, trace span *counts* (skipped
-//! parses, deferred sims), and space-cache/pool counters necessarily
-//! differ between modes and are excluded from the identity.
+//! is identical across full and incremental re-verification, in both
+//! use cases; the fleet A/B tests pin this. Wall-clock, trace span
+//! *counts* (skipped parses, checks and sims), and space-cache/pool
+//! counters necessarily differ between modes and are excluded from the
+//! identity.
 
+use crate::composer::{self, GlobalCheckReport};
 use crate::modularizer::{Modularizer, RouterAssignment};
 use crate::repair::{self, Localization};
-use crate::snapshot::{ConfigSnapshot, SnapshotLayout, SnapshotText};
+use crate::snapshot::{ConfigSnapshot, SnapshotLayout, SnapshotText, TextPrint};
 use crate::verifier_ctx::VerifierContext;
 use bdd::FxHasher;
+use bf_lite::LocalPolicyCheck;
+use config_ir::Device;
 use fault_inject::{FaultClass, FaultSites, GroundTruth};
 use llm_sim::synth_task::SynthesisDraft;
+use net_model::{ParseWarning, RouteAdvertisement};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::hash::{Hash as _, Hasher as _};
 use std::sync::{Arc, OnceLock};
-use topo_model::{Scenario, StubSet, Topology};
+use telemetry::Stage;
+use topo_model::{Scenario, StubSet, Topology, TopologyFinding};
 
 /// Streams `Debug` renderings straight into an `FxHasher`, skipping the
 /// intermediate `String` a format-then-hash pass would allocate — at
@@ -183,21 +203,160 @@ struct MemoEntry {
     verdict: Option<Localization>,
 }
 
-/// A cross-session local verdict: the parsed device (reused by the
-/// deferred whole-network simulation) plus the first local finding.
-pub(crate) struct CachedLocal {
-    pub(crate) device: config_ir::Device,
-    pub(crate) verdict: Option<Localization>,
+/// The first finding of a router draft's local verdict, in VPP order.
+/// Each use case renders its own feedback from it: synthesis a
+/// rectification prompt, repair a [`Localization`].
+#[derive(Debug, Clone)]
+pub(crate) enum LocalFinding {
+    /// The first parse warning.
+    Syntax(ParseWarning),
+    /// The first topology-verifier finding.
+    Topology(TopologyFinding),
+    /// The first local policy check the draft violates, with the route
+    /// that violates it.
+    Semantic {
+        check: LocalPolicyCheck,
+        witness: RouteAdvertisement,
+    },
 }
 
-/// The two memo-key bases of one device, fixed for a topology+policy
-/// pair: the local base hashes the router's topology spec and check
-/// set, the campion base its name and prompt. The full memo key appends
-/// the config-text fingerprint.
-#[derive(Clone, Copy)]
-struct DeviceKeys {
-    local: u64,
-    campion: u64,
+/// The VPP local verdict of one router draft: parse warnings, then the
+/// topology verifier, then the router's local policy checks (symbolic
+/// ones on the draft's warm space from the context's cache). Returns the
+/// parsed device — named by the assignment when the draft carries no
+/// hostname, as the composer names it — and the first finding, `None`
+/// when every channel is silent. Records one [`Stage::Parse`] span and
+/// one [`Stage::Check`] span per check run.
+///
+/// The verdict is pure in the router's own topology spec, its check set
+/// and the text: `topo_model::verify_router` reads nothing else, no
+/// channel reads the device's name, and the context only caches the
+/// symbolic space, which never changes a witness. That purity is what
+/// makes the per-device memo sound, within a session and across
+/// sessions and use cases on one worker.
+pub(crate) fn local_verdict(
+    topology: &Topology,
+    assignment: &RouterAssignment,
+    text: &str,
+    ctx: &mut VerifierContext,
+) -> (Device, Option<LocalFinding>) {
+    let parsed = ctx.trace.time(Stage::Parse, || {
+        composer::parse_internal(&assignment.name, text)
+    });
+    if let Some(w) = parsed.warnings.into_iter().next() {
+        return (parsed.device, Some(LocalFinding::Syntax(w)));
+    }
+    let device = parsed.device;
+    let findings = topo_model::verify_router(topology, &assignment.name, &device);
+    if let Some(f) = findings.into_iter().next() {
+        return (device, Some(LocalFinding::Topology(f)));
+    }
+    let finding = ctx
+        .first_violation(&assignment.name, &device, &assignment.checks)
+        .map(|(check, witness)| LocalFinding::Semantic { check, witness });
+    (device, finding)
+}
+
+/// The route map a failing local check implicates: the first element of
+/// its policy chain.
+pub(crate) fn check_map(check: &LocalPolicyCheck) -> String {
+    match check {
+        LocalPolicyCheck::PermittedRoutesCarry { chain, .. }
+        | LocalPolicyCheck::RoutesWithCommunityDenied { chain, .. }
+        | LocalPolicyCheck::PermittedRoutesPreserve { chain, .. }
+        | LocalPolicyCheck::PermittedRoutesSetLocalPref { chain, .. } => {
+            chain.first().cloned().unwrap_or_default()
+        }
+    }
+}
+
+/// A cross-session local verdict, kept compact (with its confirmation,
+/// 32 bytes per map value): the first finding, boxed because most
+/// verdicts are clean, and the parsed device where the caller keeps one.
+/// Repair's sweep keeps it with clean verdicts, for the campion phase
+/// and the whole-network parse hook; synthesis keeps none.
+pub(crate) struct CachedLocal {
+    finding: Option<Box<LocalFinding>>,
+    device: Option<Box<Device>>,
+}
+
+/// The local memo-key base of every assignment, in order: the router's
+/// topology spec hash and its check set. The full key appends the text's
+/// fingerprint. Repair's statics bundle and each synthesis session both
+/// compute their bases here, so the two use cases share entries.
+fn local_key_bases(topology: &Topology, assignments: &[RouterAssignment]) -> Vec<u64> {
+    let specs: HashMap<&str, &topo_model::RouterSpec> = topology
+        .routers
+        .iter()
+        .map(|r| (r.name.as_str(), r))
+        .collect();
+    assignments
+        .iter()
+        .map(|a| {
+            let spec_hash = specs.get(a.name.as_str()).map_or(0, |r| {
+                let mut h = FxHasher::default();
+                r.hash(&mut h);
+                h.finish()
+            });
+            let mut h = FxHasher::default();
+            h.write(&spec_hash.to_le_bytes());
+            let _ = write!(HashWriter(&mut h), "{:?}", a.checks);
+            h.finish()
+        })
+        .collect()
+}
+
+/// The fingerprint of a topology: the first half of a statics key and
+/// the input of every report key.
+fn topology_fp(topology: &Topology) -> u64 {
+    let mut h = FxHasher::default();
+    topology.routers.hash(&mut h);
+    h.finish()
+}
+
+/// The input half of a whole-network report key: the topology
+/// fingerprint plus the expectations, everything `check_scenario` reads
+/// besides the configs. Scenarios at different indices that share
+/// topology and intent collide here on purpose — that is what lets
+/// their simulations share a memo entry.
+fn report_base(topology_fp: u64, scenario: &Scenario) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(&topology_fp.to_le_bytes());
+    scenario.expectations.hash(&mut h);
+    h.finish()
+}
+
+/// The memo keys of one synthesis session's network, computed per
+/// session: each router's local key base (aligned with the assignments)
+/// and the report key base, plus the name layout of its final snapshot.
+pub(crate) struct DraftKeys {
+    pub(crate) local: Vec<u64>,
+    report: u64,
+    layout: Arc<SnapshotLayout>,
+}
+
+impl DraftKeys {
+    pub(crate) fn new(scenario: &Scenario, assignments: &[RouterAssignment]) -> Self {
+        DraftKeys {
+            local: local_key_bases(&scenario.topology, assignments),
+            report: report_base(topology_fp(&scenario.topology), scenario),
+            layout: Arc::new(SnapshotLayout::new(
+                assignments.iter().map(|a| a.name.clone()).collect(),
+            )),
+        }
+    }
+
+    /// The whole-network check of the session's final `configs` through
+    /// the worker's report memo.
+    pub(crate) fn check_global(
+        &self,
+        scenario: &Scenario,
+        configs: &BTreeMap<String, String>,
+        ctx: &mut VerifierContext,
+    ) -> GlobalCheckReport {
+        let snapshot = ConfigSnapshot::with_layout(Arc::clone(&self.layout), configs);
+        ctx.checked_report(scenario, self.report, &snapshot, &self.local)
+    }
 }
 
 /// Renders the known-good config of every assignment: the draft a
@@ -290,8 +449,12 @@ struct Rendered {
 /// re-deriving ~n prompts, keys, and adjacency lists.
 pub(crate) struct SessionStatics {
     assignments: Arc<Vec<RouterAssignment>>,
-    /// Memo-key bases, aligned with `assignments`.
-    keys: Vec<DeviceKeys>,
+    /// Local memo-key bases ([`local_key_bases`]), aligned with
+    /// `assignments`.
+    local_bases: Vec<u64>,
+    /// Campion memo-key bases (the router's name and prompt), aligned
+    /// with `assignments`.
+    campion_bases: Vec<u64>,
     /// The assignment order every snapshot of this network follows.
     layout: Arc<SnapshotLayout>,
     tracker: DependencyTracker,
@@ -305,42 +468,20 @@ pub(crate) struct SessionStatics {
 impl SessionStatics {
     fn build(scenario: &Scenario) -> Self {
         let assignments = Modularizer::assign_scenario(scenario);
-        let spec_hash: HashMap<&str, u64> = scenario
-            .topology
-            .routers
-            .iter()
-            .map(|r| {
-                let mut h = FxHasher::default();
-                r.hash(&mut h);
-                (r.name.as_str(), h.finish())
-            })
-            .collect();
-        let keys = assignments
+        let campion_bases = assignments
             .iter()
             .map(|a| {
                 let mut h = FxHasher::default();
-                h.write(
-                    &spec_hash
-                        .get(a.name.as_str())
-                        .copied()
-                        .unwrap_or_default()
-                        .to_le_bytes(),
-                );
-                let _ = write!(HashWriter(&mut h), "{:?}", a.checks);
-                let local = h.finish();
-                let mut h = FxHasher::default();
                 h.write(a.name.as_bytes());
                 h.write(a.prompt.as_bytes());
-                DeviceKeys {
-                    local,
-                    campion: h.finish(),
-                }
+                h.finish()
             })
             .collect();
         let layout = SnapshotLayout::new(assignments.iter().map(|a| a.name.clone()).collect());
         SessionStatics {
+            local_bases: local_key_bases(&scenario.topology, &assignments),
+            campion_bases,
             assignments: Arc::new(assignments),
-            keys,
             layout: Arc::new(layout),
             tracker: DependencyTracker::new(scenario),
             reference: OnceLock::new(),
@@ -357,11 +498,9 @@ fn statics_for(
     scenario: &Scenario,
     ctx: &mut VerifierContext,
 ) -> ((u64, u64), Arc<SessionStatics>) {
-    let mut h = FxHasher::default();
-    scenario.topology.routers.hash(&mut h);
     let mut p = FxHasher::default();
     scenario.policies.hash(&mut p);
-    let key = (h.finish(), p.finish());
+    let key = (topology_fp(&scenario.topology), p.finish());
     let memo = &mut ctx.memo;
     let statics = match memo.statics.get(&key) {
         Some(s) => {
@@ -502,9 +641,15 @@ const NETWORK_CAP: usize = 8;
 /// A pinned network's `(family, seed)`.
 type PinnedKey = (String, u64);
 
-/// The confirmation stored beside a whole-snapshot memo entry: see
-/// [`ConfigSnapshot::confirmation`].
+/// The confirmation stored beside every verdict-memo entry: a text's
+/// length and second fingerprint ([`TextPrint::confirmation`]) for a
+/// per-device entry, their fold over the network
+/// ([`ConfigSnapshot::confirmation`]) for a whole-snapshot one.
 type Confirmation = (usize, u64);
+
+/// A verdict map: values keyed on `(input fingerprint, text fingerprint)`,
+/// each stored beside its [`Confirmation`].
+type Confirmed<V> = HashMap<(u64, u64), (Confirmation, V)>;
 
 /// The **worker-lifetime** verdict memo, resident in the
 /// [`VerifierContext`] next to the manager pool.
@@ -518,27 +663,28 @@ type Confirmation = (usize, u64);
 /// answer those sweeps from this memo without recomputing anything.
 ///
 /// Per-device keys are `(input fingerprint, text fingerprint)` 64-bit
-/// FxHash pairs; a wrong answer needs a collision on both halves
-/// simultaneously (~2⁻¹²⁸ per candidate pair), which is treated as
-/// impossible. Whole-snapshot keys fold one fingerprint per router, so
-/// their entries also store the snapshot's [`Confirmation`] — total
-/// length plus a fold of independent second fingerprints — and a hit
-/// whose confirmation differs is recomputed and counted
-/// (`confirm_mismatches`). Only the **incremental** verifier consults
-/// the memo — `--no-incremental` keeps the historical
-/// recompute-everything path untouched — and hits return clones of pure
-/// values, so session content stays byte-identical across modes and
-/// across worker placements.
+/// FxHash pairs; whole-snapshot keys fold one fingerprint per router.
+/// Every entry also stores a [`Confirmation`] computed with an
+/// independent hasher — the text's length and second fingerprint, or
+/// their fold over the snapshot — and every hit compares it: a hit whose
+/// confirmation differs is a key collision, so it is counted
+/// (`confirm_mismatches`), recomputed and replaced. A parsed device is
+/// reused by a parse hook only under the same comparison, so no hit
+/// returns a value its confirmation has not matched. Both use cases
+/// consult the memo in incremental mode only — `--no-incremental` keeps
+/// the historical recompute-everything path untouched — and hits return
+/// clones of pure values, so session content stays byte-identical across
+/// modes and across worker placements.
 #[derive(Default)]
 pub(crate) struct VerdictMemo {
-    local: HashMap<(u64, u64), CachedLocal>,
-    campion: HashMap<(u64, u64), Option<Localization>>,
+    local: Confirmed<CachedLocal>,
+    campion: Confirmed<Option<Box<Localization>>>,
     /// Whole-network check reports, keyed on `(topology + expectations,
     /// every internal config text)` — `check_scenario` is pure in
     /// exactly those inputs, so sessions that converge back to the same
     /// snapshot (the common case: a repair restores the reference text)
     /// share one simulation.
-    global: HashMap<(u64, u64), (Confirmation, crate::composer::GlobalCheckReport)>,
+    global: Confirmed<GlobalCheckReport>,
     /// Whole-sweep localizations, keyed on `(topology + policies, every
     /// internal config text)`. The sweep is pure in exactly those
     /// inputs (assignment order, checks, and prompts all derive from
@@ -547,7 +693,7 @@ pub(crate) struct VerdictMemo {
     /// session ends on, whose clean sweep is the costliest scan of the
     /// session — returns its verdict for the cost of folding the texts'
     /// fingerprints.
-    sweep: HashMap<(u64, u64), (Confirmation, Option<Localization>)>,
+    sweep: Confirmed<Option<Localization>>,
     /// Scenario-static bundles, keyed on `(topology fingerprint,
     /// policies fingerprint)`.
     statics: HashMap<(u64, u64), Arc<SessionStatics>>,
@@ -555,11 +701,11 @@ pub(crate) struct VerdictMemo {
     rendered: HashMap<String, Rendered>,
     /// Pinned networks by `(family, seed)`.
     networks: Vec<(PinnedKey, Arc<(Topology, StubSet)>)>,
-    /// Sweep verdicts answered from the memo.
+    /// Verdicts answered from the memo.
     pub(crate) hits: usize,
-    /// Sweep verdicts computed (and inserted).
+    /// Verdicts computed (and inserted).
     pub(crate) misses: usize,
-    /// Whole-snapshot hits whose confirmation differed (recomputed).
+    /// Hits whose confirmation differed (recomputed and replaced).
     pub(crate) confirm_mismatches: usize,
     /// Statics lookups that had to build the bundle.
     pub(crate) statics_builds: usize,
@@ -576,25 +722,25 @@ pub(crate) struct VerdictMemo {
 }
 
 impl VerdictMemo {
-    fn insert_local(&mut self, key: (u64, u64), entry: CachedLocal) {
+    fn insert_local(&mut self, key: (u64, u64), entry: (Confirmation, CachedLocal)) {
         if self.local.len() >= CROSS_CAP {
             self.local.clear();
         }
         self.local.insert(key, entry);
     }
 
-    fn insert_campion(&mut self, key: (u64, u64), verdict: Option<Localization>) {
+    fn insert_campion(
+        &mut self,
+        key: (u64, u64),
+        entry: (Confirmation, Option<Box<Localization>>),
+    ) {
         if self.campion.len() >= CROSS_CAP {
             self.campion.clear();
         }
-        self.campion.insert(key, verdict);
+        self.campion.insert(key, entry);
     }
 
-    fn insert_global(
-        &mut self,
-        key: (u64, u64),
-        entry: (Confirmation, crate::composer::GlobalCheckReport),
-    ) {
+    fn insert_global(&mut self, key: (u64, u64), entry: (Confirmation, GlobalCheckReport)) {
         if self.global.len() >= CROSS_CAP {
             self.global.clear();
         }
@@ -622,10 +768,23 @@ impl VerdictMemo {
         self.rendered.insert(prompt, rendered);
     }
 
-    /// The memoized whole-snapshot entry under `key`, if its stored
-    /// confirmation matches; a mismatch is counted and reads as a miss.
+    /// The parsed device memoized for the text printed `print` of the
+    /// router whose local key base is `base`, if an entry holds one and
+    /// its confirmation matches the text's. A parse hook that finds none
+    /// parses the text itself.
+    fn parsed_device(&self, base: u64, print: TextPrint) -> Option<&Device> {
+        let (confirm, entry) = self.local.get(&(base, print.fx))?;
+        if *confirm == print.confirmation() {
+            entry.device.as_deref()
+        } else {
+            None
+        }
+    }
+
+    /// The memoized entry under `key`, if its stored confirmation
+    /// matches; a mismatch is counted and reads as a miss.
     fn confirmed<'a, V>(
-        map: &'a HashMap<(u64, u64), (Confirmation, V)>,
+        map: &'a Confirmed<V>,
         key: &(u64, u64),
         confirm: Confirmation,
         mismatches: &mut usize,
@@ -640,6 +799,80 @@ impl VerdictMemo {
     }
 }
 
+impl VerifierContext {
+    /// [`local_verdict`] through the worker memo, under the per-device key
+    /// `(base, print.fx)`: `base` is the router's local key base and
+    /// `print` the fingerprints of `text`. A hit whose confirmation
+    /// matches costs one lookup; a mismatch is counted, recomputed and
+    /// replaced. `keep_device` stores the parsed device beside a clean
+    /// verdict, for callers that read it back through a parse hook.
+    pub(crate) fn memo_local_verdict(
+        &mut self,
+        topology: &Topology,
+        assignment: &RouterAssignment,
+        base: u64,
+        text: &str,
+        print: TextPrint,
+        keep_device: bool,
+    ) -> Option<LocalFinding> {
+        let key = (base, print.fx);
+        let confirm = print.confirmation();
+        let memo = &mut self.memo;
+        if let Some(cached) =
+            VerdictMemo::confirmed(&memo.local, &key, confirm, &mut memo.confirm_mismatches)
+        {
+            memo.hits += 1;
+            return cached.finding.as_deref().cloned();
+        }
+        memo.misses += 1;
+        let (device, finding) = local_verdict(topology, assignment, text, self);
+        let cached = CachedLocal {
+            finding: finding.clone().map(Box::new),
+            device: (keep_device && finding.is_none()).then(|| Box::new(device)),
+        };
+        self.memo.insert_local(key, (confirm, cached));
+        finding
+    }
+
+    /// The whole-network check of `snapshot` through the worker's report
+    /// memo, keyed on `(base, snapshot.key())` where `base` is the
+    /// scenario's report base; the one body behind repair's deferred
+    /// check and synthesis's final one. On a miss the parse hook serves
+    /// clones of devices the memo holds for these texts (`local_bases`
+    /// aligns with the snapshot's positions) and parses the rest, so the
+    /// report is byte-identical to the hook-free path either way.
+    fn checked_report(
+        &mut self,
+        scenario: &Scenario,
+        base: u64,
+        snapshot: &ConfigSnapshot,
+        local_bases: &[u64],
+    ) -> GlobalCheckReport {
+        let key = (base, snapshot.key());
+        let confirm = snapshot.confirmation();
+        let memo = &mut self.memo;
+        if let Some(report) =
+            VerdictMemo::confirmed(&memo.global, &key, confirm, &mut memo.confirm_mismatches)
+        {
+            memo.hits += 1;
+            return report.clone();
+        }
+        memo.misses += 1;
+        let report = composer::check_scenario_with(scenario, |name| {
+            let parsed = snapshot.index_of(name).and_then(|i| {
+                let text = snapshot.text(i)?;
+                memo.parsed_device(local_bases[i], text.print)
+            });
+            match parsed {
+                Some(device) => device.clone(),
+                None => composer::lower_internal(name, snapshot.get(name)),
+            }
+        });
+        memo.insert_global(key, (confirm, report.clone()));
+        report
+    }
+}
+
 /// Session-scoped incremental re-verification state: the shared
 /// scenario statics plus the two per-device verdict memos (index-
 /// aligned with the assignments). Created per repair session by
@@ -647,10 +880,7 @@ impl VerdictMemo {
 /// is on.
 pub(crate) struct IncrementalVerifier {
     statics: Arc<SessionStatics>,
-    /// FxHash of everything `check_scenario` reads besides the configs:
-    /// the topology fingerprint plus the expectations. Scenarios at
-    /// different indices that share topology and intent collide here on
-    /// purpose — that is what lets their simulations share a memo entry.
+    /// The scenario's report key base ([`report_base`]).
     scenario_hash: u64,
     /// Input-side base of the whole-sweep memo key: topology +
     /// policies, i.e. everything a sweep reads besides the configs.
@@ -674,16 +904,13 @@ impl IncrementalVerifier {
     }
 
     fn with_statics(scenario: &Scenario, statics: Arc<SessionStatics>, skey: (u64, u64)) -> Self {
-        let mut h = FxHasher::default();
-        h.write(&skey.0.to_le_bytes());
-        scenario.expectations.hash(&mut h);
         let mut sb = FxHasher::default();
         sb.write(&skey.0.to_le_bytes());
         sb.write(&skey.1.to_le_bytes());
         let n = statics.assignments.len();
         IncrementalVerifier {
             statics,
-            scenario_hash: h.finish(),
+            scenario_hash: report_base(skey.0, scenario),
             sweep_base: sb.finish(),
             local: vec![None; n],
             campion: vec![None; n],
@@ -707,39 +934,19 @@ impl IncrementalVerifier {
     /// exact snapshot was simulated before (sessions that converge back
     /// to the reference text share one simulation), and on a report
     /// miss the parse hook serves clones of devices the sweeps already
-    /// parsed instead of re-parsing every internal router. Devices the
-    /// memo does not hold — evicted, or never swept this session — are
-    /// parsed fresh, so the report is byte-identical to the hook-free
-    /// path either way.
+    /// parsed instead of re-parsing every internal router.
     pub(crate) fn check_global(
         &self,
         scenario: &Scenario,
         snapshot: &ConfigSnapshot,
         ctx: &mut VerifierContext,
-    ) -> crate::composer::GlobalCheckReport {
-        let key = (self.scenario_hash, snapshot.key());
-        let confirm = snapshot.confirmation();
-        let memo = &mut ctx.memo;
-        if let Some(report) =
-            VerdictMemo::confirmed(&memo.global, &key, confirm, &mut memo.confirm_mismatches)
-        {
-            memo.hits += 1;
-            return report.clone();
-        }
-        memo.misses += 1;
-        let statics = &self.statics;
-        let report = crate::composer::check_scenario_with(scenario, |name| {
-            let parsed = statics.layout.index_of(name).and_then(|i| {
-                let text = snapshot.text(i)?;
-                memo.local.get(&(statics.keys[i].local, text.fx))
-            });
-            match parsed {
-                Some(c) => c.device.clone(),
-                None => crate::composer::lower_internal(name, snapshot.get(name)),
-            }
-        });
-        memo.insert_global(key, (confirm, report.clone()));
-        report
+    ) -> GlobalCheckReport {
+        ctx.checked_report(
+            scenario,
+            self.scenario_hash,
+            snapshot,
+            &self.statics.local_bases,
+        )
     }
 
     /// Drops the memo entries of every device in the edit's dirty set;
@@ -798,36 +1005,25 @@ impl IncrementalVerifier {
             let verdict = match &self.local[i] {
                 Some(m) => {
                     debug_assert_eq!(
-                        m.textfx, text.fx,
+                        m.textfx, text.print.fx,
                         "memo entry for {} outlived an edit the tracker missed",
                         assignment.name
                     );
                     m.verdict.clone()
                 }
                 None => {
-                    let tkey = (statics.keys[i].local, text.fx);
-                    let cached = ctx.memo.local.get(&tkey).map(|c| c.verdict.clone());
-                    let verdict = match cached {
-                        Some(v) => {
-                            ctx.memo.hits += 1;
-                            v
-                        }
-                        None => {
-                            ctx.memo.misses += 1;
-                            let (device, verdict) =
-                                repair::local_verdict_in(scenario, assignment, text.as_str(), ctx);
-                            ctx.memo.insert_local(
-                                tkey,
-                                CachedLocal {
-                                    device,
-                                    verdict: verdict.clone(),
-                                },
-                            );
-                            verdict
-                        }
-                    };
+                    let verdict = ctx
+                        .memo_local_verdict(
+                            &scenario.topology,
+                            assignment,
+                            statics.local_bases[i],
+                            text.as_str(),
+                            text.print,
+                            true,
+                        )
+                        .map(|f| Localization::of(&assignment.name, &f, text.as_str()));
                     self.local[i] = Some(MemoEntry {
-                        textfx: text.fx,
+                        textfx: text.print.fx,
                         verdict: verdict.clone(),
                     });
                     verdict
@@ -844,16 +1040,23 @@ impl IncrementalVerifier {
             let verdict = match &self.campion[i] {
                 Some(m) => {
                     debug_assert_eq!(
-                        m.textfx, text.fx,
+                        m.textfx, text.print.fx,
                         "campion memo for {} outlived an edit the tracker missed",
                         assignment.name
                     );
                     m.verdict.clone()
                 }
                 None => {
-                    let keys = statics.keys[i];
-                    let ckey = (keys.campion, text.fx);
-                    let cached = ctx.memo.campion.get(&ckey).cloned();
+                    let ckey = (statics.campion_bases[i], text.print.fx);
+                    let confirm = text.print.confirmation();
+                    let memo = &mut ctx.memo;
+                    let cached = VerdictMemo::confirmed(
+                        &memo.campion,
+                        &ckey,
+                        confirm,
+                        &mut memo.confirm_mismatches,
+                    )
+                    .map(|v| v.as_deref().cloned());
                     let verdict = match cached {
                         Some(v) => {
                             ctx.memo.hits += 1;
@@ -865,20 +1068,23 @@ impl IncrementalVerifier {
                             // round, so the reparse is warning-free —
                             // and skippable when the worker memo still
                             // holds the parse.
-                            let device = match ctx.memo.local.get(&(keys.local, text.fx)) {
-                                Some(c) => c.device.clone(),
-                                None => {
-                                    repair::parse_device(text.as_str(), &assignment.name).device
-                                }
-                            };
+                            let device =
+                                match ctx.memo.parsed_device(statics.local_bases[i], text.print) {
+                                    Some(device) => device.clone(),
+                                    None => {
+                                        composer::parse_internal(&assignment.name, text.as_str())
+                                            .device
+                                    }
+                                };
                             let verdict =
                                 repair::campion_verdict_in(assignment, text.as_str(), &device, ctx);
-                            ctx.memo.insert_campion(ckey, verdict.clone());
+                            ctx.memo
+                                .insert_campion(ckey, (confirm, verdict.clone().map(Box::new)));
                             verdict
                         }
                     };
                     self.campion[i] = Some(MemoEntry {
-                        textfx: text.fx,
+                        textfx: text.print.fx,
                         verdict: verdict.clone(),
                     });
                     verdict
@@ -985,6 +1191,72 @@ mod tests {
         let mut inc = IncrementalVerifier::new(&scenario, &mut ctx);
         assert_eq!(inc.localize(&scenario, &b, &mut ctx), expected);
         assert_eq!(ctx.memo_counters().confirm_mismatches, 1);
+    }
+
+    #[test]
+    fn a_colliding_local_entry_is_confirmed_recomputed_and_counted() {
+        // Plant a clean draft's local entry under a broken draft's key,
+        // as a key collision would: the broken draft's lookup must see
+        // the confirmation disagree, return its own finding, and replace
+        // the planted entry — and no parse hook may serve the planted
+        // device for the broken text meanwhile.
+        let scenario = scenario_gen::generate(3, 1);
+        let assignments = Modularizer::assign_scenario(&scenario);
+        let clean = crate::reference_configs(&assignments);
+        let topology = &scenario.topology;
+        let (i, text_b, expected) = (0..)
+            .flat_map(|seed| fault_inject::corpus(&clean, seed))
+            .find_map(|injection| {
+                let i = assignments
+                    .iter()
+                    .position(|a| a.name == injection.fault.device)?;
+                let text = injection.configs[&injection.fault.device].clone();
+                let mut ctx = VerifierContext::new();
+                let (_, finding) = local_verdict(topology, &assignments[i], &text, &mut ctx);
+                Some((i, text, finding?))
+            })
+            .expect("some fault shows on a local channel");
+        let a = &assignments[i];
+        let text_a = clean[&a.name].as_str();
+        let base = local_key_bases(topology, &assignments)[i];
+        let (print_a, print_b) = (TextPrint::of(text_a), TextPrint::of(&text_b));
+
+        let mut ctx = VerifierContext::new();
+        assert!(ctx
+            .memo_local_verdict(topology, a, base, text_a, print_a, true)
+            .is_none());
+        assert!(ctx.memo.parsed_device(base, print_a).is_some());
+        let planted = ctx
+            .memo
+            .local
+            .remove(&(base, print_a.fx))
+            .expect("inserted");
+        ctx.memo.local.insert((base, print_b.fx), planted);
+        assert!(
+            ctx.memo.parsed_device(base, print_b).is_none(),
+            "a colliding entry's device is never served"
+        );
+
+        let lookup = |ctx: &mut VerifierContext| {
+            let got = ctx.memo_local_verdict(topology, a, base, &text_b, print_b, true);
+            format!("{got:?}")
+        };
+        assert_eq!(lookup(&mut ctx), format!("{:?}", Some(&expected)));
+        let counters = ctx.memo_counters();
+        assert_eq!(counters.confirm_mismatches, 1);
+        // The replaced entry now confirms: a second lookup is a plain hit.
+        assert_eq!(lookup(&mut ctx), format!("{:?}", Some(&expected)));
+        let again = ctx.memo_counters();
+        assert_eq!(again.confirm_mismatches, 1);
+        assert_eq!(again.verdict_hits, counters.verdict_hits + 1);
+        assert_eq!(again.verdict_misses, counters.verdict_misses);
+    }
+
+    #[test]
+    fn local_entries_stay_compact() {
+        // 4,096 entries take 8,192 buckets: every byte of a value counts
+        // twice per worker.
+        assert_eq!(std::mem::size_of::<(Confirmation, CachedLocal)>(), 32);
     }
 
     #[test]

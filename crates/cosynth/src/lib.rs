@@ -37,8 +37,10 @@
 //!   a recycled-BDD-manager pool with the space cache, so a resident
 //!   worker amortizes table allocation across every session it runs
 //!   (`run_scenario_in` / `run_in` are the pooled session entry points).
-//! * Incremental re-verification → [`incremental`]: the dependency
-//!   tracker + per-device verdict memo that make repair-session cost
+//! * Incremental re-verification → [`incremental`]: the one local
+//!   verdict both use cases run, the worker's confirmed verdict memo in
+//!   front of it (a draft the worker has checked before costs one
+//!   hash), and the dependency tracker that makes repair-session cost
 //!   scale with the edit instead of the network ([`VerifyMode`] selects
 //!   full or incremental re-verification; content is byte-identical
 //!   across the two).

@@ -23,7 +23,9 @@
 use crate::composer::{check_scenario_with, lower_internal, GlobalCheckReport};
 use crate::humanizer::Humanizer;
 use crate::iip::IipDatabase;
-use crate::incremental::{IncrementalVerifier, RepairJob, VerifyMode};
+use crate::incremental::{
+    check_map, local_verdict, IncrementalVerifier, LocalFinding, RepairJob, VerifyMode,
+};
 use crate::leverage::Leverage;
 use crate::modularizer::{Modularizer, RouterAssignment};
 use crate::session::{
@@ -32,7 +34,6 @@ use crate::session::{
 };
 use crate::snapshot::ConfigSnapshot;
 use crate::verifier_ctx::VerifierContext;
-use bf_lite::{LocalPolicyCheck, Vendor};
 use campion_lite::CampionFinding;
 use fault_inject::{GroundTruth, Injection};
 use llm_sim::{prompts, CostLedger, LanguageModel};
@@ -56,6 +57,33 @@ pub struct Localization {
 }
 
 impl Localization {
+    /// Localizes a local finding to router `device`: the line span of
+    /// `text` it implicates and the humanized finding.
+    pub(crate) fn of(device: &str, finding: &LocalFinding, text: &str) -> Self {
+        let ((line_start, line_end), reason) = match finding {
+            LocalFinding::Syntax(w) => {
+                let span = if w.line > 0 {
+                    (w.line, w.line)
+                } else {
+                    whole_file(text)
+                };
+                (span, Humanizer::syntax(w))
+            }
+            LocalFinding::Topology(f) => (topology_span(text, f), Humanizer::topology(f)),
+            LocalFinding::Semantic { check, witness } => {
+                let map = check_map(check);
+                let span = map_span(text, &map).unwrap_or(whole_file(text));
+                (span, Humanizer::semantic(&map, check, witness))
+            }
+        };
+        Localization {
+            device: device.to_string(),
+            line_start,
+            line_end,
+            reason,
+        }
+    }
+
     /// Whether this localization agrees with the injector's ground
     /// truth: same device, overlapping line spans. Computable without
     /// re-parsing any config — the metadata carries everything.
@@ -419,8 +447,8 @@ fn localize_by<'a>(
         let Some(text) = text_of(&assignment.name) else {
             continue;
         };
-        match local_verdict_in(scenario, assignment, text, ctx) {
-            (_, Some(loc)) => return Some(loc),
+        match local_verdict(&scenario.topology, assignment, text, ctx) {
+            (_, Some(f)) => return Some(Localization::of(&assignment.name, &f, text)),
             (device, None) => clean.push((assignment, text, device)),
         }
     }
@@ -435,93 +463,6 @@ fn localize_by<'a>(
         }
     }
     None
-}
-
-/// Parses a rendered config and applies the assignment-name fixup the
-/// VPP loop relies on (drafts rarely carry a hostname). Pure in
-/// `(text, name)`; shared by the sweep and the memoized
-/// re-verification in [`crate::incremental`].
-pub(crate) fn parse_device(text: &str, name: &str) -> bf_lite::ParsedConfig {
-    let mut parsed = bf_lite::parse_config(text, Some(Vendor::Cisco));
-    if parsed.device.name.is_empty() {
-        parsed.device.name = name.to_string();
-    }
-    parsed
-}
-
-/// The local verdict for one device, in VPP order: parse warnings, the
-/// topology verifier, then the symbolic local checks (space served warm
-/// from the context's cache). Returns the parsed device (always — the
-/// whole-network simulation wants it even when the verdict fails) plus
-/// the first finding, `None` when every channel is silent.
-///
-/// The verdict is a pure function of `(scenario, assignment, text)` —
-/// more precisely of the router's own topology spec, its check set, and
-/// the text; `topo_model::verify_router` reads nothing else. The
-/// context only caches the symbolic space, which never changes a
-/// witness. That purity is what makes the per-device memoization in
-/// [`crate::incremental`] sound, both within a session and across
-/// sessions on the same worker.
-pub(crate) fn local_verdict_in(
-    scenario: &Scenario,
-    assignment: &RouterAssignment,
-    text: &str,
-    ctx: &mut VerifierContext,
-) -> (config_ir::Device, Option<Localization>) {
-    let parsed = ctx
-        .trace
-        .time(Stage::Parse, || parse_device(text, &assignment.name));
-    if let Some(w) = parsed.warnings.first() {
-        let (line_start, line_end) = if w.line > 0 {
-            (w.line, w.line)
-        } else {
-            whole_file(text)
-        };
-        let loc = Localization {
-            device: assignment.name.clone(),
-            line_start,
-            line_end,
-            reason: Humanizer::syntax(w),
-        };
-        return (parsed.device, Some(loc));
-    }
-    let device = parsed.device;
-    let findings = topo_model::verify_router(&scenario.topology, &assignment.name, &device);
-    if let Some(f) = findings.first() {
-        let (line_start, line_end) = topology_span(text, f);
-        let loc = Localization {
-            device: assignment.name.clone(),
-            line_start,
-            line_end,
-            reason: Humanizer::topology(f),
-        };
-        return (device, Some(loc));
-    }
-    let mut space = assignment
-        .checks
-        .iter()
-        .any(LocalPolicyCheck::is_symbolic)
-        .then(|| ctx.space_for(&assignment.name, &device, &assignment.checks));
-    for check in &assignment.checks {
-        let result = match space.as_mut() {
-            Some(space) if check.is_symbolic() => {
-                bf_lite::check_local_policy_in(space, &device, check)
-            }
-            _ => bf_lite::check_local_policy(&device, check),
-        };
-        if let Err(witness) = result {
-            let map = check_map(check);
-            let (line_start, line_end) = map_span(text, &map).unwrap_or(whole_file(text));
-            let loc = Localization {
-                device: assignment.name.clone(),
-                line_start,
-                line_end,
-                reason: Humanizer::semantic(&map, check, &witness),
-            };
-            return (device, Some(loc));
-        }
-    }
-    (device, None)
 }
 
 /// The campion verdict for one locally-clean device: the structural/
@@ -571,19 +512,6 @@ fn fallback_localization(
         reason: "The global expectations fail but no local finding pinpoints a line; \
                  review this policy router."
             .to_string(),
-    }
-}
-
-/// The map a failing local check implicates (first element of its
-/// policy chain).
-fn check_map(check: &LocalPolicyCheck) -> String {
-    match check {
-        LocalPolicyCheck::PermittedRoutesCarry { chain, .. }
-        | LocalPolicyCheck::RoutesWithCommunityDenied { chain, .. }
-        | LocalPolicyCheck::PermittedRoutesPreserve { chain, .. }
-        | LocalPolicyCheck::PermittedRoutesSetLocalPref { chain, .. } => {
-            chain.first().cloned().unwrap_or_default()
-        }
     }
 }
 
@@ -742,6 +670,7 @@ fn campion_span(text: &str, f: &CampionFinding) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bf_lite::LocalPolicyCheck;
     use llm_sim::{ErrorModel, SimulatedGpt4};
     use std::collections::BTreeSet;
 

@@ -14,10 +14,11 @@
 //! * a snapshot derived from the worker's reference snapshot shares every
 //!   text it did not edit.
 //!
-//! Each text also carries a second fingerprint from an independent
-//! hasher; with the total length it forms
-//! [`ConfigSnapshot::confirmation`], which the memos store beside every
-//! whole-snapshot entry and compare on each hit.
+//! Each text also carries its length and a second fingerprint from an
+//! independent hasher (`TextPrint`): the per-device memos store that
+//! pair beside every entry, and folded over the network it forms
+//! [`ConfigSnapshot::confirmation`], which the whole-snapshot memos store
+//! and compare on each hit.
 
 use bdd::FxHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -32,25 +33,50 @@ pub(crate) fn fx(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// One config text with its two fingerprints, both computed once when
-/// the text is created.
+/// The fingerprints of one config text, computed in place (the text is
+/// neither copied nor kept).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TextPrint {
+    /// [`fx`] of the text — the text half of every per-device memo key.
+    pub(crate) fx: u64,
+    /// The text's length in bytes.
+    pub(crate) len: usize,
+    /// An independent second fingerprint (`std`'s `DefaultHasher`).
+    pub(crate) check: u64,
+}
+
+impl TextPrint {
+    pub(crate) fn of(text: &str) -> Self {
+        let mut check = DefaultHasher::new();
+        check.write(text.as_bytes());
+        TextPrint {
+            fx: fx(text.as_bytes()),
+            len: text.len(),
+            check: check.finish(),
+        }
+    }
+
+    /// The confirmation a per-device memo entry stores and compares on
+    /// every hit: length plus second fingerprint. Two texts with equal
+    /// keys but different bytes differ here unless the independent hash
+    /// collides too.
+    pub(crate) fn confirmation(self) -> (usize, u64) {
+        (self.len, self.check)
+    }
+}
+
+/// One config text with its fingerprints, computed once when the text
+/// is created.
 #[derive(Debug, Clone)]
 pub(crate) struct SnapshotText {
     text: Arc<str>,
-    /// [`fx`] of the text — what the per-device memo keys use.
-    pub(crate) fx: u64,
-    /// An independent second fingerprint (`std`'s `DefaultHasher`),
-    /// folded into the confirmation of whole-snapshot memo entries.
-    pub(crate) check: u64,
+    pub(crate) print: TextPrint,
 }
 
 impl SnapshotText {
     pub(crate) fn new(text: String) -> Self {
-        let mut check = DefaultHasher::new();
-        check.write(text.as_bytes());
         SnapshotText {
-            fx: fx(text.as_bytes()),
-            check: check.finish(),
+            print: TextPrint::of(&text),
             text: text.into(),
         }
     }
@@ -169,6 +195,11 @@ impl ConfigSnapshot {
         self.texts[i].as_ref()
     }
 
+    /// The assignment position of router `name`, if it is in the network.
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
+        self.layout.index_of(name)
+    }
+
     /// Whether the snapshot's positions follow `layout`.
     pub(crate) fn follows(&self, layout: &Arc<SnapshotLayout>) -> bool {
         Arc::ptr_eq(&self.layout, layout)
@@ -178,7 +209,7 @@ impl ConfigSnapshot {
     /// the whole-sweep and whole-report memo keys. Folds one `u64` per
     /// router; hashes no text.
     pub fn key(&self) -> u64 {
-        self.fold(|t| t.fx)
+        self.fold(|t| t.print.fx)
     }
 
     /// The confirmation stored beside a whole-snapshot memo entry: the
@@ -186,8 +217,8 @@ impl ConfigSnapshot {
     /// fingerprints. Two snapshots with equal keys but different texts
     /// differ here unless both independent hashes collide too.
     pub fn confirmation(&self) -> (usize, u64) {
-        let len = self.texts.iter().flatten().map(|t| t.text.len()).sum();
-        (len, self.fold(|t| t.check))
+        let len = self.texts.iter().flatten().map(|t| t.print.len).sum();
+        (len, self.fold(|t| t.print.check))
     }
 
     fn fold(&self, fingerprint: impl Fn(&SnapshotText) -> u64) -> u64 {

@@ -8,11 +8,14 @@
 //! keys one space per router on a fingerprint of the draft's config IR
 //! (plus the check set, which fixes the community universe):
 //!
-//! * **Hit** — the draft parsed to the same IR as the cached one (the
-//!   common case: a failed rectification attempt returns the previous
-//!   config verbatim, and a round that fails in the syntax or topology
-//!   phase never reaches the symbolic checks at all), so the warm
-//!   space with its populated BDD unique table and op caches is reused.
+//! * **Hit** — the draft parsed to the same IR as the cached one (a
+//!   failed rectification attempt returned the previous config
+//!   verbatim, or a round that fails in the syntax or topology phase
+//!   never reached the symbolic checks at all), so the warm space with
+//!   its populated BDD unique table and op caches is reused. In
+//!   incremental mode the worker's verdict memo answers a verbatim
+//!   repeat before it gets here, so the hits left are drafts whose text
+//!   changed but whose IR did not, and full mode's repeats.
 //! * **Miss / invalidation** — a rectification edit changed the
 //!   router's IR, so the entry is replaced. Only that router's entry is
 //!   touched; other routers' spaces survive the whole session.

@@ -13,14 +13,15 @@
 use crate::composer::{check_scenario, compose_and_check, GlobalCheckReport};
 use crate::humanizer::{HumanFixKind, Humanizer};
 use crate::iip::IipDatabase;
+use crate::incremental::{check_map, local_verdict, DraftKeys, LocalFinding};
 use crate::leverage::Leverage;
 use crate::modularizer::{Modularizer, RouterAssignment};
 use crate::session::{
     LoggedPrompt, PromptKind, RetryPolicy, SessionBudget, SessionLimits, SessionTranscript,
     TransportStats,
 };
+use crate::snapshot::TextPrint;
 use crate::verifier_ctx::VerifierContext;
-use bf_lite::Vendor;
 use llm_sim::{CostLedger, LanguageModel};
 use net_model::WarningKind;
 use std::collections::BTreeMap;
@@ -89,13 +90,14 @@ pub struct SynthesisSession {
     pub budget: SessionBudget,
     /// Transport retry policy.
     pub retry: RetryPolicy,
-    /// Re-verification strategy, accepted for API uniformity with
-    /// [`crate::RepairSession`]. The synthesis loop is already
-    /// edit-local by construction — each rectification round re-checks
-    /// exactly the router being drafted, and a draft's symbolic space
-    /// can only be built once its text exists — so every mode runs the
-    /// same work and the flag is a content, trace, and counter no-op
-    /// here; the fleet A/B test pins that too.
+    /// Re-verification strategy (default: incremental). Incremental mode
+    /// checks each draft through the worker's verdict memo, so a draft
+    /// the worker has checked before — the model often returns one
+    /// unchanged — costs one hash, and sends the final whole-network
+    /// check through the report memo. Full mode recomputes every verdict
+    /// and report. Session content is byte-identical across the two (the
+    /// fleet A/B test pins it); trace span counts, memo counters and
+    /// space-cache counters differ.
     pub verify: crate::incremental::VerifyMode,
 }
 
@@ -146,9 +148,10 @@ impl SynthesisSession {
     }
 
     /// [`SynthesisSession::run_scenario`] against a caller-owned
-    /// [`VerifierContext`]: the context's manager pool survives the
-    /// session, so a worker that runs many sessions amortizes BDD table
-    /// allocation across all of them. Session content and accounting
+    /// [`VerifierContext`]: the context's manager pool and verdict memo
+    /// survive the session, so a worker that runs many sessions
+    /// amortizes BDD table allocation, draft checks and final
+    /// simulations across all of them. Session content and accounting
     /// are byte-identical to the one-shot path.
     pub fn run_scenario_in<M: LanguageModel + ?Sized>(
         &self,
@@ -157,9 +160,10 @@ impl SynthesisSession {
         ctx: &mut VerifierContext,
     ) -> SynthesisOutcome {
         let mut drive = self.drive_scenario(llm, scenario, ctx);
-        let global = drive
-            .trace
-            .time(Stage::Sim, || check_scenario(scenario, &drive.configs));
+        let global = drive.trace.time(Stage::Sim, || match &drive.keys {
+            Some(keys) => keys.check_global(scenario, &drive.configs, ctx),
+            None => check_scenario(scenario, &drive.configs),
+        });
         drive.into_outcome(global)
     }
 
@@ -188,7 +192,8 @@ impl SynthesisSession {
     /// **single** accounting path behind both [`Self::run_on`] (the
     /// paper's star) and [`Self::run_scenario`] (generated scenarios):
     /// prompts, escalations from a failed verify, and cache counters are
-    /// tallied here and nowhere else.
+    /// tallied here and nowhere else. In incremental mode it also
+    /// computes the session's memo keys.
     fn drive_scenario<M: LanguageModel + ?Sized>(
         &self,
         llm: &mut M,
@@ -206,7 +211,11 @@ impl SynthesisSession {
         let assignments = t.trace.time(Stage::PromptRender, || {
             Modularizer::assign_scenario(scenario)
         });
-        for assignment in assignments {
+        let keys = self
+            .verify
+            .incremental
+            .then(|| DraftKeys::new(scenario, &assignments));
+        for (i, assignment) in assignments.iter().enumerate() {
             if t.over_budget() {
                 // The deadline tripped between routers: remaining routers
                 // get no drafts and the session reports the typed outcome.
@@ -215,8 +224,9 @@ impl SynthesisSession {
                 configs.insert(assignment.name.clone(), String::new());
                 continue;
             }
+            let base = keys.as_ref().map(|k| k.local[i]);
             let (config, ok, over) =
-                self.rectify_router(&mut t, ctx, &scenario.topology, &assignment);
+                self.rectify_router(&mut t, ctx, &scenario.topology, assignment, base);
             if over {
                 deadline_exceeded = true;
             }
@@ -230,6 +240,7 @@ impl SynthesisSession {
         let cost = t.backend_cost().since(&cost0);
         ScenarioDrive {
             configs,
+            keys,
             verified_local,
             leverage: t.leverage,
             log: t.log,
@@ -245,17 +256,18 @@ impl SynthesisSession {
     /// Drives one router's syntax → topology → semantics loop. Returns
     /// the final config text and whether all three phases verified.
     ///
-    /// `ctx` carries the session-scoped symbolic-space cache (and the
-    /// worker's manager pool behind it): the semantic phase reuses one
-    /// warm `RouteSpace` per draft instead of building a fresh BDD
-    /// manager per check per round, and a rectification edit to this
-    /// router invalidates only this router's entry.
+    /// Each round checks the current draft once ([`local_verdict`]):
+    /// through the worker's verdict memo under the router's key `base` in
+    /// incremental mode, directly in full mode. The symbolic checks run
+    /// on `ctx`'s session-scoped space cache, so a rectification edit to
+    /// this router invalidates only this router's space.
     fn rectify_router<M: LanguageModel + ?Sized>(
         &self,
         t: &mut SessionTranscript<'_, M>,
         ctx: &mut VerifierContext,
         topology: &Topology,
         assignment: &RouterAssignment,
+        base: Option<u64>,
     ) -> (String, bool, bool) {
         let mut current = t.send_expecting_config(PromptKind::Task, assignment.prompt.clone(), "");
         let mut attempts: BTreeMap<String, usize> = BTreeMap::new();
@@ -268,104 +280,28 @@ impl SynthesisSession {
                 break;
             }
             rounds += 1;
-            // Phase 1: syntax.
-            let parsed = t.trace.time(Stage::Parse, || {
-                bf_lite::parse_config(&current, Some(Vendor::Cisco))
-            });
-            if let Some(w) = parsed.warnings.first() {
-                let key = format!("syntax:{:?}:{}", w.kind, w.text);
-                let failed = attempts.get(&key).copied().unwrap_or(0);
-                let next = if failed < self.limits.attempts_per_finding {
-                    t.send_expecting_config(PromptKind::Auto, Humanizer::syntax(w), &current)
-                } else {
-                    let human = match w.kind {
-                        WarningKind::MisplacedCommand => {
-                            Humanizer::human_escalation(HumanFixKind::NeighborPlacement)
-                        }
-                        _ => format!(
-                            "The following line is still invalid, please rewrite it \
-                             correctly: '{}'",
-                            w.text
-                        ),
-                    };
-                    t.send_expecting_config(PromptKind::Human, human, &current)
-                };
-                if next == current {
-                    bump(&mut attempts, &key);
+            let finding = match base {
+                Some(base) => {
+                    let print = TextPrint::of(&current);
+                    ctx.memo_local_verdict(topology, assignment, base, &current, print, false)
                 }
-                current = next;
-                continue;
+                None => local_verdict(topology, assignment, &current, ctx).1,
+            };
+            let Some(finding) = finding else {
+                router_ok = true;
+                break;
+            };
+            // A finding the model left the draft unchanged on
+            // `attempts_per_finding` times escalates to the human.
+            let key = attempt_key(&finding);
+            let stalled =
+                attempts.get(&key).copied().unwrap_or(0) >= self.limits.attempts_per_finding;
+            let (kind, prompt) = rectification(&finding, stalled);
+            let next = t.send_expecting_config(kind, prompt, &current);
+            if next == current {
+                *attempts.entry(key).or_insert(0) += 1;
             }
-            // Phase 2: topology.
-            let findings = topo_model::verify_router(topology, &assignment.name, &parsed.device);
-            if let Some(f) = findings.first() {
-                let key = format!("topo:{f:?}");
-                let _ = bump(&mut attempts, &key);
-                // Topology prompts always go through the automated
-                // channel (the verifier's output is directly usable).
-                current =
-                    t.send_expecting_config(PromptKind::Auto, Humanizer::topology(f), &current);
-                continue;
-            }
-            // Phase 3: local policy semantics (policy routers only).
-            // One cached-space lookup per draft serves every symbolic
-            // check this round (the fingerprint is loop-invariant);
-            // concrete checks (local-pref probes) need no space at all.
-            let mut space = assignment
-                .checks
-                .iter()
-                .any(bf_lite::LocalPolicyCheck::is_symbolic)
-                .then(|| ctx.space_for(&assignment.name, &parsed.device, &assignment.checks));
-            let mut violation = None;
-            for check in &assignment.checks {
-                // The space mutably borrows `ctx`, so the check span is
-                // recorded into the transcript-held trace; the two merge
-                // at outcome assembly.
-                let result = t.trace.time(Stage::Check, || match space.as_mut() {
-                    Some(space) if check.is_symbolic() => {
-                        bf_lite::check_local_policy_in(space, &parsed.device, check)
-                    }
-                    _ => bf_lite::check_local_policy(&parsed.device, check),
-                });
-                if let Err(witness) = result {
-                    violation = Some((check.clone(), witness));
-                    break;
-                }
-            }
-            if let Some((check, witness)) = violation {
-                let map = match &check {
-                    bf_lite::LocalPolicyCheck::PermittedRoutesCarry { chain, .. }
-                    | bf_lite::LocalPolicyCheck::RoutesWithCommunityDenied { chain, .. }
-                    | bf_lite::LocalPolicyCheck::PermittedRoutesPreserve { chain, .. }
-                    | bf_lite::LocalPolicyCheck::PermittedRoutesSetLocalPref { chain, .. } => {
-                        chain.first().cloned().unwrap_or_default()
-                    }
-                };
-                let key = format!("semantic:{}", check.describe());
-                let failed = attempts.get(&key).copied().unwrap_or(0);
-                let next = if failed < self.limits.attempts_per_finding {
-                    t.send_expecting_config(
-                        PromptKind::Auto,
-                        Humanizer::semantic(&map, &check, &witness),
-                        &current,
-                    )
-                } else {
-                    // The AND/OR pathology: the counterexample alone
-                    // fails; a human asks for separate stanzas.
-                    t.send_expecting_config(
-                        PromptKind::Human,
-                        Humanizer::human_escalation(HumanFixKind::SeparateStanzas),
-                        &current,
-                    )
-                };
-                if next == current {
-                    bump(&mut attempts, &key);
-                }
-                current = next;
-                continue;
-            }
-            router_ok = true;
-            break;
+            current = next;
         }
         (current, router_ok, over_budget)
     }
@@ -470,6 +406,8 @@ impl SynthesisSession {
 /// whole-network check picks its report flavor.
 struct ScenarioDrive {
     configs: BTreeMap<String, String>,
+    /// The session's memo keys; `None` in full mode.
+    keys: Option<DraftKeys>,
     verified_local: bool,
     leverage: Leverage,
     log: Vec<LoggedPrompt>,
@@ -500,10 +438,47 @@ impl ScenarioDrive {
     }
 }
 
-fn bump(attempts: &mut BTreeMap<String, usize>, key: &str) -> usize {
-    let e = attempts.entry(key.to_string()).or_insert(0);
-    *e += 1;
-    *e
+/// The key under which a router's loop counts the rounds a finding left
+/// the draft unchanged.
+fn attempt_key(finding: &LocalFinding) -> String {
+    match finding {
+        LocalFinding::Syntax(w) => format!("syntax:{:?}:{}", w.kind, w.text),
+        LocalFinding::Topology(f) => format!("topo:{f:?}"),
+        LocalFinding::Semantic { check, .. } => format!("semantic:{}", check.describe()),
+    }
+}
+
+/// The rectification prompt for a finding. A `stalled` syntax or
+/// semantic finding escalates to the human channel; topology prompts
+/// always go through the automated channel (the verifier's output is
+/// directly usable).
+fn rectification(finding: &LocalFinding, stalled: bool) -> (PromptKind, String) {
+    match finding {
+        LocalFinding::Syntax(w) if stalled => {
+            let human = match w.kind {
+                WarningKind::MisplacedCommand => {
+                    Humanizer::human_escalation(HumanFixKind::NeighborPlacement)
+                }
+                _ => format!(
+                    "The following line is still invalid, please rewrite it correctly: '{}'",
+                    w.text
+                ),
+            };
+            (PromptKind::Human, human)
+        }
+        LocalFinding::Syntax(w) => (PromptKind::Auto, Humanizer::syntax(w)),
+        LocalFinding::Topology(f) => (PromptKind::Auto, Humanizer::topology(f)),
+        // The AND/OR pathology: the counterexample alone fails; a human
+        // asks for separate stanzas.
+        LocalFinding::Semantic { .. } if stalled => (
+            PromptKind::Human,
+            Humanizer::human_escalation(HumanFixKind::SeparateStanzas),
+        ),
+        LocalFinding::Semantic { check, witness } => (
+            PromptKind::Auto,
+            Humanizer::semantic(&check_map(check), check, witness),
+        ),
+    }
 }
 
 /// Parses a multi-router response: `### NAME ###` section headers with
@@ -538,6 +513,7 @@ fn parse_multi_configs(response: &str) -> BTreeMap<String, String> {
 mod tests {
     use super::*;
     use llm_sim::{ErrorModel, SimulatedGpt4};
+    use std::collections::BTreeSet;
 
     #[test]
     fn flawless_model_synthesizes_with_zero_prompts() {
@@ -633,23 +609,49 @@ mod tests {
     }
 
     #[test]
-    fn space_cache_is_exercised_across_rectification_rounds() {
+    fn unchanged_drafts_are_memo_hits_across_rectification_rounds() {
         // The paper-calibrated model needs several rectification rounds,
-        // so the same draft is re-verified repeatedly: the per-draft
-        // space cache must serve warm spaces (hits) and rebuild only on
-        // actual edits (misses bounded by distinct drafts, not rounds).
+        // so the same draft is re-verified repeatedly: the worker's
+        // verdict memo must answer those re-checks (hits) and compute a
+        // verdict only once per distinct draft (misses bounded by
+        // distinct drafts plus the final report, not by rounds).
+        let (t, roles) = star(6);
+        let scenario = Modularizer::star_scenario(&t, &roles);
         let mut llm = SimulatedGpt4::new(ErrorModel::paper_default(), 11);
-        let s = SynthesisSession::default();
-        let outcome = s.run(&mut llm, 6);
+        let mut ctx = VerifierContext::new();
+        let outcome = SynthesisSession::default().run_scenario_in(&mut llm, &scenario, &mut ctx);
         assert!(outcome.verified_local);
         assert!(outcome.space_cache_misses > 0, "spaces must be built");
+        // Every draft the loop can have checked: each router's task
+        // response and each rectification response, per router (a
+        // response without a config leaves the draft as it was).
+        let mut drafts = BTreeSet::new();
+        let (mut router, mut current) = (0, String::new());
+        for p in &outcome.log {
+            if p.kind == PromptKind::Task {
+                router += 1;
+                current.clear();
+            }
+            if let Some(text) = llm_sim::model::last_fenced_block(&p.response) {
+                current = text;
+            }
+            drafts.insert((router, current.clone()));
+        }
+        let memo = ctx.memo_counters();
         assert!(
-            outcome.space_cache_hits > 0,
-            "re-verification of unchanged drafts must hit the cache \
+            memo.verdict_hits > 0,
+            "re-verification of unchanged drafts must hit the memo \
              (hits={}, misses={})",
-            outcome.space_cache_hits,
-            outcome.space_cache_misses
+            memo.verdict_hits,
+            memo.verdict_misses
         );
+        assert!(
+            memo.verdict_misses <= drafts.len() + 1,
+            "one verdict per distinct draft and one report: misses={} drafts={}",
+            memo.verdict_misses,
+            drafts.len()
+        );
+        assert_eq!(memo.confirm_mismatches, 0);
     }
 
     #[test]

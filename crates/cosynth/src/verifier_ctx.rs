@@ -34,6 +34,8 @@
 
 use crate::space_cache::RouteSpaceCache;
 use bdd::Manager;
+use bf_lite::LocalPolicyCheck;
+use net_model::RouteAdvertisement;
 use policy_symbolic::RouteSpace;
 use telemetry::{SessionTrace, Stage};
 
@@ -135,15 +137,17 @@ impl ManagerPool {
 /// [`VerifierContext::memo_counters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoCounters {
-    /// Verdict lookups (per-device local and campion verdicts, whole
-    /// sweeps, whole-network reports) answered from the memo.
+    /// Verdict lookups (per-device local and campion verdicts of both
+    /// use cases, whole sweeps, whole-network reports) answered from the
+    /// memo.
     pub verdict_hits: usize,
-    /// Per-device and whole-network verdicts computed and inserted.
+    /// Per-device, whole-sweep and whole-network verdicts computed and
+    /// inserted.
     pub verdict_misses: usize,
-    /// Whole-sweep and whole-report memo hits whose stored confirmation
-    /// (total text length plus a second, independent fingerprint)
-    /// disagreed with the snapshot's: the key collided, so the verdict
-    /// was recomputed and the entry replaced.
+    /// Memo hits whose stored confirmation (text length plus a second,
+    /// independent fingerprint, folded over the network for a
+    /// whole-snapshot entry) disagreed with the text's: the key collided,
+    /// so the verdict was recomputed and the entry replaced.
     pub confirm_mismatches: usize,
     /// `(topology, policies)` statics bundles built.
     pub statics_builds: usize,
@@ -182,19 +186,24 @@ pub struct VerifierContext {
     pub cache_misses_total: usize,
     /// The live session's stage trace: [`Stage::SpaceBuild`] /
     /// [`Stage::SpaceHit`] spans recorded by [`Self::space_for`], plus
-    /// any spans the session driver records here (repair localization's
-    /// parse rounds). Reset by [`Self::begin_session`] and merged into
-    /// the outcome's trace by the session driver.
+    /// the [`Stage::Parse`] and [`Stage::Check`] spans of every local
+    /// verdict computed (not answered from the memo). Reset by
+    /// [`Self::begin_session`] and merged into the outcome's trace by the
+    /// session driver.
     pub trace: SessionTrace,
-    /// Worker-lifetime memo of `crate::incremental`: verdicts, consulted
-    /// only by the incremental verifier, plus the statics bundles,
-    /// rendered reference texts and pinned networks that repair job
-    /// preparation reads in either mode. Survives
-    /// [`Self::begin_session`] by design: on a fleet pinned to one
-    /// `(seed, family)` topology, sessions differ only in their intent
-    /// and fault, so most devices' verdicts recur verbatim across
-    /// sessions. Entries are pure values (no managers), so quarantine
-    /// leaves them alone.
+    /// Worker-lifetime memo of `crate::incremental`: per-device local
+    /// verdicts (every synthesis draft and every repair sweep in
+    /// incremental mode checks through them), campion verdicts, whole
+    /// sweeps and whole-network reports, each confirmed on every hit,
+    /// plus the statics bundles, rendered reference texts and pinned
+    /// networks that repair job preparation reads in either mode.
+    /// `--no-incremental` sessions bypass the verdicts. Survives
+    /// [`Self::begin_session`] by design: a synthesis model returns many
+    /// drafts unchanged, within a session and across sessions on the same
+    /// scenario, and on a fleet pinned to one `(seed, family)` topology
+    /// repair sessions differ only in their intent and fault, so most
+    /// verdicts recur verbatim. Entries are pure values (no managers), so
+    /// quarantine leaves them alone.
     pub(crate) memo: crate::incremental::VerdictMemo,
 }
 
@@ -278,6 +287,39 @@ impl VerifierContext {
         };
         self.trace.record(stage, start.elapsed());
         self.cache.space_mut(router).expect("space just ensured")
+    }
+
+    /// The first of `checks` that `router`'s parsed draft violates, with
+    /// the route that violates it. One space lookup ([`Self::space_for`])
+    /// serves every symbolic check; concrete checks (local-pref probes)
+    /// need no space at all. Each check run is one [`Stage::Check`] span.
+    pub(crate) fn first_violation(
+        &mut self,
+        router: &str,
+        device: &config_ir::Device,
+        checks: &[LocalPolicyCheck],
+    ) -> Option<(LocalPolicyCheck, RouteAdvertisement)> {
+        let symbolic = checks.iter().any(LocalPolicyCheck::is_symbolic);
+        if symbolic {
+            self.space_for(router, device, checks);
+        }
+        // The space lives in the cache and the spans go to the trace:
+        // disjoint fields, so both borrows hold at once.
+        let mut space = self.cache.space_mut(router);
+        for check in checks {
+            let result = self
+                .trace
+                .time(Stage::Check, || match space.as_deref_mut() {
+                    Some(space) if check.is_symbolic() => {
+                        bf_lite::check_local_policy_in(space, device, check)
+                    }
+                    _ => bf_lite::check_local_policy(device, check),
+                });
+            if let Err(witness) = result {
+                return Some((check.clone(), witness));
+            }
+        }
+        None
     }
 
     /// The worker memo's lifetime counters.
