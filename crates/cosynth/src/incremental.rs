@@ -74,9 +74,9 @@
 //! in this session or an earlier one — costs one hash; the final
 //! whole-network check goes through the same report memo as repair's.
 //! A synthesis session builds no statics bundle: `DraftKeys` computes
-//! its routers' key bases with the code the bundle uses, and its entries
-//! keep no parsed device, since the report memo serves most final
-//! checks.
+//! its routers' key bases with the code the bundle uses and keeps each
+//! final draft's fingerprints for the report key, and its entries keep
+//! no parsed device, since the report memo serves most final checks.
 //!
 //! ## What "byte-identical" excludes
 //!
@@ -326,36 +326,53 @@ fn report_base(topology_fp: u64, scenario: &Scenario) -> u64 {
     h.finish()
 }
 
-/// The memo keys of one synthesis session's network, computed per
-/// session: each router's local key base (aligned with the assignments)
-/// and the report key base, plus the name layout of its final snapshot.
+/// The memo keys of one synthesis session's drafts, computed per session:
+/// each router's local key base and, as each router's loop ends, the
+/// fingerprints of its final draft, both aligned with the assignments.
 pub(crate) struct DraftKeys {
     pub(crate) local: Vec<u64>,
-    report: u64,
-    layout: Arc<SnapshotLayout>,
+    finals: Vec<TextPrint>,
 }
 
 impl DraftKeys {
-    pub(crate) fn new(scenario: &Scenario, assignments: &[RouterAssignment]) -> Self {
+    pub(crate) fn new(topology: &Topology, assignments: &[RouterAssignment]) -> Self {
         DraftKeys {
-            local: local_key_bases(&scenario.topology, assignments),
-            report: report_base(topology_fp(&scenario.topology), scenario),
-            layout: Arc::new(SnapshotLayout::new(
-                assignments.iter().map(|a| a.name.clone()).collect(),
-            )),
+            local: local_key_bases(topology, assignments),
+            finals: Vec::with_capacity(assignments.len()),
         }
     }
 
-    /// The whole-network check of the session's final `configs` through
-    /// the worker's report memo.
+    /// Records the next router's final draft `text`; `print` is its
+    /// fingerprints when the router's loop already computed them.
+    pub(crate) fn finish(&mut self, text: &str, print: Option<TextPrint>) {
+        self.finals
+            .push(print.unwrap_or_else(|| TextPrint::of(text)));
+    }
+
+    /// The whole-network check of the session's final drafts through the
+    /// worker's report memo. `configs` holds every assignment's final
+    /// draft; the snapshot reuses the fingerprints [`Self::finish`]
+    /// recorded instead of hashing the texts again.
     pub(crate) fn check_global(
         &self,
         scenario: &Scenario,
+        assignments: &[RouterAssignment],
         configs: &BTreeMap<String, String>,
         ctx: &mut VerifierContext,
     ) -> GlobalCheckReport {
-        let snapshot = ConfigSnapshot::with_layout(Arc::clone(&self.layout), configs);
-        ctx.checked_report(scenario, self.report, &snapshot, &self.local)
+        let layout = SnapshotLayout::new(assignments.iter().map(|a| a.name.clone()).collect());
+        let texts = assignments
+            .iter()
+            .zip(&self.finals)
+            .map(|(a, &print)| {
+                configs
+                    .get(&a.name)
+                    .map(|t| SnapshotText::printed(t, print))
+            })
+            .collect();
+        let snapshot = ConfigSnapshot::from_texts(Arc::new(layout), texts);
+        let base = report_base(topology_fp(&scenario.topology), scenario);
+        ctx.checked_report(scenario, base, &snapshot, &self.local)
     }
 }
 

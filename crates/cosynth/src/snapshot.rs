@@ -81,6 +81,15 @@ impl SnapshotText {
         }
     }
 
+    /// A text whose fingerprints the caller already computed.
+    pub(crate) fn printed(text: &str, print: TextPrint) -> Self {
+        debug_assert_eq!(print, TextPrint::of(text));
+        SnapshotText {
+            text: text.into(),
+            print,
+        }
+    }
+
     pub(crate) fn as_str(&self) -> &str {
         &self.text
     }

@@ -161,7 +161,7 @@ impl SynthesisSession {
     ) -> SynthesisOutcome {
         let mut drive = self.drive_scenario(llm, scenario, ctx);
         let global = drive.trace.time(Stage::Sim, || match &drive.keys {
-            Some(keys) => keys.check_global(scenario, &drive.configs, ctx),
+            Some(keys) => keys.check_global(scenario, &drive.assignments, &drive.configs, ctx),
             None => check_scenario(scenario, &drive.configs),
         });
         drive.into_outcome(global)
@@ -211,27 +211,33 @@ impl SynthesisSession {
         let assignments = t.trace.time(Stage::PromptRender, || {
             Modularizer::assign_scenario(scenario)
         });
-        let keys = self
+        let mut keys = self
             .verify
             .incremental
-            .then(|| DraftKeys::new(scenario, &assignments));
+            .then(|| DraftKeys::new(&scenario.topology, &assignments));
         for (i, assignment) in assignments.iter().enumerate() {
             if t.over_budget() {
                 // The deadline tripped between routers: remaining routers
                 // get no drafts and the session reports the typed outcome.
                 deadline_exceeded = true;
                 verified_local = false;
+                if let Some(keys) = &mut keys {
+                    keys.finish("", None);
+                }
                 configs.insert(assignment.name.clone(), String::new());
                 continue;
             }
             let base = keys.as_ref().map(|k| k.local[i]);
-            let (config, ok, over) =
+            let (config, print, ok, over) =
                 self.rectify_router(&mut t, ctx, &scenario.topology, assignment, base);
             if over {
                 deadline_exceeded = true;
             }
             if !ok {
                 verified_local = false;
+            }
+            if let Some(keys) = &mut keys {
+                keys.finish(&config, print);
             }
             configs.insert(assignment.name.clone(), config);
         }
@@ -240,6 +246,7 @@ impl SynthesisSession {
         let cost = t.backend_cost().since(&cost0);
         ScenarioDrive {
             configs,
+            assignments,
             keys,
             verified_local,
             leverage: t.leverage,
@@ -254,7 +261,9 @@ impl SynthesisSession {
     }
 
     /// Drives one router's syntax → topology → semantics loop. Returns
-    /// the final config text and whether all three phases verified.
+    /// the final config text, its fingerprints if a round computed them,
+    /// whether all three phases verified, and whether the deadline
+    /// tripped.
     ///
     /// Each round checks the current draft once ([`local_verdict`]):
     /// through the worker's verdict memo under the router's key `base` in
@@ -268,8 +277,10 @@ impl SynthesisSession {
         topology: &Topology,
         assignment: &RouterAssignment,
         base: Option<u64>,
-    ) -> (String, bool, bool) {
+    ) -> (String, Option<TextPrint>, bool, bool) {
         let mut current = t.send_expecting_config(PromptKind::Task, assignment.prompt.clone(), "");
+        // `current`'s fingerprints, once a round has computed them.
+        let mut print = None;
         let mut attempts: BTreeMap<String, usize> = BTreeMap::new();
         let mut rounds = 0usize;
         let mut router_ok = false;
@@ -282,8 +293,8 @@ impl SynthesisSession {
             rounds += 1;
             let finding = match base {
                 Some(base) => {
-                    let print = TextPrint::of(&current);
-                    ctx.memo_local_verdict(topology, assignment, base, &current, print, false)
+                    let p = *print.get_or_insert_with(|| TextPrint::of(&current));
+                    ctx.memo_local_verdict(topology, assignment, base, &current, p, false)
                 }
                 None => local_verdict(topology, assignment, &current, ctx).1,
             };
@@ -300,10 +311,12 @@ impl SynthesisSession {
             let next = t.send_expecting_config(kind, prompt, &current);
             if next == current {
                 *attempts.entry(key).or_insert(0) += 1;
+            } else {
+                print = None;
             }
             current = next;
         }
-        (current, router_ok, over_budget)
+        (current, print, router_ok, over_budget)
     }
 
     fn run_global<M: LanguageModel + ?Sized>(
@@ -406,6 +419,7 @@ impl SynthesisSession {
 /// whole-network check picks its report flavor.
 struct ScenarioDrive {
     configs: BTreeMap<String, String>,
+    assignments: Vec<RouterAssignment>,
     /// The session's memo keys; `None` in full mode.
     keys: Option<DraftKeys>,
     verified_local: bool,
