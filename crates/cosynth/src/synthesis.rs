@@ -216,26 +216,16 @@ impl SynthesisSession {
             .incremental
             .then(|| DraftKeys::new(&scenario.topology, &assignments));
         for (i, assignment) in assignments.iter().enumerate() {
-            if t.over_budget() {
+            let (config, print, ok, over) = if t.over_budget() {
                 // The deadline tripped between routers: remaining routers
                 // get no drafts and the session reports the typed outcome.
-                deadline_exceeded = true;
-                verified_local = false;
-                if let Some(keys) = &mut keys {
-                    keys.finish("", None);
-                }
-                configs.insert(assignment.name.clone(), String::new());
-                continue;
-            }
-            let base = keys.as_ref().map(|k| k.local[i]);
-            let (config, print, ok, over) =
-                self.rectify_router(&mut t, ctx, &scenario.topology, assignment, base);
-            if over {
-                deadline_exceeded = true;
-            }
-            if !ok {
-                verified_local = false;
-            }
+                (String::new(), None, false, true)
+            } else {
+                let base = keys.as_ref().map(|k| k.local[i]);
+                self.rectify_router(&mut t, ctx, &scenario.topology, assignment, base)
+            };
+            deadline_exceeded |= over;
+            verified_local &= ok;
             if let Some(keys) = &mut keys {
                 keys.finish(&config, print);
             }
