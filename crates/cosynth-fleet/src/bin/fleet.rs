@@ -98,10 +98,13 @@ FLAGS:
                         write BENCH_robustness.json. Combined with
                         --serve, applies the same fault schedule to
                         jobs read from stdin instead.
-    --queue-depth N     Admission control: max jobs one batch may
-                        enqueue; the excess is shed with a typed
-                        queue_full reject (default 1024; --chaos
-                        defaults to 8 so its oversized batch sheds).
+    --queue-depth N     Admission control: max jobs queued at once,
+                        across batches and connections; the excess is
+                        shed with a typed queue_full reject (default
+                        1024; --chaos defaults to 8 so its oversized
+                        batch sheds). Stdin admits a batch only once
+                        the previous one is done, so there it bounds
+                        each batch.
     --deadline-ms MS    Per-session wall-clock budget: a session still
                         running past it stops at the next checkpoint
                         with the typed deadline_exceeded outcome

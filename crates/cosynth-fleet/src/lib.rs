@@ -1,7 +1,9 @@
 //! # cosynth-fleet — the resident VPP session engine
 //!
 //! Executes verification sessions across a fixed pool of `std::thread`
-//! workers with a work-stealing queue. Every session shape is a
+//! workers with a work-stealing queue — one pool and one queue under
+//! every front-end: the batch fleet ([`run_case`]) and both `fleetd`
+//! daemons ([`serve`], [`serve_listener`]). Every session shape is a
 //! [`UseCase`] — job construction, per-session run against a
 //! worker-resident [`VerifierContext`], aggregation row, bench-JSON
 //! block — and one generic pipeline ([`run_case`]) drives them all:
@@ -23,8 +25,10 @@
 //!
 //! Workers are **resident**: each owns a [`VerifierContext`] whose
 //! manager pool recycles BDD tables across every session the worker
-//! runs (see `cosynth::verifier_ctx`), and the [`service`] module keeps
-//! the whole pool alive between batches for the `fleet --serve` mode.
+//! runs (see `cosynth::verifier_ctx`). A batch run pushes its whole job
+//! list onto the queue and closes it; the daemons keep the pool alive
+//! between batches for the `fleet --serve` mode ([`service`],
+//! [`server`]).
 //!
 //! Determinism: session `i` of seed `s` always runs the same scenario
 //! (and, for repair, the same injected fault) against the same
@@ -37,7 +41,9 @@ use cosynth::session::RetryPolicy;
 use cosynth::{Modularizer, VerifierContext};
 use llm_sim::{BackendChoice, CostLedger, TransportModel};
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::thread::Scope;
 use std::time::Instant;
 use topo_model::Scenario;
 
@@ -443,75 +449,173 @@ pub(crate) fn job_indices(sessions: usize, families: Option<&[String]>) -> Vec<u
     jobs
 }
 
-/// The work-stealing pool shared by every use case: distributes session
-/// indices round-robin over per-worker deques; each worker owns a
-/// resident [`VerifierContext`] for its whole lifetime, pops its own
-/// queue from the front, and steals from the back of the others when
-/// dry.
+/// The one job queue behind every front-end (batch `run_case`, the
+/// stdin and socket daemons): one `VecDeque` shard per worker, with
+/// work-stealing.
 ///
-/// Panic containment lives *here*, not in the job closures: a `run`
-/// that panics is caught, the worker's context is quarantined (its
-/// session's managers are dropped, never recycled — see
-/// `VerifierContext::quarantine`), `on_panic` supplies the sentinel
-/// result, and the worker carries on. Shared locks are taken through
-/// [`lock_clean`], so even a panic that escapes the catch (e.g. inside
-/// a result's `Clone`) cannot cascade into aborting every other worker.
-/// Results come back sorted by index, along with the workers' pooled
-/// reuse counters.
+/// Sharding keeps the hot path a short, mostly-uncontended lock: a
+/// worker pops its own shard first and only scans the others when it
+/// comes up empty. Producers distribute jobs round-robin via an atomic
+/// cursor, so the daemon's **total** admission bound (`queue_depth`)
+/// stays one occupancy check at admission — per-shard occupancy is at
+/// most `ceil(depth / shards)` by construction, never enforced
+/// per-push.
+///
+/// Wakeups go through one doorbell mutex + condvar. A producer pushes
+/// to the shards *then* takes the doorbell to notify; a worker that
+/// found every shard empty re-scans while holding the doorbell before
+/// parking. A push therefore cannot slip between a worker's last scan
+/// and its wait: if the notification fired before the wait began, the
+/// producer held the doorbell after its push, which orders the push
+/// before the worker's re-scan.
+pub(crate) struct ShardedQueue<T> {
+    shards: Vec<Mutex<VecDeque<T>>>,
+    /// Round-robin producer cursor.
+    cursor: AtomicUsize,
+    /// `true` once the queue is closed; workers drain, then exit.
+    doorbell: Mutex<bool>,
+    available: Condvar,
+}
+
+impl<T> ShardedQueue<T> {
+    pub(crate) fn new(shards: usize) -> Self {
+        ShardedQueue {
+            shards: (0..shards.max(1))
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
+            cursor: AtomicUsize::new(0),
+            doorbell: Mutex::new(false),
+            available: Condvar::new(),
+        }
+    }
+
+    /// Pushes one item onto the next shard in round-robin order. Call
+    /// [`Self::notify`] once the batch is distributed.
+    pub(crate) fn push(&self, item: T) {
+        let s = self.cursor.fetch_add(1, Relaxed) % self.shards.len();
+        lock_clean(&self.shards[s]).push_back(item);
+    }
+
+    /// Wakes every parked worker, holding the doorbell so the
+    /// notification orders after the pushes (see the type docs).
+    pub(crate) fn notify(&self) {
+        let _held = lock_clean(&self.doorbell);
+        self.available.notify_all();
+    }
+
+    /// One steal scan: worker `w`'s own shard first, then the others in
+    /// ring order.
+    fn try_pop(&self, w: usize) -> Option<T> {
+        let n = self.shards.len();
+        (0..n).find_map(|i| lock_clean(&self.shards[(w + i) % n]).pop_front())
+    }
+
+    /// Pops the next job for worker `w`, parking on the doorbell while
+    /// the queue is globally empty. Returns `None` only once the queue
+    /// is closed **and** drained, so no admitted job is ever dropped.
+    pub(crate) fn pop(&self, w: usize) -> Option<T> {
+        loop {
+            if let Some(item) = self.try_pop(w) {
+                return Some(item);
+            }
+            let closed = lock_clean(&self.doorbell);
+            // Re-scan under the doorbell: any producer that pushed after
+            // the scan above must take this lock to notify, so either
+            // its item is visible here or its notification has not yet
+            // fired and will wake the wait below.
+            if let Some(item) = self.try_pop(w) {
+                return Some(item);
+            }
+            if *closed {
+                return None;
+            }
+            drop(
+                self.available
+                    .wait(closed)
+                    .unwrap_or_else(|e| e.into_inner()),
+            );
+        }
+    }
+
+    /// Closes the queue: workers drain what remains, then exit.
+    pub(crate) fn close(&self) {
+        *lock_clean(&self.doorbell) = true;
+        self.available.notify_all();
+    }
+}
+
+/// Spawns the resident worker pool on `scope`: one worker per queue
+/// shard, the one pool behind every front-end. Worker `w` owns one
+/// [`VerifierContext`] for its whole lifetime, pops shard `w` first
+/// (stealing from the others when it comes up dry), and hands each job
+/// to `run` along with its context. Once the queue is closed and
+/// drained, the worker folds its context into `counters`.
+pub(crate) fn spawn_workers<'scope, T: Send + 'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    queue: &'scope ShardedQueue<T>,
+    counters: &'scope Mutex<PoolCounters>,
+    run: impl Fn(usize, T, &mut VerifierContext) + Copy + Send + 'scope,
+) {
+    for w in 0..queue.shards.len() {
+        scope.spawn(move || {
+            let mut ctx = VerifierContext::new();
+            while let Some(job) = queue.pop(w) {
+                run(w, job, &mut ctx);
+            }
+            // Fold the final session's cache counters into the context
+            // totals before reporting.
+            ctx.flush();
+            lock_clean(counters).absorb(&ctx);
+        });
+    }
+}
+
+/// Runs one job on a worker's resident context, panic-contained: a job
+/// that panics is caught, the context is quarantined (its session's
+/// managers are dropped, never recycled — see
+/// `VerifierContext::quarantine`), `sentinel` supplies the result, and
+/// the worker carries on.
+pub(crate) fn run_contained<R>(
+    ctx: &mut VerifierContext,
+    job: impl FnOnce(&mut VerifierContext) -> R,
+    sentinel: impl FnOnce() -> R,
+) -> R {
+    // AssertUnwindSafe is sound because quarantine drops every piece of
+    // state a mid-session panic could have left half-mutated, and the
+    // sentinel must not re-enter the job (if generation panicked, a
+    // second call would re-panic).
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&mut *ctx))).unwrap_or_else(|_| {
+        ctx.quarantine();
+        sentinel()
+    })
+}
+
+/// Runs session indices on the resident pool: every index is pushed
+/// onto a closed `ShardedQueue` (round-robin over the worker shards)
+/// and each worker runs `run` panic-contained (`run_contained`, with
+/// `on_panic` as the sentinel). Shared locks are taken through
+/// [`lock_clean`], so even a panic that escapes the containment (e.g.
+/// inside a result's `Clone`) cannot cascade into aborting every other
+/// worker. Results come back sorted by index, along with the workers'
+/// pooled reuse counters.
 fn run_pool<R: Send>(
     threads: usize,
     jobs: &[usize],
     run: impl Fn(usize, &mut VerifierContext) -> R + Sync,
     on_panic: impl Fn(usize) -> R + Sync,
 ) -> (Vec<(usize, R)>, PoolCounters) {
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, job) in jobs.iter().enumerate() {
-        lock_clean(&queues[i % threads]).push_back(*job);
+    let queue = ShardedQueue::new(threads);
+    for &index in jobs {
+        queue.push(index);
     }
+    queue.close();
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let counters: Mutex<PoolCounters> = Mutex::new(PoolCounters::default());
     std::thread::scope(|scope| {
-        for me in 0..threads {
-            let queues = &queues;
-            let results = &results;
-            let counters = &counters;
-            let run = &run;
-            let on_panic = &on_panic;
-            scope.spawn(move || {
-                let mut ctx = VerifierContext::new();
-                loop {
-                    // Own queue first (front), then steal from the back
-                    // of the busiest-looking victim.
-                    let job = {
-                        let mine = lock_clean(&queues[me]).pop_front();
-                        mine.or_else(|| {
-                            (0..queues.len())
-                                .filter(|&v| v != me)
-                                .find_map(|v| lock_clean(&queues[v]).pop_back())
-                        })
-                    };
-                    let Some(index) = job else { break };
-                    // AssertUnwindSafe is sound because quarantine drops
-                    // every piece of state a mid-session panic could
-                    // have left half-mutated, and the fallback must not
-                    // re-enter the generator (if generation panicked, a
-                    // second call would re-panic).
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run(index, &mut ctx)
-                    }))
-                    .unwrap_or_else(|_| {
-                        ctx.quarantine();
-                        on_panic(index)
-                    });
-                    lock_clean(results).push((index, result));
-                }
-                // Fold the final session's cache counters into the
-                // context totals before reporting.
-                ctx.flush();
-                lock_clean(counters).absorb(&ctx);
-            });
-        }
+        spawn_workers(scope, &queue, &counters, |_, index, ctx| {
+            let result = run_contained(ctx, |ctx| run(index, ctx), || on_panic(index));
+            lock_clean(&results).push((index, result));
+        });
     });
     let mut results = results.into_inner().unwrap_or_else(|e| e.into_inner());
     results.sort_by_key(|r| r.0);

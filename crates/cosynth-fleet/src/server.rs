@@ -1,40 +1,52 @@
-//! The `fleetd` socket front-end: `fleet --serve --listen <addr>`.
+//! The `fleetd` daemon core and its socket front-end
+//! (`fleet --serve --listen <addr>`).
 //!
-//! Promotes the stdin pipe to a concurrent daemon with zero new
-//! dependencies: a [`std::net::TcpListener`] accept loop spawns one
-//! reader/writer thread pair per client connection, every connection
-//! speaks the same newline-JSON batch protocol as stdin `--serve`, and
-//! all of them feed one bounded admission queue — sharded per worker
-//! with work-stealing (`ShardedQueue`) so the hot pop path never
-//! contends across the pool — drained by the resident workers. Where
-//! the stdin pump runs batches one
-//! at a time, connections here pipeline freely — a client may have any
-//! number of batches in flight, and batch requests may carry a `tag`
-//! that is echoed on the `{"event":"batch"}` line for attribution (the
-//! `loadgen` bin relies on this).
+//! `Core` is the one engine under both daemon front-ends: the resident
+//! worker pool, its sharded admission queue (`ShardedQueue`, the one
+//! the batch fleet uses too), the accounting lock, the telemetry
+//! registry and the global drain ledger. A front-end drives
+//! connections. Each connection has a reader that parses and admits
+//! request lines (`ConnReader`) and a writer that folds the
+//! connection's events into protocol lines (`ConnWriter`). Both
+//! front-ends speak the same newline-JSON batch protocol:
+//!
+//! * **stdin** ([`serve`]) is one connection in lockstep. It admits a
+//!   line, writes that line's events until its batch is done, and only
+//!   then reads the next line.
+//! * **socket** ([`serve_listener`]): a [`std::net::TcpListener`]
+//!   accept loop spawns one reader/writer thread pair per client
+//!   connection, and connections pipeline freely — a client may have
+//!   any number of batches in flight, and batch requests may carry a
+//!   `tag` that is echoed on the `{"event":"batch"}` line for
+//!   attribution (the `loadgen` bin relies on this).
 //!
 //! ## Connection lifecycle
 //!
-//! * **accept** — the open-connections gauge rises; a reader thread
-//!   parses request lines (50 ms read timeout so it can notice a
+//! * **accept** (socket) — the open-connections gauge rises; a reader
+//!   thread parses request lines (20 ms read timeout so it can notice a
 //!   server-wide drain), a writer thread owns the socket's write half.
 //! * **admission** — under the accounting lock: the batch's jobs are
 //!   admitted up to the queue's remaining **total** depth (the bound
-//!   spans all shards), the excess is shed with a typed `queue_full`
-//!   reject, and the `submitted`/shed counters move together with the
-//!   queue-depth gauge. Admitted jobs are then distributed round-robin
-//!   across the per-worker shards.
+//!   spans all shards and connections), the excess is shed with a
+//!   typed `queue_full` reject, and the `submitted`/shed counters move
+//!   together with the queue-depth gauge. Admitted jobs are then
+//!   distributed round-robin across the per-worker shards. On stdin the
+//!   queue is empty at every admission, so the shed is exactly
+//!   `max(0, batch - depth)` whatever the worker scheduling.
 //! * **completion** — workers run jobs from the shared queue, fold the
-//!   global and per-tenant counters, and route each `Completion` back
-//!   to its connection's writer, which streams the result line and, on
-//!   the batch's last completion, the batch line.
-//! * **EOF** — the writer waits out the connection's in-flight batches
-//!   and ends the stream with a per-connection
-//!   `{"event":"drain","scope":"connection",...}` ledger line.
+//!   global ledger and the global and per-tenant counters, and route
+//!   each `Completion` back to its connection's writer, which streams
+//!   the result line and, on the batch's last completion, the batch
+//!   line.
+//! * **EOF** — a socket writer waits out the connection's in-flight
+//!   batches and ends the stream with a per-connection
+//!   `{"event":"drain","scope":"connection",...}` ledger line. Stdin
+//!   ends instead with the global drain line, after the pool has
+//!   drained.
 //!
 //! ## Accounting under concurrency
 //!
-//! The drain ledger's conservation law must now hold *mid-flight*: a
+//! The drain ledger's conservation law must hold *mid-flight*: a
 //! `GET /metrics` scrape can land while jobs sit in the queue or on a
 //! worker. The exposed identity is therefore
 //!
@@ -47,8 +59,8 @@
 //! and every transition that moves a job between those states happens
 //! under one small `accounting` mutex, which the scrape also takes
 //! while snapshotting — so `fleetd_accounted 1` is exact at any scrape
-//! point, chaos or not. (The stdin pump satisfies the same identity
-//! trivially: its gauges are always zero at snapshot points.)
+//! point, chaos or not. (Between stdin lines both gauges are zero, so
+//! there it is the drain identity.)
 //!
 //! ## `/metrics`
 //!
@@ -68,20 +80,23 @@
 //! taking new requests), closes the queue, joins the workers, and
 //! returns the final [`ServeSummary`] — no session lost or counted
 //! twice, which the regression tests pin.
+//!
+//! [`serve`]: crate::service::serve
 
 use crate::service::{
-    metrics_json, parse_request, run_job, Completion, CompletionClass, Job, MetricIds, Request,
-    ServeOptions, ServeSummary, ShardedQueue, ANONYMOUS_CLIENT,
+    identities, metrics_json, parse_request, run_job, Completion, CompletionClass, Job, MetricIds,
+    Request, ServeOptions, ServeSummary, ANONYMOUS_CLIENT,
 };
-use crate::{job_indices, lock_clean, PoolCounters};
-use llm_sim::Tier;
+use crate::{job_indices, lock_clean, spawn_workers, PoolCounters, ShardedQueue};
+use cosynth::VerifierContext;
 use std::collections::HashMap;
 use std::io::{self, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
-use telemetry::{Registry, Snapshot};
+use telemetry::Registry;
 use topo_model::json::ObjBuilder;
 
 /// How often blocked accept/read loops wake to check the drain flag.
@@ -100,8 +115,8 @@ struct SrvJob {
     reply: mpsc::Sender<ConnEvent>,
 }
 
-/// What flows to a connection's writer thread.
-enum ConnEvent {
+/// What flows to a connection's writer.
+pub(crate) enum ConnEvent {
     /// A pre-rendered protocol line from the reader (reject, ack,
     /// metrics snapshot, or an all-shed batch line).
     Line(String),
@@ -118,22 +133,23 @@ struct Accounting {
     in_flight: u64,
 }
 
-/// Everything the worker pool, connections, and scrape loop share.
-struct Core<'o> {
+/// The daemon engine: everything the worker pool, the connections, and
+/// the scrape loop share.
+pub(crate) struct Core<'o> {
     opts: &'o ServeOptions,
     queue_depth: usize,
     /// Per-worker admission shards with work-stealing; `queue_depth`
-    /// bounds **total** occupancy (tracked in [`Accounting::queued`]),
+    /// bounds **total** occupancy (tracked in `Accounting::queued`),
     /// not any single shard.
     queue: ShardedQueue<SrvJob>,
-    reg: Registry,
+    pub(crate) reg: Registry,
     ids: MetricIds,
     /// Guards every multi-counter state transition plus the scrape's
     /// snapshot, making the extended accounting identity exact at any
     /// scrape point.
     accounting: Mutex<Accounting>,
-    /// The global drain ledger (the socket analogue of the stdin
-    /// pump's local summary).
+    /// The global drain ledger, folded by the readers (admission) and
+    /// the workers (completions).
     ledger: Mutex<ServeSummary>,
     counters: Mutex<PoolCounters>,
     /// Set by a `{"shutdown":true}` line: stop accepting connections
@@ -146,7 +162,85 @@ struct Core<'o> {
     started: Instant,
 }
 
-impl Core<'_> {
+impl<'o> Core<'o> {
+    pub(crate) fn new(opts: &'o ServeOptions) -> Self {
+        let threads = opts.threads.max(2);
+        // Shard 0 belongs to the front-ends; workers get 1..=N.
+        let mut reg = Registry::new(threads + 1);
+        let ids = MetricIds::register(&mut reg);
+        Core {
+            opts,
+            queue_depth: opts.queue_depth.max(1),
+            queue: ShardedQueue::new(threads),
+            reg,
+            ids,
+            accounting: Mutex::new(Accounting::default()),
+            ledger: Mutex::new(ServeSummary::default()),
+            counters: Mutex::new(PoolCounters::default()),
+            draining: AtomicBool::new(false),
+            done: AtomicBool::new(false),
+            open_conns: AtomicUsize::new(0),
+            chaos_seq: AtomicU64::new(0),
+            started: Instant::now(),
+        }
+    }
+
+    /// Runs the daemon: spawns the resident worker pool, runs
+    /// `front_end` (which may spawn threads of its own on the scope),
+    /// then closes the queue, joins every thread, and returns the
+    /// global ledger with the pool counters.
+    pub(crate) fn run<'env>(
+        &'env self,
+        front_end: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> io::Result<()>,
+    ) -> io::Result<ServeSummary> {
+        std::thread::scope(|scope| {
+            spawn_workers(scope, &self.queue, &self.counters, move |w, sj, ctx| {
+                self.work(w, sj, ctx)
+            });
+            let result = front_end(scope);
+            self.queue.close();
+            self.done.store(true, Relaxed);
+            result
+        })?;
+        let mut summary = lock_clean(&self.ledger).clone();
+        summary.pool = *lock_clean(&self.counters);
+        Ok(summary)
+    }
+
+    /// One job on resident worker `w`: moves it from queued to in
+    /// flight, runs it panic-contained, folds the registry and the
+    /// global ledger, and routes the completion back to its connection.
+    fn work(&self, w: usize, sj: SrvJob, ctx: &mut VerifierContext) {
+        // Registry shards are 1-based (shard 0 belongs to the
+        // front-ends); queue shards are 0-based per worker.
+        let shard = w + 1;
+        {
+            let mut acc = lock_clean(&self.accounting);
+            acc.queued -= 1;
+            acc.in_flight += 1;
+            self.mirror(&acc);
+            self.reg.observe_ns(
+                shard,
+                self.ids.queue_wait,
+                sj.enqueued.elapsed().as_nanos() as u64,
+            );
+        }
+        let done = run_job(sj.job, ctx, &self.opts.tuning, self.opts.stream_traces);
+        {
+            // One critical section per completion: the outcome counter
+            // and the in-flight gauge move together, so the scrape
+            // identity never sees a job in zero or two states.
+            let mut acc = lock_clean(&self.accounting);
+            acc.in_flight -= 1;
+            self.mirror(&acc);
+            self.ids.record(&self.reg, shard, &sj.client, &done);
+        }
+        lock_clean(&self.ledger).record(&done);
+        // The connection may already be gone (client hung up): the
+        // completion is accounted above either way.
+        let _ = sj.reply.send(ConnEvent::Done(sj.batch, Box::new(done)));
+    }
+
     /// Mirrors the accounting fields into their registry gauges; call
     /// with the accounting lock held.
     fn mirror(&self, acc: &Accounting) {
@@ -169,32 +263,9 @@ pub fn serve_listener(
     metrics_listener: Option<TcpListener>,
     opts: &ServeOptions,
 ) -> io::Result<ServeSummary> {
-    let threads = opts.threads.max(2);
-    // Shard 0 belongs to the connection front-ends; workers get 1..=N.
-    let mut reg = Registry::new(threads + 1);
-    let ids = MetricIds::register(&mut reg);
-    let core = Core {
-        opts,
-        queue_depth: opts.queue_depth.max(1),
-        queue: ShardedQueue::new(threads),
-        reg,
-        ids,
-        accounting: Mutex::new(Accounting::default()),
-        ledger: Mutex::new(ServeSummary::default()),
-        counters: Mutex::new(PoolCounters::default()),
-        draining: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        open_conns: AtomicUsize::new(0),
-        chaos_seq: AtomicU64::new(0),
-        started: Instant::now(),
-    };
-    let core = &core;
-
     listener.set_nonblocking(true)?;
-    std::thread::scope(|scope| -> io::Result<()> {
-        for w in 0..threads {
-            scope.spawn(move || worker_loop(core, w + 1));
-        }
+    let core = &Core::new(opts);
+    core.run(|scope| {
         if let Some(ml) = metrics_listener {
             scope.spawn(move || metrics_loop(ml, core));
         }
@@ -230,56 +301,8 @@ pub fn serve_listener(
         while core.open_conns.load(Relaxed) > 0 {
             std::thread::sleep(POLL);
         }
-        core.queue.close();
-        core.done.store(true, Relaxed);
         accept_result
-    })?;
-
-    let mut summary = core
-        .ledger
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    summary.pool = *lock_clean(&core.counters);
-    Ok(summary)
-}
-
-/// One resident worker: pops jobs off the shared queue, runs them
-/// panic-contained, folds the registry and global ledger, and routes
-/// the completion back to its connection.
-fn worker_loop(core: &Core<'_>, shard: usize) {
-    let mut ctx = cosynth::VerifierContext::new();
-    // Registry shards are 1-based (shard 0 belongs to the front-ends);
-    // queue shards are 0-based per worker.
-    while let Some(sj) = core.queue.pop(shard - 1) {
-        {
-            let mut acc = lock_clean(&core.accounting);
-            acc.queued -= 1;
-            acc.in_flight += 1;
-            core.mirror(&acc);
-            core.reg.observe_ns(
-                shard,
-                core.ids.queue_wait,
-                sj.enqueued.elapsed().as_nanos() as u64,
-            );
-        }
-        let done = run_job(sj.job, &mut ctx, &core.opts.tuning, core.opts.stream_traces);
-        {
-            // One critical section per completion: the outcome counter
-            // and the in-flight gauge move together, so the scrape
-            // identity never sees a job in zero or two states.
-            let mut acc = lock_clean(&core.accounting);
-            acc.in_flight -= 1;
-            core.mirror(&acc);
-            core.ids.record(&core.reg, shard, &sj.client, &done);
-        }
-        lock_clean(&core.ledger).record(&done);
-        // The connection may already be gone (client hung up): the
-        // completion is accounted above either way.
-        let _ = sj.reply.send(ConnEvent::Done(sj.batch, Box::new(done)));
-    }
-    ctx.flush();
-    lock_clean(&core.counters).absorb(&ctx);
+    })
 }
 
 /// Per-batch bookkeeping shared between a connection's reader (inserts
@@ -297,45 +320,46 @@ struct BatchState {
     tag: Option<String>,
 }
 
+/// One connection's state, shared by its reader and its writer: the
+/// batches in flight and the connection's ledger.
+#[derive(Default)]
+pub(crate) struct Conn {
+    batches: Mutex<HashMap<u64, BatchState>>,
+    ledger: Mutex<ServeSummary>,
+}
+
+impl Conn {
+    /// Whether the connection has no batch in flight.
+    pub(crate) fn idle(&self) -> bool {
+        lock_clean(&self.batches).is_empty()
+    }
+}
+
 /// One client connection: this thread reads and parses request lines;
-/// a paired writer thread owns the socket's write half and streams
-/// results, batch lines, and the per-connection drain line. The writer
-/// is a plain (unscoped) thread over `Arc`-shared state, joined before
-/// this function returns, so nothing outlives the connection.
+/// a paired writer thread, scoped to this call, owns the socket's
+/// write half and streams results, batch lines, and the per-connection
+/// drain line.
 fn handle_conn(stream: TcpStream, core: &Core<'_>, conn_id: u64) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let _ = stream.set_read_timeout(Some(POLL));
-    let (tx, rx) = mpsc::channel::<ConnEvent>();
-    let batches = Arc::new(Mutex::new(HashMap::<u64, BatchState>::new()));
-    let conn_ledger = Arc::new(Mutex::new(ServeSummary::default()));
-
-    let writer = {
-        let batches = Arc::clone(&batches);
-        let conn_ledger = Arc::clone(&conn_ledger);
-        std::thread::spawn(move || writer_loop(write_half, rx, &batches, &conn_ledger, conn_id))
-    };
-
-    let mut reader = ConnReader {
-        core,
-        tx: tx.clone(),
-        batches: &batches,
-        conn_ledger: &conn_ledger,
-        next_batch: 0,
-    };
-    read_lines(stream, core, |line| reader.handle_line(line));
-    let _ = tx.send(ConnEvent::Eof);
-    drop(tx);
-    drop(reader);
-    let _ = writer.join();
+    let conn = &Conn::default();
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let writer = ConnWriter::new(BufWriter::new(write_half), conn);
+        scope.spawn(move || writer_loop(writer, rx, conn_id));
+        let mut reader = ConnReader::new(core, conn, tx);
+        read_lines(stream, core, |line| reader.handle_line(line));
+        reader.send(ConnEvent::Eof);
+    });
 }
 
 /// Reads newline-delimited lines off the socket, polling the drain flag
 /// every [`POLL`]; a line truncated by the peer's close is still handed
-/// to `handle` (it becomes a typed `bad_json` reject, like the stdin
-/// pump's truncated final line). `handle` returns `false` to stop
-/// reading (shutdown request).
+/// to `handle` (it becomes a typed `bad_json` reject, like stdin's
+/// truncated final line). `handle` returns `false` to stop reading
+/// (shutdown request).
 fn read_lines(mut stream: TcpStream, core: &Core<'_>, mut handle: impl FnMut(&str) -> bool) {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -368,23 +392,38 @@ fn read_lines(mut stream: TcpStream, core: &Core<'_>, mut handle: impl FnMut(&st
     }
 }
 
-/// The reader half's state and admission logic.
-struct ConnReader<'a, 'o> {
+/// A connection's reader half: parses request lines and admits batches
+/// onto the core's queue.
+pub(crate) struct ConnReader<'a, 'o> {
     core: &'a Core<'o>,
+    conn: &'a Conn,
     tx: mpsc::Sender<ConnEvent>,
-    batches: &'a Mutex<HashMap<u64, BatchState>>,
-    conn_ledger: &'a Mutex<ServeSummary>,
     next_batch: u64,
 }
 
-impl ConnReader<'_, '_> {
-    fn send_line(&self, line: String) {
-        let _ = self.tx.send(ConnEvent::Line(line));
+impl<'a, 'o> ConnReader<'a, 'o> {
+    pub(crate) fn new(core: &'a Core<'o>, conn: &'a Conn, tx: mpsc::Sender<ConnEvent>) -> Self {
+        ConnReader {
+            core,
+            conn,
+            tx,
+            next_batch: 0,
+        }
     }
 
-    fn reject(&self, code: &str, message: &str) {
+    fn send(&self, event: ConnEvent) {
+        let _ = self.tx.send(event);
+    }
+
+    fn send_line(&self, line: String) {
+        self.send(ConnEvent::Line(line));
+    }
+
+    /// Counts a bad request in every ledger and sends its typed
+    /// `bad_request` reject.
+    pub(crate) fn reject(&self, code: &str, message: &str) {
         let core = self.core;
-        lock_clean(self.conn_ledger).protocol_errors += 1;
+        lock_clean(&self.conn.ledger).protocol_errors += 1;
         lock_clean(&core.ledger).protocol_errors += 1;
         core.reg.inc(0, core.ids.protocol_errors);
         self.send_line(
@@ -396,9 +435,9 @@ impl ConnReader<'_, '_> {
         );
     }
 
-    /// Returns `false` when the connection must stop reading (a
-    /// shutdown request).
-    fn handle_line(&mut self, line: &str) -> bool {
+    /// Admits one request line. Returns `false` when the connection
+    /// must stop reading (a shutdown request).
+    pub(crate) fn handle_line(&mut self, line: &str) -> bool {
         if line.trim().is_empty() {
             return true;
         }
@@ -441,7 +480,7 @@ impl ConnReader<'_, '_> {
             job_indices(request.count, families)
         };
         {
-            let mut conn = lock_clean(self.conn_ledger);
+            let mut conn = lock_clean(&self.conn.ledger);
             conn.batches += 1;
             conn.submitted += jobs.len();
             let mut ledger = lock_clean(&core.ledger);
@@ -462,7 +501,7 @@ impl ConnReader<'_, '_> {
                     .add_labeled(core.ids.tenant_shed, &client, jobs.len() as u64);
                 drop(acc);
             }
-            lock_clean(self.conn_ledger).shed_over_deadline += jobs.len();
+            lock_clean(&self.conn.ledger).shed_over_deadline += jobs.len();
             lock_clean(&core.ledger).shed_over_deadline += jobs.len();
             self.send_line(
                 ObjBuilder::event("reject")
@@ -481,10 +520,10 @@ impl ConnReader<'_, '_> {
             return true;
         }
 
-        // Admission stage 2: the shared queue is bounded; concurrent
-        // connections compete for the remaining depth, so unlike the
-        // one-batch-at-a-time stdin pump the shed count here depends on
-        // live occupancy — that is the admission control working.
+        // Admission stage 2: the shared queue is bounded; pipelined
+        // batches and concurrent connections compete for the remaining
+        // depth, so the shed count depends on live occupancy — that is
+        // the admission control working.
         let deadline = request
             .deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
@@ -504,7 +543,7 @@ impl ConnReader<'_, '_> {
             (accepted, shed)
         };
         if shed > 0 {
-            lock_clean(self.conn_ledger).shed_queue_full += shed;
+            lock_clean(&self.conn.ledger).shed_queue_full += shed;
             lock_clean(&core.ledger).shed_queue_full += shed;
             self.send_line(
                 ObjBuilder::event("reject")
@@ -540,7 +579,7 @@ impl ConnReader<'_, '_> {
 
         let seq = self.next_batch;
         self.next_batch += 1;
-        lock_clean(self.batches).insert(
+        lock_clean(&self.conn.batches).insert(
             seq,
             BatchState {
                 requested: request.count,
@@ -596,41 +635,50 @@ fn batch_line(
     b.finish()
 }
 
-/// The connection's writer half: serializes every outbound line, folds
-/// completions into the per-connection ledger, emits batch lines as
-/// batches finish, and ends with the per-connection drain line. A write
-/// failure (client hung up) switches to sink mode — completions still
-/// drain so the global ledger stays balanced.
-fn writer_loop(
-    stream: TcpStream,
-    rx: mpsc::Receiver<ConnEvent>,
-    batches: &Mutex<HashMap<u64, BatchState>>,
-    conn_ledger: &Mutex<ServeSummary>,
-    conn_id: u64,
-) {
-    let mut out = BufWriter::new(stream);
-    let mut dead = false;
-    let mut eof = false;
-    let write = |out: &mut BufWriter<TcpStream>, dead: &mut bool, line: &str| {
-        if !*dead && (writeln!(out, "{line}").is_err() || out.flush().is_err()) {
-            *dead = true;
+/// A connection's writer half: folds the connection's events into
+/// protocol lines on `out`. A write failure (the client hung up, or
+/// stdout closed) is kept and switches the writer to sink mode: later
+/// lines are dropped, but completions still fold so every batch
+/// finishes and the connection's ledger stays balanced.
+pub(crate) struct ConnWriter<'c, W> {
+    out: W,
+    conn: &'c Conn,
+    failed: Option<io::Error>,
+}
+
+impl<'c, W: Write> ConnWriter<'c, W> {
+    pub(crate) fn new(out: W, conn: &'c Conn) -> Self {
+        ConnWriter {
+            out,
+            conn,
+            failed: None,
         }
-    };
-    loop {
-        if eof && lock_clean(batches).is_empty() {
-            break;
+    }
+
+    fn write(&mut self, line: &str) {
+        if self.failed.is_none() {
+            if let Err(e) = writeln!(self.out, "{line}").and_then(|()| self.out.flush()) {
+                self.failed = Some(e);
+            }
         }
-        let Ok(event) = rx.recv() else { break };
+    }
+
+    /// Folds one event: a line is written as is; a completion folds
+    /// into the connection's ledger and its batch, its result (and
+    /// trace) line is written, and the batch's last completion writes
+    /// the batch line and retires the batch.
+    pub(crate) fn fold(&mut self, event: ConnEvent) {
+        let conn = self.conn;
         match event {
-            ConnEvent::Line(line) => write(&mut out, &mut dead, &line),
-            ConnEvent::Eof => eof = true,
+            ConnEvent::Line(line) => self.write(&line),
+            ConnEvent::Eof => {}
             ConnEvent::Done(seq, done) => {
-                lock_clean(conn_ledger).record(&done);
-                write(&mut out, &mut dead, &done.line);
+                lock_clean(&conn.ledger).record(&done);
+                self.write(&done.line);
                 if let Some(trace_line) = &done.trace_line {
-                    write(&mut out, &mut dead, trace_line);
+                    self.write(trace_line);
                 }
-                let mut map = lock_clean(batches);
+                let mut map = lock_clean(&conn.batches);
                 if let Some(state) = map.get_mut(&seq) {
                     match done.class {
                         CompletionClass::Shed => state.dequeue_shed += 1,
@@ -648,35 +696,46 @@ fn writer_loop(
                         );
                         map.remove(&seq);
                         drop(map);
-                        write(&mut out, &mut dead, &line);
+                        self.write(&line);
                     }
                 }
             }
         }
     }
-    let conn = lock_clean(conn_ledger);
-    let line = ObjBuilder::event("drain")
-        .str("scope", "connection")
-        .u64("conn", conn_id)
-        .u64("batches", conn.batches as u64)
-        .u64("sessions", conn.sessions as u64)
-        .u64("failures", conn.failures as u64)
-        .u64("protocol_errors", conn.protocol_errors as u64)
-        .u64("submitted", conn.submitted as u64)
-        .u64("completed", conn.completed as u64)
-        .u64("shed_queue_full", conn.shed_queue_full as u64)
-        .u64("shed_over_deadline", conn.shed_over_deadline as u64)
-        .u64("deadline_exceeded", conn.deadline_exceeded as u64)
-        .u64("quarantined", conn.quarantined as u64)
-        .u64("transport_retries", conn.transport_retries as u64)
-        .bool("accounted", conn.accounted())
-        .u64("llm_calls", conn.cost.total_calls())
-        .u64("milli_cost", conn.cost.total_milli_cost())
-        .bool("cost_accounted", conn.cost.conserved())
+
+    /// The first write error, if any (and clears it).
+    pub(crate) fn take_error(&mut self) -> io::Result<()> {
+        self.failed.take().map_or(Ok(()), Err)
+    }
+
+    pub(crate) fn into_inner(self) -> W {
+        self.out
+    }
+}
+
+/// The socket connection's writer thread: folds every event until the
+/// reader is done and no batch is in flight, then ends the stream with
+/// the per-connection drain line.
+fn writer_loop(
+    mut writer: ConnWriter<'_, BufWriter<TcpStream>>,
+    rx: mpsc::Receiver<ConnEvent>,
+    conn_id: u64,
+) {
+    let mut eof = false;
+    while !(eof && writer.conn.idle()) {
+        let Ok(event) = rx.recv() else { break };
+        eof |= matches!(event, ConnEvent::Eof);
+        writer.fold(event);
+    }
+    let line = lock_clean(&writer.conn.ledger)
+        .ledger_fields(
+            ObjBuilder::event("drain")
+                .str("scope", "connection")
+                .u64("conn", conn_id),
+        )
         .finish();
-    write(&mut out, &mut dead, &line);
-    let _ = out.flush();
-    if let Ok(stream) = out.into_inner() {
+    writer.write(&line);
+    if let Ok(stream) = writer.out.into_inner() {
         let _ = stream.shutdown(Shutdown::Write);
     }
 }
@@ -686,25 +745,11 @@ fn writer_loop(
 /// extended conservation law is exact (see the module docs).
 fn render_prometheus(core: &Core<'_>) -> String {
     use std::fmt::Write as _;
-    let snap: Snapshot = {
+    let snap = {
         let _acc = lock_clean(&core.accounting);
         core.reg.snapshot()
     };
-    let accounted = snap.counter("submitted")
-        == snap.counter("completed")
-            + snap.counter("shed_queue_full")
-            + snap.counter("shed_over_deadline")
-            + snap.counter("deadline_exceeded")
-            + snap.counter("quarantined")
-            + snap.gauge("queue_depth")
-            + snap.gauge("in_flight_sessions");
-    let cost_accounted = snap.counter("milli_cost")
-        == Tier::ALL
-            .iter()
-            .map(|t| {
-                snap.counter(&format!("backend_calls_{}", t.metric_suffix())) * t.unit_milli_cost()
-            })
-            .sum::<u64>();
+    let (accounted, cost_accounted) = identities(&snap);
     let mut out = snap.to_prometheus("fleetd_");
     let _ = writeln!(out, "# TYPE fleetd_accounted gauge");
     let _ = writeln!(out, "fleetd_accounted {}", accounted as u8);

@@ -1,10 +1,13 @@
-//! `fleetd` — the resident service front-end behind `fleet --serve`.
+//! `fleetd` — the resident service behind `fleet --serve`: its
+//! protocol, its ledger, and the stdin front-end.
 //!
-//! Keeps the worker pool and its warm [`VerifierContext`]s alive across
-//! batches: workers are spawned once, each owns a manager pool for its
-//! whole lifetime, and job batches stream through a per-worker sharded
-//! queue with work-stealing (`ShardedQueue`). The
-//! protocol is line-oriented on both sides:
+//! Both daemon front-ends run on one engine (`server::Core`): the
+//! resident worker pool that the batch fleet also uses, so workers are
+//! spawned once and each owns a warm [`VerifierContext`] (and its
+//! manager pool) for its whole lifetime, across every batch. The stdin
+//! front-end ([`serve`]) is one connection on that engine; the socket
+//! front-end ([`crate::server`]) is many. The protocol is
+//! line-oriented on both sides:
 //!
 //! * **Requests** (one JSON object per line on stdin):
 //!   `{"use_case": "synthesis" | "repair", "seed": 1, "count": 8,
@@ -35,22 +38,23 @@
 //!   `submitted = completed + shed + deadline_exceeded + quarantined`
 //!   holds.
 //!
-//! Batches run one at a time (requests are read between batches), which
-//! keeps result attribution trivial and makes admission deterministic:
-//! the queue is empty at every enqueue, so `queue_full` sheds exactly
-//! `max(0, batch - depth)` jobs regardless of worker scheduling.
+//! Stdin runs in lockstep: a line's events are written until its batch
+//! is done before the next line is read. That keeps admission
+//! deterministic: the queue is empty at every admission, so
+//! `queue_full` sheds exactly `max(0, batch - depth)` jobs regardless
+//! of worker scheduling (the chaos gauntlet relies on this).
 
-use crate::{cases, chaos, job_indices, lock_clean, PoolCounters, SessionTuning, UseCase};
+use crate::server::{Conn, ConnReader, ConnWriter, Core};
+use crate::{cases, chaos, run_contained, PoolCounters, SessionTuning, UseCase};
 use cosynth::session::SessionBudget;
 use cosynth::VerifierContext;
 use llm_sim::{CostLedger, Tier, TransportModel};
-use std::collections::VecDeque;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
-use telemetry::{CounterId, GaugeId, HistId, LabeledId, Registry, SessionTrace, StageHists};
+use telemetry::{
+    CounterId, GaugeId, HistId, LabeledId, Registry, SessionTrace, Snapshot, StageHists,
+};
 use topo_model::json::{self, Json, ObjBuilder};
 
 /// Service configuration.
@@ -61,9 +65,11 @@ pub struct ServeOptions {
     /// Topology-family filter applied to requests that carry none of
     /// their own (the CLI's `--families` under `--serve`).
     pub default_families: Option<Vec<String>>,
-    /// Admission control: jobs a single batch may enqueue. A batch
-    /// larger than this is admitted up to the depth and the excess is
-    /// shed with a typed `queue_full` reject.
+    /// Admission control: the most jobs queued at once, across every
+    /// batch and connection. A batch is admitted up to the room left
+    /// and the excess is shed with a typed `queue_full` reject. The
+    /// stdin front-end admits a batch only once the previous one is
+    /// done, so there the bound is per batch.
     pub queue_depth: usize,
     /// Robustness knobs applied to every served session.
     pub tuning: SessionTuning,
@@ -92,101 +98,6 @@ impl Default for ServeOptions {
             emit_metrics: false,
             stream_traces: false,
         }
-    }
-}
-
-/// The admission queue behind both service front-ends: one bounded
-/// `VecDeque` shard per worker, with work-stealing.
-///
-/// Sharding keeps the hot path a short, mostly-uncontended lock: a
-/// worker pops its own shard first and only scans the others when it
-/// comes up empty. Producers distribute jobs round-robin via an atomic
-/// cursor, so the **total** admission bound (`queue_depth`) stays the
-/// single occupancy check it always was — per-shard occupancy is at
-/// most `ceil(depth / shards)` by construction, never enforced
-/// per-push — and the shed accounting is byte-identical to the old
-/// single-queue design.
-///
-/// Wakeups go through one doorbell mutex + condvar. A producer pushes
-/// to the shards *then* takes the doorbell to notify; a worker that
-/// found every shard empty re-scans while holding the doorbell before
-/// parking. A push therefore cannot slip between a worker's last scan
-/// and its wait: if the notification fired before the wait began, the
-/// producer held the doorbell after its push, which orders the push
-/// before the worker's re-scan.
-pub(crate) struct ShardedQueue<T> {
-    shards: Vec<Mutex<VecDeque<T>>>,
-    /// Round-robin producer cursor.
-    cursor: AtomicUsize,
-    /// `true` once the queue is closed; workers drain, then exit.
-    doorbell: Mutex<bool>,
-    available: Condvar,
-}
-
-impl<T> ShardedQueue<T> {
-    pub(crate) fn new(shards: usize) -> Self {
-        ShardedQueue {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            cursor: AtomicUsize::new(0),
-            doorbell: Mutex::new(false),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Pushes one item onto the next shard in round-robin order. Call
-    /// [`Self::notify`] once the batch is distributed.
-    pub(crate) fn push(&self, item: T) {
-        let s = self.cursor.fetch_add(1, Relaxed) % self.shards.len();
-        lock_clean(&self.shards[s]).push_back(item);
-    }
-
-    /// Wakes every parked worker, holding the doorbell so the
-    /// notification orders after the pushes (see the type docs).
-    pub(crate) fn notify(&self) {
-        let _held = lock_clean(&self.doorbell);
-        self.available.notify_all();
-    }
-
-    /// One steal scan: worker `w`'s own shard first, then the others in
-    /// ring order.
-    fn try_pop(&self, w: usize) -> Option<T> {
-        let n = self.shards.len();
-        (0..n).find_map(|i| lock_clean(&self.shards[(w + i) % n]).pop_front())
-    }
-
-    /// Pops the next job for worker `w`, parking on the doorbell while
-    /// the queue is globally empty. Returns `None` only once the queue
-    /// is closed **and** drained, so no admitted job is ever dropped.
-    pub(crate) fn pop(&self, w: usize) -> Option<T> {
-        loop {
-            if let Some(item) = self.try_pop(w) {
-                return Some(item);
-            }
-            let closed = lock_clean(&self.doorbell);
-            // Re-scan under the doorbell: any producer that pushed after
-            // the scan above must take this lock to notify, so either
-            // its item is visible here or its notification has not yet
-            // fired and will wake the wait below.
-            if let Some(item) = self.try_pop(w) {
-                return Some(item);
-            }
-            if *closed {
-                return None;
-            }
-            drop(
-                self.available
-                    .wait(closed)
-                    .unwrap_or_else(|e| e.into_inner()),
-            );
-        }
-    }
-
-    /// Closes the queue: workers drain what remains, then exit.
-    pub(crate) fn close(&self) {
-        *lock_clean(&self.doorbell) = true;
-        self.available.notify_all();
     }
 }
 
@@ -255,6 +166,26 @@ impl ServeSummary {
             && self.shed_queue_full == 0
             && self.shed_over_deadline == 0
             && self.accounted()
+    }
+
+    /// Appends the ledger's fields to a drain line, in wire order: the
+    /// counts, the conservation verdict, and the model-cost totals.
+    pub(crate) fn ledger_fields(&self, b: ObjBuilder) -> ObjBuilder {
+        b.u64("batches", self.batches as u64)
+            .u64("sessions", self.sessions as u64)
+            .u64("failures", self.failures as u64)
+            .u64("protocol_errors", self.protocol_errors as u64)
+            .u64("submitted", self.submitted as u64)
+            .u64("completed", self.completed as u64)
+            .u64("shed_queue_full", self.shed_queue_full as u64)
+            .u64("shed_over_deadline", self.shed_over_deadline as u64)
+            .u64("deadline_exceeded", self.deadline_exceeded as u64)
+            .u64("quarantined", self.quarantined as u64)
+            .u64("transport_retries", self.transport_retries as u64)
+            .bool("accounted", self.accounted())
+            .u64("llm_calls", self.cost.total_calls())
+            .u64("milli_cost", self.cost.total_milli_cost())
+            .bool("cost_accounted", self.cost.conserved())
     }
 
     /// Folds one dequeued job's typed outcome into the ledger: the
@@ -623,14 +554,13 @@ pub(crate) fn run_job(
         want_trace: bool,
     ) -> Completion {
         let t0 = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if inject_panic {
-                chaos::poison_and_panic(ctx);
-            }
-            U::run_session(seed, index, ctx, tuning)
-        }));
-        match outcome {
-            Ok(result) => {
+        run_contained(
+            ctx,
+            |ctx| {
+                if inject_panic {
+                    chaos::poison_and_panic(ctx);
+                }
+                let result = U::run_session(seed, index, ctx, tuning);
                 let trace = U::trace(&result);
                 Completion {
                     class: if U::deadline_exceeded(&result) {
@@ -653,21 +583,17 @@ pub(crate) fn run_job(
                     cost: U::cost(&result).clone(),
                     line: U::result_json(&result),
                 }
-            }
-            Err(_) => {
-                ctx.quarantine();
-                let result = U::panic_result(index);
-                Completion {
-                    line: U::result_json(&result),
-                    class: CompletionClass::Panicked,
-                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    retries: 0,
-                    trace: SessionTrace::new(),
-                    trace_line: None,
-                    cost: CostLedger::new(),
-                }
-            }
-        }
+            },
+            || Completion {
+                line: U::result_json(&U::panic_result(index)),
+                class: CompletionClass::Panicked,
+                wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+                retries: 0,
+                trace: SessionTrace::new(),
+                trace_line: None,
+                cost: CostLedger::new(),
+            },
+        )
     }
     match job.kind {
         CaseKind::Synthesis => {
@@ -705,15 +631,15 @@ pub(crate) struct MetricIds {
     /// spend per tier without knowing the unit prices.
     pub(crate) backend_milli_cost: [CounterId; Tier::ALL.len()],
     pub(crate) queue_depth_hwm: GaugeId,
-    /// Instantaneous queue depth (socket front-end; the stdin pump's
-    /// queue is empty at every snapshot point by construction).
+    /// Instantaneous queue depth (zero between stdin lines, which the
+    /// stdin front-end admits one batch at a time).
     pub(crate) queue_depth: GaugeId,
-    /// Sessions currently running on a worker (socket front-end).
+    /// Sessions currently running on a worker.
     pub(crate) in_flight_sessions: GaugeId,
     /// Open client connections (socket front-end).
     pub(crate) open_connections: GaugeId,
     pub(crate) session: HistId,
-    /// Admission-to-dequeue wait per job (socket front-end).
+    /// Admission-to-dequeue wait per job.
     pub(crate) queue_wait: HistId,
     pub(crate) stages: StageHists,
     /// Per-tenant (`client`-labeled) accounting families.
@@ -808,19 +734,16 @@ impl MetricIds {
     }
 }
 
-/// Renders one `{"event":"metrics"}` line: the accounting counters,
-/// queue high-water mark, and per-stage latency histograms, with
-/// `accounted` recomputed from the snapshot itself (so a consumer can
-/// check the conservation law without waiting for the drain line).
-/// Pool-derived rates (manager reuse, space-cache and verdict-memo hit
-/// rates, memo confirmation mismatches) are only available at drain,
-/// after the workers have reported their contexts.
-pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounters>) -> String {
-    let snap = reg.snapshot();
-    // The extended conservation law: on the socket front-end a snapshot
-    // can land mid-flight, so jobs sitting in the queue or on a worker
-    // count as their own states. The stdin pump's gauges are zero at
-    // every snapshot point, so this reduces to the drain identity there.
+/// The two conservation identities, recomputed from a registry
+/// snapshot alone: `(accounted, cost_accounted)`.
+///
+/// `accounted` is the extended conservation law: a snapshot can land
+/// mid-flight, so jobs sitting in the queue or on a worker count as
+/// their own states (both gauges are zero between stdin lines, where
+/// this reduces to the drain identity). `cost_accounted` holds when the
+/// total milli-cost equals the per-tier call counters priced at the
+/// tiers' unit costs.
+pub(crate) fn identities(snap: &Snapshot) -> (bool, bool) {
     let accounted = snap.counter("submitted")
         == snap.counter("completed")
             + snap.counter("shed_queue_full")
@@ -829,9 +752,6 @@ pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounte
             + snap.counter("quarantined")
             + snap.gauge("queue_depth")
             + snap.gauge("in_flight_sessions");
-    // The cost conservation identity, recomputed from the snapshot's
-    // own counters: total milli-cost equals the per-tier call counters
-    // priced at the tiers' unit costs.
     let cost_accounted = snap.counter("milli_cost")
         == Tier::ALL
             .iter()
@@ -839,6 +759,19 @@ pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounte
                 snap.counter(&format!("backend_calls_{}", t.metric_suffix())) * t.unit_milli_cost()
             })
             .sum::<u64>();
+    (accounted, cost_accounted)
+}
+
+/// Renders one `{"event":"metrics"}` line: the accounting counters,
+/// queue high-water mark, and per-stage latency histograms, with the
+/// [`identities`] recomputed from the snapshot itself (so a consumer
+/// can check the conservation law without waiting for the drain line).
+/// Pool-derived rates (manager reuse, space-cache and verdict-memo hit
+/// rates, memo confirmation mismatches) are only available at drain,
+/// after the workers have reported their contexts.
+pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounters>) -> String {
+    let snap = reg.snapshot();
+    let (accounted, cost_accounted) = identities(&snap);
     let mut b = ObjBuilder::event("metrics")
         .bool("drain", drain)
         .bool("accounted", accounted)
@@ -868,287 +801,69 @@ pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounte
         .finish()
 }
 
-/// Runs the service loop: reads request lines from `input`, streams
-/// result lines to `output`, drains on EOF, and returns the summary.
-/// Workers (and their warm contexts) live for the whole call.
+/// Runs the stdin front-end: one lockstep connection on the daemon
+/// core (see [`crate::server`]). Reads request lines from `input`,
+/// streams result lines to `output`, drains on EOF (or a
+/// `{"shutdown":true}` line), and returns the ledger. Workers (and
+/// their warm contexts) live for the whole call. A write error on
+/// `output` ends the call with that error.
 pub fn serve(
     input: impl BufRead,
-    mut output: impl Write,
+    output: impl Write,
     opts: &ServeOptions,
 ) -> std::io::Result<ServeSummary> {
-    let threads = opts.threads.max(2);
-    let queue_depth = opts.queue_depth.max(1);
-    let queue: ShardedQueue<Job> = ShardedQueue::new(threads);
-    let counters: Mutex<PoolCounters> = Mutex::new(PoolCounters::default());
-    let (tx, rx) = mpsc::channel::<Completion>();
-    let mut summary = ServeSummary::default();
-    // The telemetry registry shadows the summary's ledger so a
-    // `{"metrics":true}` request can snapshot it mid-run; all updates
-    // happen on the pump thread (shard 0) — the workers report through
-    // the completion channel, never the registry.
-    let mut reg = Registry::new(1);
-    let ids = MetricIds::register(&mut reg);
-    let reg = &reg;
-
-    let io_result = std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queue = &queue;
-            let counters = &counters;
-            let tuning = &opts.tuning;
-            let stream_traces = opts.stream_traces;
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let mut ctx = VerifierContext::new();
-                while let Some(job) = queue.pop(w) {
-                    // A send can only fail after serve() returned, which
-                    // cannot happen while workers are still scoped.
-                    let _ = tx.send(run_job(job, &mut ctx, tuning, stream_traces));
+    let core = Core::new(opts);
+    let conn = Conn::default();
+    let (tx, rx) = mpsc::channel();
+    let mut writer = ConnWriter::new(output, &conn);
+    let summary = core.run(|_| {
+        let mut reader = ConnReader::new(&core, &conn, tx);
+        for line in input.lines() {
+            let more = match line {
+                Ok(line) => reader.handle_line(&line),
+                // A read error (e.g. a final line with invalid bytes,
+                // cut off mid-write) is a bad request, not a service
+                // abort: reject it and drain so the ledger balances.
+                Err(e) => {
+                    reader.reject("read_error", &e.to_string());
+                    false
                 }
-                ctx.flush();
-                lock_clean(counters).absorb(&ctx);
-            });
-        }
-
-        // The request loop runs inside a closure so every exit path —
-        // EOF or I/O error — still flips the shutdown flag below;
-        // otherwise a failed write would leave workers parked on the
-        // condvar and the scope would never join.
-        let mut chaos_seq: u64 = 0;
-        let pump = |summary: &mut ServeSummary| -> std::io::Result<()> {
-            for line in input.lines() {
-                // A stdin read error (e.g. a final line with invalid
-                // bytes, cut off mid-write) is a bad request, not a
-                // service abort: reject it and drain gracefully so the
-                // summary still balances.
-                let line = match line {
-                    Ok(l) => l,
-                    Err(e) => {
-                        summary.protocol_errors += 1;
-                        reg.inc(0, ids.protocol_errors);
-                        writeln!(
-                            output,
-                            "{}",
-                            ObjBuilder::event("reject")
-                                .str("reason", "bad_request")
-                                .str("code", "read_error")
-                                .str("message", &e.to_string())
-                                .finish()
-                        )?;
-                        output.flush()?;
-                        break;
+            };
+            // Lockstep: write this line's events until its batch is
+            // done, and only then read the next line. The queue is
+            // therefore empty at every admission, which makes the
+            // `queue_full` shed exactly max(0, batch - depth).
+            loop {
+                let event = if conn.idle() {
+                    match rx.try_recv() {
+                        Ok(event) => event,
+                        Err(_) => break,
                     }
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let request = match parse_request(&line) {
-                    Ok(Request::Batch(r)) => r,
-                    Ok(Request::Metrics) => {
-                        writeln!(output, "{}", metrics_json(reg, false, None))?;
-                        output.flush()?;
-                        continue;
-                    }
-                    Ok(Request::Shutdown) => {
-                        // Graceful drain: acknowledge, stop reading, and
-                        // fall through to the EOF path (workers drain,
-                        // the final line is the drain summary).
-                        writeln!(
-                            output,
-                            "{}",
-                            ObjBuilder::event("shutdown")
-                                .bool("draining", true)
-                                .finish()
-                        )?;
-                        output.flush()?;
-                        break;
-                    }
-                    Err(err) => {
-                        summary.protocol_errors += 1;
-                        reg.inc(0, ids.protocol_errors);
-                        writeln!(
-                            output,
-                            "{}",
-                            ObjBuilder::event("reject")
-                                .str("reason", "bad_request")
-                                .str("code", err.code())
-                                .str("message", &err.to_string())
-                                .finish()
-                        )?;
-                        output.flush()?;
-                        continue;
-                    }
-                };
-                summary.batches += 1;
-                reg.inc(0, ids.batches);
-                let client = request.client.as_deref().unwrap_or(ANONYMOUS_CLIENT);
-                let families = request
-                    .families
-                    .as_deref()
-                    .or(opts.default_families.as_deref());
-                // A daemon pinned to a large family has no rotation to
-                // filter: every index runs the pinned family, exactly
-                // like `run_case` in batch mode.
-                let jobs: Vec<usize> = if opts.tuning.scenario_family.is_some() {
-                    (0..request.count).collect()
                 } else {
-                    job_indices(request.count, families)
+                    rx.recv().expect("the reader holds the connection's sender")
                 };
-                summary.submitted += jobs.len();
-                reg.add(0, ids.submitted, jobs.len() as u64);
-
-                // Admission, stage 1: an already-expired batch deadline
-                // sheds the whole batch (deterministically — no timing
-                // race against the workers).
-                if request.deadline_ms == Some(0) {
-                    summary.shed_over_deadline += jobs.len();
-                    reg.add(0, ids.shed_over_deadline, jobs.len() as u64);
-                    reg.add_labeled(ids.tenant_shed, client, jobs.len() as u64);
-                    writeln!(
-                        output,
-                        "{}",
-                        ObjBuilder::event("reject")
-                            .str("reason", "over_deadline")
-                            .str("use_case", request.use_case.name())
-                            .u64("shed", jobs.len() as u64)
-                            .finish()
-                    )?;
-                    let mut b = ObjBuilder::event("batch")
-                        .u64("requested", request.count as u64)
-                        .u64("completed", 0)
-                        .u64("failed", 0)
-                        .u64("shed", jobs.len() as u64);
-                    if let Some(tag) = &request.tag {
-                        b = b.str("tag", tag);
-                    }
-                    writeln!(output, "{}", b.finish())?;
-                    output.flush()?;
-                    continue;
-                }
-
-                // Admission, stage 2: the queue is bounded. Batches run
-                // one at a time, so the queue is empty here and the
-                // shed count is exactly max(0, batch - depth).
-                let accepted = jobs.len().min(queue_depth);
-                let shed = jobs.len() - accepted;
-                reg.gauge_max(ids.queue_depth_hwm, accepted as u64);
-                if shed > 0 {
-                    summary.shed_queue_full += shed;
-                    reg.add(0, ids.shed_queue_full, shed as u64);
-                    reg.add_labeled(ids.tenant_shed, client, shed as u64);
-                    writeln!(
-                        output,
-                        "{}",
-                        ObjBuilder::event("reject")
-                            .str("reason", "queue_full")
-                            .str("use_case", request.use_case.name())
-                            .u64("shed", shed as u64)
-                            .u64("queue_depth", queue_depth as u64)
-                            .finish()
-                    )?;
-                }
-                let deadline = request
-                    .deadline_ms
-                    .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
-                for &index in jobs.iter().take(accepted) {
-                    let directive = opts.chaos.as_ref().map(|p| p.directive(chaos_seq));
-                    chaos_seq += 1;
-                    queue.push(Job {
-                        kind: request.use_case,
-                        seed: request.seed,
-                        index,
-                        directive,
-                        deadline,
-                    });
-                }
-                queue.notify();
-                let mut failed = 0usize;
-                let mut batch_shed = shed;
-                for _ in 0..accepted {
-                    let done = rx.recv().expect("workers outlive the batch");
-                    summary.record(&done);
-                    ids.record(reg, 0, client, &done);
-                    match done.class {
-                        CompletionClass::Shed => batch_shed += 1,
-                        CompletionClass::Completed { ok: true } => {}
-                        _ => failed += 1,
-                    }
-                    writeln!(output, "{}", done.line)?;
-                    if let Some(trace_line) = &done.trace_line {
-                        writeln!(output, "{trace_line}")?;
-                    }
-                    output.flush()?;
-                }
-                if jobs.len() < request.count {
-                    // The family filter matched nothing in the probe window
-                    // — surface it instead of silently under-delivering.
-                    summary.protocol_errors += 1;
-                    reg.inc(0, ids.protocol_errors);
-                    writeln!(
-                        output,
-                        "{}",
-                        ObjBuilder::event("reject")
-                            .str("reason", "bad_request")
-                            .str("code", "family_filter")
-                            .str(
-                                "message",
-                                &format!(
-                                    "only {} of {} requested sessions matched the family filter \
-                                     (known families: {:?})",
-                                    jobs.len(),
-                                    request.count,
-                                    crate::family_names()
-                                ),
-                            )
-                            .finish()
-                    )?;
-                }
-                let mut b = ObjBuilder::event("batch")
-                    .u64("requested", request.count as u64)
-                    .u64("completed", (accepted - (batch_shed - shed)) as u64)
-                    .u64("failed", failed as u64)
-                    .u64("shed", batch_shed as u64);
-                if let Some(tag) = &request.tag {
-                    b = b.str("tag", tag);
-                }
-                writeln!(output, "{}", b.finish())?;
-                output.flush()?;
+                writer.fold(event);
             }
-            Ok(())
-        };
-        let result = pump(&mut summary);
+            writer.take_error()?;
+            if !more {
+                break;
+            }
+        }
+        Ok(())
+    })?;
 
-        // EOF (or error): drain the pool.
-        queue.close();
-        result
-    });
-    io_result?;
-
-    summary.pool = counters.into_inner().unwrap_or_else(|e| e.into_inner());
+    let mut output = writer.into_inner();
     let p = &summary.pool;
     // The metrics snapshot (when asked for) goes out before the drain
     // line so the drain line stays the stream's last word.
     if opts.emit_metrics {
-        writeln!(output, "{}", metrics_json(reg, true, Some(p)))?;
+        writeln!(output, "{}", metrics_json(&core.reg, true, Some(p)))?;
     }
     writeln!(
         output,
         "{}",
-        ObjBuilder::event("drain")
-            .u64("batches", summary.batches as u64)
-            .u64("sessions", summary.sessions as u64)
-            .u64("failures", summary.failures as u64)
-            .u64("protocol_errors", summary.protocol_errors as u64)
-            .u64("submitted", summary.submitted as u64)
-            .u64("completed", summary.completed as u64)
-            .u64("shed_queue_full", summary.shed_queue_full as u64)
-            .u64("shed_over_deadline", summary.shed_over_deadline as u64)
-            .u64("deadline_exceeded", summary.deadline_exceeded as u64)
-            .u64("quarantined", summary.quarantined as u64)
-            .u64("transport_retries", summary.transport_retries as u64)
-            .bool("accounted", summary.accounted())
-            .u64("llm_calls", summary.cost.total_calls())
-            .u64("milli_cost", summary.cost.total_milli_cost())
-            .bool("cost_accounted", summary.cost.conserved())
+        summary
+            .ledger_fields(ObjBuilder::event("drain"))
             .u64("workers", p.workers as u64)
             .u64("manager_reuses", p.manager_reuses as u64)
             .u64("manager_allocs", p.manager_allocs as u64)
@@ -1403,6 +1118,53 @@ mod tests {
             text.contains("\"shed\":2}"),
             "batch line carries the shed: {text}"
         );
+    }
+
+    #[test]
+    fn stdin_admits_each_batch_onto_an_empty_queue() {
+        // The second batch is read only once the first is done, so the
+        // queue is empty at both admissions and each sheds exactly
+        // max(0, 5 - 3) = 2. Admitting it while the first batch still
+        // held queue slots would shed more.
+        let input = b"{\"count\":5}\n{\"count\":5}\n";
+        let mut out = Vec::new();
+        let summary = serve(
+            &input[..],
+            &mut out,
+            &ServeOptions {
+                threads: 2,
+                queue_depth: 3,
+                ..Default::default()
+            },
+        )
+        .expect("serve io");
+        assert_eq!(summary.submitted, 10);
+        assert_eq!(summary.shed_queue_full, 4, "{summary:?}");
+        assert!(summary.accounted(), "{summary:?}");
+        let text = String::from_utf8(out).unwrap();
+        let rejects: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"reason\":\"queue_full\""))
+            .collect();
+        assert_eq!(rejects.len(), 2, "{text}");
+        assert!(rejects.iter().all(|l| l.contains("\"shed\":2,")), "{text}");
+    }
+
+    #[test]
+    fn a_failed_write_ends_serve_with_the_error() {
+        struct Closed;
+        impl Write for Closed {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let input = b"{\"count\":2}\n{\"count\":2}\n";
+        let err = serve(&input[..], Closed, &ServeOptions::default())
+            .expect_err("a closed output is an I/O error");
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! twice), and the `GET /metrics` Prometheus endpoint holding the
 //! accounting identities mid-flight and under chaos.
 
-use cosynth_fleet::{serve_listener, ChaosPlan, ServeOptions, ServeSummary};
+use cosynth_fleet::{serve, serve_listener, ChaosPlan, ServeOptions, ServeSummary};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -33,8 +33,8 @@ fn start_daemon(opts: ServeOptions, with_metrics: bool) -> Daemon {
     }
 }
 
-/// Sends `lines`, half-closes, and returns every response line parsed.
-fn transact(addr: SocketAddr, lines: &[&str]) -> Vec<Json> {
+/// Sends `lines`, half-closes, and returns every response line.
+fn transact_lines(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
     let stream = TcpStream::connect(addr).expect("connect");
     let mut out = stream.try_clone().unwrap();
     for line in lines {
@@ -44,7 +44,15 @@ fn transact(addr: SocketAddr, lines: &[&str]) -> Vec<Json> {
     stream.shutdown(Shutdown::Write).unwrap();
     BufReader::new(stream)
         .lines()
-        .map(|l| json::parse(&l.expect("read line")).expect("response line is JSON"))
+        .map(|l| l.expect("read line"))
+        .collect()
+}
+
+/// Sends `lines`, half-closes, and returns every response line parsed.
+fn transact(addr: SocketAddr, lines: &[&str]) -> Vec<Json> {
+    transact_lines(addr, lines)
+        .iter()
+        .map(|l| json::parse(l).expect("response line is JSON"))
         .collect()
 }
 
@@ -336,4 +344,59 @@ fn http_responder_rejects_unknown_paths_and_methods() {
 
     transact(daemon.addr, &["{\"shutdown\":true}"]);
     daemon.handle.join().unwrap().expect("daemon I/O ok");
+}
+
+#[test]
+fn a_socket_connection_sees_what_a_stdin_caller_sees() {
+    // One script through the stdin front-end and through one socket
+    // connection: the same result, reject and batch lines come back.
+    // Lines stream in completion order and carry their own wall-clock,
+    // so compare the sorted lines with `wall_ms` cut out; the drain
+    // lines differ by design (global vs per-connection).
+    let script = [
+        r#"{"use_case":"synthesis","seed":1,"count":3}"#,
+        "this is not json",
+        r#"{"use_case":"repair","seed":1,"count":2}"#,
+        r#"{"count":2,"deadline_ms":0}"#,
+        r#"{"count":2,"families":"nonesuch"}"#,
+        r#"{"families":"ring,star","seed":4,"count":2}"#,
+    ];
+    let content = |lines: Vec<String>| -> Vec<String> {
+        let mut lines: Vec<String> = lines
+            .into_iter()
+            .filter(|l| !l.contains("\"event\":\"drain\""))
+            .map(|l| match l.find("\"wall_ms\":") {
+                Some(start) => {
+                    let end = start + l[start..].find(",\"").expect("wall_ms is not last") + 1;
+                    format!("{}{}", &l[..start], &l[end..])
+                }
+                None => l,
+            })
+            .collect();
+        lines.sort();
+        lines
+    };
+    let opts = ServeOptions {
+        threads: 2,
+        ..Default::default()
+    };
+
+    let mut out = Vec::new();
+    serve(script.join("\n").as_bytes(), &mut out, &opts).expect("serve io");
+    let stdin = content(
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(String::from)
+            .collect(),
+    );
+
+    let daemon = start_daemon(opts, false);
+    let socket = content(transact_lines(daemon.addr, &script));
+    transact(daemon.addr, &["{\"shutdown\":true}"]);
+    daemon.handle.join().unwrap().expect("daemon I/O ok");
+
+    // 3 + 2 + 2 results, 5 batch lines, 3 rejects.
+    assert_eq!(stdin.len(), 15, "{stdin:#?}");
+    assert_eq!(stdin, socket);
 }
