@@ -18,11 +18,11 @@
 use cosynth::VerifyMode;
 use cosynth_fleet::SessionBudget;
 use cosynth_fleet::{
-    all_family_names, family_names, family_of, run_case, run_chaos, scenario_for, serve,
+    all_family_names, family_names, family_of, run_case, run_chaos, scenario_for_tuned, serve,
     ChaosConfig, ChaosPlan, FleetConfig, Repair, ServeOptions, SessionTuning, Synthesis, UseCase,
 };
 use criterion::SampleStats;
-use llm_sim::{BackendChoice, Tier};
+use llm_sim::Tier;
 use telemetry::{Registry, Stage, StageHists};
 use topo_model::json::ObjBuilder;
 
@@ -38,8 +38,9 @@ FLAGS:
                         default) or 'repair' (fault-inject breaks each
                         scenario's known-good snapshot; the session
                         localizes and repairs it).
-    --sessions N        Sessions to run (default 16; --chaos submits
-                        exactly N jobs across its scripted batches).
+    --sessions N        Sessions to run, at least 1 (default 16;
+                        --chaos submits exactly N jobs across its
+                        scripted batches).
     --seed S            Scenario/fault/model stream seed (default 1;
                         --chaos also seeds its fault schedule from S).
     --threads T         Worker threads (default: machine parallelism
@@ -65,20 +66,12 @@ FLAGS:
                         price/quality tiers 'sim-cheap', 'sim-std',
                         'sim-premium'. Applies to batch, serve, and
                         chaos sessions alike.
-    --route NAME        Cost-aware cascade routing instead of a fixed
-                        backend: 'cheap-first' starts every session on
-                        sim-cheap and escalates one tier each time the
-                        verifier's feedback exhausts the cheaper
-                        model's patience. Mutually exclusive with
-                        --backend.
     --bench-backends    Backend cost sweep: run both use cases at
-                        --sessions/--seed once per tier plus the
-                        cheap-first cascade and write
+                        --sessions/--seed once per tier and write
                         BENCH_backends.json (default --out) with each
-                        backend's cost ledger and the cascade's
+                        tier's contract counts, cost ledger and
                         cost-leverage (milli-cost of always-premium
-                        over milli-cost of the cascade at the same
-                        convergence).
+                        over the tier's milli-cost).
     --serve             Resident service mode ('fleetd'): keep the
                         worker pool and its warm verifier contexts
                         alive, read newline-delimited JSON batch
@@ -165,7 +158,9 @@ FLAGS:
                         --out) with sessions/s and the wall-clock
                         spread vs router count. --families may name a
                         subset of the large families to sweep.
-    --dump-scenario I   Print scenario I's JSON and exit.
+    --dump-scenario I   Print the JSON of the scenario session I runs
+                        at --seed (a large --families value pins it)
+                        and exit.
     --help              Print this reference and exit.
 
 EXIT STATUS:
@@ -179,11 +174,14 @@ EXIT STATUS:
        double-counting work fails the daemon); --chaos: the gauntlet
        drained with every submitted job in exactly one typed outcome
        (submitted = completed + shed + deadline_exceeded + quarantined)
-       and every fault class exercised
+       and every fault class exercised; --bench-backends: every tier
+       ran the full fleet in both use cases and billed exactly
+       llm_calls x its unit_milli_cost (a cheap tier may miss sessions'
+       contracts — that gap is what the sweep measures)
     1  synthesis: a session failed to converge or panicked;
        repair: a session panicked or the overall repair rate is zero;
        either: fewer sessions ran than requested (bad --families?);
-       --serve/--chaos: the exit contract above failed
+       --serve/--chaos/--bench-backends: the exit contract above failed
     2  usage error (unknown flag, bad value) or the report file could
        not be written
 ";
@@ -206,7 +204,7 @@ struct Args {
     queue_depth: Option<usize>,
     deadline_ms: Option<u64>,
     dump_scenario: Option<usize>,
-    backend: BackendChoice,
+    backend: Tier,
     bench_backends: bool,
     incremental: bool,
     bench_scale: bool,
@@ -238,13 +236,11 @@ fn parse_args(argv: &[String]) -> Args {
         queue_depth: None,
         deadline_ms: None,
         dump_scenario: None,
-        backend: BackendChoice::default(),
+        backend: Tier::default(),
         bench_backends: false,
         incremental: true,
         bench_scale: false,
     };
-    let mut backend_set = false;
-    let mut route_set = false;
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> String {
         *i += 1;
@@ -271,30 +267,21 @@ fn parse_args(argv: &[String]) -> Args {
             "--bench-scale" => args.bench_scale = true,
             "--backend" => {
                 let v = value(&mut i, "--backend");
-                args.backend = BackendChoice::parse_backend(&v).unwrap_or_else(|| {
+                args.backend = Tier::parse(&v).unwrap_or_else(|| {
                     usage_error(&format!(
                         "unknown --backend {v:?} (known: {})",
-                        BackendChoice::BACKEND_NAMES.join(", ")
+                        Tier::ALL.map(Tier::name).join(", ")
                     ))
                 });
-                backend_set = true;
-            }
-            "--route" => {
-                let v = value(&mut i, "--route");
-                args.backend = BackendChoice::parse_route(&v).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "unknown --route {v:?} (known: {})",
-                        BackendChoice::ROUTE_NAMES.join(", ")
-                    ))
-                });
-                route_set = true;
             }
             "--use-case" => args.use_case = value(&mut i, "--use-case"),
             "--sessions" => {
                 let v = value(&mut i, "--sessions");
-                args.sessions = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("--sessions: bad count {v:?}")));
+                args.sessions = match v.parse() {
+                    Ok(0) => usage_error("--sessions: the count must be at least 1"),
+                    Ok(n) => n,
+                    Err(_) => usage_error(&format!("--sessions: bad count {v:?}")),
+                };
             }
             "--seed" => {
                 let v = value(&mut i, "--seed");
@@ -336,11 +323,6 @@ fn parse_args(argv: &[String]) -> Args {
             other => usage_error(&format!("unknown flag {other:?}")),
         }
         i += 1;
-    }
-    if backend_set && route_set {
-        usage_error(
-            "--backend and --route are mutually exclusive (--route picks its own tier ladder)",
-        );
     }
     validate_families(&args);
     args
@@ -438,7 +420,10 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv);
     if let Some(index) = args.dump_scenario {
-        println!("{}", scenario_for(args.seed, index).to_json());
+        println!(
+            "{}",
+            scenario_for_tuned(args.seed, index, &tuning_of(&args)).to_json()
+        );
         return;
     }
     if args.chaos {
@@ -787,10 +772,10 @@ fn run_profile(args: &Args) {
     }
 }
 
-/// One backend's column of the `--bench-backends` sweep: a whole fleet
+/// One tier's column of the `--bench-backends` sweep: a whole fleet
 /// run reduced to its contract counts and cost ledger totals.
 struct BackendSweepRow {
-    label: &'static str,
+    tier: Tier,
     sessions: usize,
     /// Sessions that met the use case's per-session contract
     /// (synthesis: converged; repair: repaired).
@@ -802,48 +787,42 @@ struct BackendSweepRow {
 }
 
 impl BackendSweepRow {
-    /// This backend's cost-leverage against always-premium: how many
-    /// times cheaper the same fleet ran. 1.0 for premium itself; > 1
-    /// is the cascade's win condition.
+    /// This tier's cost-leverage against always-premium: how many times
+    /// cheaper the same fleet ran. 1.0 for premium itself.
     fn leverage_vs(&self, premium_milli_cost: u64) -> f64 {
         premium_milli_cost as f64 / (self.milli_cost.max(1)) as f64
     }
 }
 
-/// `--bench-backends`: run both use cases once per backend tier plus
-/// the cheap-first cascade, and report what verifier-driven escalation
-/// saves against always-premium at the same convergence.
+/// `--bench-backends`: run both use cases once per backend tier and
+/// report each tier's contract counts, cost ledger and cost-leverage
+/// against always-premium.
 fn run_bench_backends(args: &Args) {
-    let choices: Vec<BackendChoice> = Tier::ALL
-        .iter()
-        .map(|t| BackendChoice::Tier(*t))
-        .chain(std::iter::once(BackendChoice::CheapFirst))
-        .collect();
-    let cfg_for = |choice: BackendChoice| FleetConfig {
+    let cfg_for = |tier: Tier| FleetConfig {
         sessions: args.sessions,
         seed: args.seed,
         threads: args.threads,
         families: args.families.clone(),
         tuning: SessionTuning {
-            backend: choice,
+            backend: tier,
             ..tuning_of(args)
         },
     };
     fn sweep<U: UseCase>(
         cfg: &FleetConfig,
-        label: &'static str,
         auto_human: impl Fn(&U::Result) -> (usize, usize),
     ) -> BackendSweepRow {
+        let tier = cfg.tuning.backend;
         eprintln!(
             "fleet: backend sweep: {} on {}, {} sessions, seed {}",
             U::NAME,
-            label,
+            tier.name(),
             cfg.sessions,
             cfg.seed
         );
         let report = run_case::<U>(cfg);
         let mut row = BackendSweepRow {
-            label,
+            tier,
             sessions: report.results.len(),
             ok: 0,
             auto: 0,
@@ -863,13 +842,13 @@ fn run_bench_backends(args: &Args) {
         }
         row
     }
-    let syn_rows: Vec<BackendSweepRow> = choices
+    let syn_rows: Vec<BackendSweepRow> = Tier::ALL
         .iter()
-        .map(|c| sweep::<Synthesis>(&cfg_for(*c), c.label(), |r| (r.auto, r.human)))
+        .map(|t| sweep::<Synthesis>(&cfg_for(*t), |r| (r.auto, r.human)))
         .collect();
-    let rep_rows: Vec<BackendSweepRow> = choices
+    let rep_rows: Vec<BackendSweepRow> = Tier::ALL
         .iter()
-        .map(|c| sweep::<Repair>(&cfg_for(*c), c.label(), |r| (r.auto, r.human)))
+        .map(|t| sweep::<Repair>(&cfg_for(*t), |r| (r.auto, r.human)))
         .collect();
 
     use std::fmt::Write as _;
@@ -886,15 +865,12 @@ fn run_bench_backends(args: &Args) {
     }
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"use_cases\": {{");
-    let mut contract_ok = true;
-    let premium = Tier::Premium.name();
     let cases: [(&str, &str, &[BackendSweepRow]); 2] = [
         ("synthesis", "converged", &syn_rows),
         ("repair", "repaired", &rep_rows),
     ];
     for (ci, (case, ok_key, rows)) in cases.iter().enumerate() {
-        let premium_row = rows.iter().find(|r| r.label == premium).unwrap();
-        let cascade_row = rows.iter().find(|r| r.label == "cheap-first").unwrap();
+        let premium_row = rows.iter().find(|r| r.tier == Tier::Premium).unwrap();
         let _ = writeln!(out, "    \"{case}\": {{");
         let _ = writeln!(out, "      \"backends\": {{");
         for (ri, r) in rows.iter().enumerate() {
@@ -904,7 +880,7 @@ fn run_bench_backends(args: &Args) {
                 "        \"{}\": {{\"sessions\": {}, \"{ok_key}\": {}, \"auto\": {}, \
                  \"human\": {}, \"llm_calls\": {}, \"milli_cost\": {}, \
                  \"cost_leverage\": {:.4}}}{comma}",
-                r.label,
+                r.tier.name(),
                 r.sessions,
                 r.ok,
                 r.auto,
@@ -914,27 +890,8 @@ fn run_bench_backends(args: &Args) {
                 r.leverage_vs(premium_row.milli_cost)
             );
         }
-        let _ = writeln!(out, "      }},");
-        let leverage = cascade_row.leverage_vs(premium_row.milli_cost);
-        let _ = writeln!(out, "      \"cascade_cost_leverage\": {leverage:.4},");
-        let _ = writeln!(
-            out,
-            "      \"cascade_convergence_unchanged\": {}",
-            cascade_row.ok >= premium_row.ok
-        );
+        let _ = writeln!(out, "      }}");
         let _ = writeln!(out, "    }}{}", if ci == 0 { "," } else { "" });
-        println!(
-            "backends: {case}: cascade cost-leverage {leverage:.2}x \
-             (premium {} m$, cascade {} m$), {ok_key} {} vs premium {}",
-            premium_row.milli_cost, cascade_row.milli_cost, cascade_row.ok, premium_row.ok
-        );
-        // Cheap tiers are allowed to miss sessions — that gap is the
-        // experiment. The contract binds the cascade: full fleet, at
-        // least premium's convergence, for less money.
-        let full = rows.iter().all(|r| r.sessions == args.sessions);
-        if !(leverage > 1.0 && cascade_row.ok >= premium_row.ok && full) {
-            contract_ok = false;
-        }
     }
     let _ = writeln!(out, "  }}");
     let _ = writeln!(out, "}}");
@@ -948,11 +905,16 @@ fn run_bench_backends(args: &Args) {
         std::process::exit(2);
     }
     println!("wrote {out_path}");
+    // Cheap tiers are allowed to miss sessions' contracts — that gap is
+    // the experiment. The sweep binds the accounting: every tier ran the
+    // full fleet and billed exactly its own price for every call.
+    let contract_ok = syn_rows.iter().chain(&rep_rows).all(|r| {
+        r.sessions == args.sessions && r.milli_cost == r.llm_calls * r.tier.unit_milli_cost()
+    });
     if !contract_ok {
         eprintln!(
-            "fleet: the backend-sweep contract failed (every backend must run the \
-             full fleet, and the cascade must beat premium on cost without \
-             losing convergence)"
+            "fleet: the backend-sweep contract failed (every tier must run the full \
+             fleet and bill llm_calls x its unit_milli_cost)"
         );
         std::process::exit(1);
     }

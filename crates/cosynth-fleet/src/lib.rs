@@ -39,7 +39,7 @@
 
 use cosynth::session::RetryPolicy;
 use cosynth::{Modularizer, VerifierContext};
-use llm_sim::{BackendChoice, CostLedger, TransportModel};
+use llm_sim::{CostLedger, Tier, TransportModel};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -115,11 +115,10 @@ pub struct SessionTuning {
     /// is derived from `(seed, index)` on top of this policy's seed, so
     /// backoff accounting stays deterministic per session.
     pub retry: RetryPolicy,
-    /// Which model backend serves the session's completions (a single
-    /// sim tier, or the cost-aware cascade route). The default is the
-    /// historical `simulated-gpt4` — byte-identical session content to
-    /// the pre-backend fleet.
-    pub backend: BackendChoice,
+    /// Which simulated model tier serves the session's completions. The
+    /// default is the historical `simulated-gpt4` — byte-identical
+    /// session content to the pre-backend fleet.
+    pub backend: Tier,
     /// Re-verification strategy (the worker's verdict memo and repair's
     /// dirty-set bookkeeping; see `cosynth::incremental`). Per-seed
     /// session content is byte-identical across modes — the `fleet` flag

@@ -12,9 +12,10 @@
 //! * **Requests** (one JSON object per line on stdin):
 //!   `{"use_case": "synthesis" | "repair", "seed": 1, "count": 8,
 //!   "families": ["ring", "star"], "deadline_ms": 500}` — `use_case`
-//!   defaults to `synthesis`, `seed` to 1, `count` to 1; `families`
-//!   (array or comma-separated string; `family` is accepted as an
-//!   alias) filters the deterministic scenario stream exactly like
+//!   defaults to `synthesis`, `seed` to 1 (at most 2^53 - 1, the
+//!   largest integer a JSON number carries exactly), `count` to 1;
+//!   `families` (array or comma-separated string; `family` is accepted
+//!   as an alias) filters the deterministic scenario stream exactly like
 //!   `fleet --families`; `deadline_ms` is the batch's admission
 //!   deadline (jobs still queued when it expires are shed, and `0`
 //!   means already-expired: the whole batch is shed at admission).
@@ -332,6 +333,11 @@ impl CaseKind {
     }
 }
 
+/// The largest seed a request may carry: 2^53 - 1, the largest integer
+/// a JSON number (an f64) carries exactly. A larger seed would run a
+/// different stream than the one requested.
+const MAX_EXACT_SEED: f64 = 9_007_199_254_740_991.0;
+
 /// Parses one request line. Unknown fields are ignored (forward
 /// compatibility); a wrong type, unknown use case, or empty batch is a
 /// typed [`RequestError`].
@@ -374,11 +380,11 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     };
     let seed = match v.get("seed") {
         None => 1,
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => *n as u64,
+        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_SEED => *n as u64,
         Some(_) => {
             return Err(RequestError::BadField {
                 field: "seed",
-                expected: "a non-negative integer",
+                expected: "a non-negative integer of at most 2^53 - 1",
             })
         }
     };
@@ -968,6 +974,23 @@ mod tests {
         assert!(matches!(
             parse_request(r#"{"count":-3}"#),
             Err(RequestError::BadField { field: "count", .. })
+        ));
+        // Seeds an f64 cannot carry exactly would run another stream.
+        for line in [r#"{"seed":9007199254740993}"#, r#"{"seed":1e300}"#] {
+            assert!(
+                matches!(
+                    parse_request(line),
+                    Err(RequestError::BadField { field: "seed", .. })
+                ),
+                "{line}"
+            );
+        }
+        assert!(matches!(
+            parse_request(r#"{"seed":9007199254740991}"#),
+            Ok(Request::Batch(BatchRequest {
+                seed: 9_007_199_254_740_991,
+                ..
+            }))
         ));
         assert!(matches!(
             parse_request(r#"{"deadline_ms":"soon"}"#),

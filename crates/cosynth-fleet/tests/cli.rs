@@ -23,7 +23,6 @@ fn help_covers_the_serve_flags_and_exits_zero() {
         "--serve",
         "--dump-scenario",
         "--backend",
-        "--route",
         "--bench-backends",
         "--help",
     ] {
@@ -38,12 +37,14 @@ fn help_covers_the_serve_flags_and_exits_zero() {
 
 #[test]
 fn unknown_flag_exits_nonzero_with_a_usable_message() {
-    // The removed A/B switches are unknown flags like any other.
+    // The removed A/B switches and the removed cascade route are
+    // unknown flags like any other.
     for flag in [
         "--bogus-flag",
         "--parallel-verify",
         "--no-pool",
         "--no-baseline",
+        "--route",
     ] {
         let out = fleet().arg(flag).output().expect("spawn fleet");
         assert!(!out.status.success());
@@ -81,6 +82,16 @@ fn bad_values_and_unknown_use_cases_exit_nonzero() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("--seed"), "{err}");
+
+    // An empty fleet is a usage error in every mode, before anything
+    // runs or a report is written.
+    let out = fleet()
+        .args(["--sessions", "0", "--out", "/dev/null"])
+        .output()
+        .expect("spawn fleet");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("--sessions"), "{err}");
 }
 
 #[test]
@@ -95,29 +106,6 @@ fn unknown_backend_exits_two_and_lists_the_known_tiers() {
     for name in ["sim-cheap", "sim-std", "sim-premium", "simulated-gpt4"] {
         assert!(err.contains(name), "must list {name}: {err}");
     }
-}
-
-#[test]
-fn unknown_route_exits_two_and_lists_the_known_routes() {
-    let out = fleet()
-        .args(["--route", "premium-first"])
-        .output()
-        .expect("spawn fleet");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("premium-first"), "{err}");
-    assert!(err.contains("cheap-first"), "must list the routes: {err}");
-}
-
-#[test]
-fn backend_and_route_are_mutually_exclusive() {
-    let out = fleet()
-        .args(["--backend", "sim-cheap", "--route", "cheap-first"])
-        .output()
-        .expect("spawn fleet");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("mutually exclusive"), "{err}");
 }
 
 #[test]
@@ -183,4 +171,26 @@ fn dump_scenario_prints_json_and_exits_zero() {
     assert!(out.status.success(), "{out:?}");
     let text = String::from_utf8(out.stdout).unwrap();
     topo_model::json::parse(text.trim()).expect("scenario dump is valid JSON");
+}
+
+#[test]
+fn dump_scenario_honours_a_pinned_large_family() {
+    let name = |args: &[&str]| {
+        let out = fleet().args(args).output().expect("spawn fleet");
+        assert!(out.status.success(), "{out:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let dump = topo_model::json::parse(text.trim()).expect("scenario dump is valid JSON");
+        dump.get("name")
+            .and_then(|n| n.as_str())
+            .unwrap()
+            .to_string()
+    };
+    // Every session of a pinned run is an as-graph-64 scenario, so the
+    // dump must be one too.
+    assert_eq!(
+        name(&["--families", "as-graph-64", "--dump-scenario", "0"]),
+        "as-graph-64-no-transit-s1-i0"
+    );
+    // The default rotation is unchanged.
+    assert_eq!(name(&["--dump-scenario", "0"]), "chain-no-transit-s1-i0");
 }

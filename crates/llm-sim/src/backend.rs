@@ -1,39 +1,33 @@
-//! Pluggable model backends and cost-aware routing.
+//! Pluggable, priced model backends.
 //!
 //! The paper's leverage metric counts human prompts the verifier saves;
-//! the same verifier signal can save *model cost*: route each VPP call
-//! to a cheap/noisy backend first and escalate to an expensive/accurate
-//! one only when verifier feedback shows the cheap tier flailing. This
+//! a backend's price says what each of the remaining calls costs. This
 //! module supplies the pieces:
 //!
-//! * [`Tier`] — the simulated backend family: the existing calibrated
-//!   GPT-4 plus three error-model-derived accuracy/cost points
-//!   (`sim-cheap`/`sim-std`/`sim-premium`).
+//! * [`Tier`] — the simulated backend family and the fleet-facing
+//!   selector (`fleet --backend <name>`): the existing calibrated GPT-4
+//!   plus three error-model-derived accuracy/cost points
+//!   (`sim-cheap`/`sim-std`/`sim-premium`). [`Tier::build`] makes one
+//!   boxed backend per session, byte-identical to the historical
+//!   hard-wired construction for the default tier.
 //! * [`CostRecord`] / [`CostLedger`] — per-backend call accounting
 //!   (unit cost in integer milli-units, call count, accumulated
 //!   simulated latency) with a conservation identity
 //!   (`total == Σ calls × unit_cost`) every layer above re-checks.
 //! * [`ModelBackend`] — the backend contract on top of
 //!   [`LanguageModel`]: a priced, self-accounting completion source.
-//! * [`BackendChoice`] — the fleet-facing selector
-//!   (`fleet --backend <name>` / `--route cheap-first`) that builds a
-//!   boxed backend per session, byte-identical to the historical
-//!   hard-wired construction for the default choice.
-//! * [`CascadeRouter`] — a backend wrapping an ordered tier list that
-//!   escalates on verifier-failure feedback and re-plays the stored
-//!   task prompt to each newly activated tier.
 
 use crate::error_model::TransportModel;
 use crate::gpt4::SimulatedGpt4;
-use crate::model::{LanguageModel, Message, Role, TransportError};
-use crate::prompts;
+use crate::model::LanguageModel;
 use crate::ErrorModel;
 
 /// One simulated backend tier: an accuracy/cost point derived from the
 /// error model. `Gpt4` is the historical calibrated model (same error
 /// model as [`ErrorModel::paper_default`], premium price); `Std` shares
 /// its accuracy at a mid-market price; `Cheap` and `Premium` bracket it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// `Default` is the historical hard-wired backend.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tier {
     /// Noisy and nearly free: bumped draft-fault and repair-pathology
     /// rates.
@@ -45,12 +39,12 @@ pub enum Tier {
     Premium,
     /// The original simulated GPT-4: paper-calibrated accuracy at the
     /// premium price. The zero-knob default backend.
+    #[default]
     Gpt4,
 }
 
 impl Tier {
-    /// Every tier, in escalation order (cheapest first), with the
-    /// historical default last.
+    /// Every tier, cheapest first, with the historical default last.
     pub const ALL: [Tier; 4] = [Tier::Cheap, Tier::Std, Tier::Premium, Tier::Gpt4];
 
     /// The stable backend name used by `fleet --backend`, cost records,
@@ -114,6 +108,14 @@ impl Tier {
     /// Parses a backend name as printed by [`Tier::name`].
     pub fn parse(s: &str) -> Option<Tier> {
         Tier::ALL.into_iter().find(|t| t.name() == s)
+    }
+
+    /// Builds this tier's backend for one session. For the default tier
+    /// this is exactly the historical construction
+    /// (`SimulatedGpt4::new(paper_default + transport, seed)`), so
+    /// zero-knob session content stays byte-identical.
+    pub fn build(self, seed: u64, transport: TransportModel) -> Box<dyn LanguageModel + Send> {
+        Box::new(SimulatedGpt4::for_tier(self, seed).with_transport(transport))
     }
 }
 
@@ -251,17 +253,15 @@ impl CostLedger {
 }
 
 /// A priced, self-accounting completion backend: the contract every
-/// backend (simulated tiers, the cascade router, a future real API
-/// client) must satisfy on top of [`LanguageModel`]. The identity is
-/// [`LanguageModel::name`]; the ledger is [`LanguageModel::cost`]; this
-/// trait adds the *current* price point — for a router, the active
-/// tier's.
+/// backend (the simulated tiers, a future real API client) must satisfy
+/// on top of [`LanguageModel`]. The identity is [`LanguageModel::name`];
+/// the ledger is [`LanguageModel::cost`]; this trait adds the price
+/// point.
 pub trait ModelBackend: LanguageModel {
-    /// Price per call of the currently active tier, milli-units.
+    /// Price per call, milli-units.
     fn unit_milli_cost(&self) -> u64;
 
-    /// Simulated per-call latency of the currently active tier,
-    /// milliseconds.
+    /// Simulated per-call latency, milliseconds.
     fn latency_ms(&self) -> u64;
 }
 
@@ -272,312 +272,6 @@ impl ModelBackend for SimulatedGpt4 {
 
     fn latency_ms(&self) -> u64 {
         self.tier().latency_ms()
-    }
-}
-
-/// The fleet-facing backend selector: a single tier, a degenerate
-/// single-tier cascade (the routing-degeneracy pin), or the cheap-first
-/// escalation cascade. `Default` is the historical hard-wired backend,
-/// and [`BackendChoice::build`] for it reproduces that construction
-/// byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Call one tier directly.
-    Tier(Tier),
-    /// A cascade wrapping exactly one tier — must be byte-identical to
-    /// calling that tier directly (pinned by the degeneracy test).
-    CascadeOf(Tier),
-    /// The cost-aware route: cheap → std → premium, escalating on
-    /// verifier-failure feedback.
-    CheapFirst,
-}
-
-impl Default for BackendChoice {
-    fn default() -> Self {
-        BackendChoice::Tier(Tier::Gpt4)
-    }
-}
-
-impl BackendChoice {
-    /// The names `--backend` accepts.
-    pub const BACKEND_NAMES: [&'static str; 4] =
-        ["sim-cheap", "sim-std", "sim-premium", "simulated-gpt4"];
-
-    /// The names `--route` accepts.
-    pub const ROUTE_NAMES: [&'static str; 1] = ["cheap-first"];
-
-    /// Parses a `--backend` value ([`Tier::name`]s).
-    pub fn parse_backend(s: &str) -> Option<BackendChoice> {
-        Tier::parse(s).map(BackendChoice::Tier)
-    }
-
-    /// Parses a `--route` value.
-    pub fn parse_route(s: &str) -> Option<BackendChoice> {
-        match s {
-            "cheap-first" => Some(BackendChoice::CheapFirst),
-            _ => None,
-        }
-    }
-
-    /// The stable label for reports and bench files.
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendChoice::Tier(t) => t.name(),
-            BackendChoice::CascadeOf(_) => "cascade-of-one",
-            BackendChoice::CheapFirst => "cheap-first",
-        }
-    }
-
-    /// Builds the backend for one session. For the default choice this
-    /// is exactly the historical construction
-    /// (`SimulatedGpt4::new(paper_default + transport, seed)`), so
-    /// zero-knob session content stays byte-identical.
-    pub fn build(self, seed: u64, transport: TransportModel) -> Box<dyn LanguageModel + Send> {
-        match self {
-            BackendChoice::Tier(t) => {
-                Box::new(SimulatedGpt4::for_tier(t, seed).with_transport(transport))
-            }
-            BackendChoice::CascadeOf(t) => Box::new(CascadeRouter::single(t, seed, transport)),
-            BackendChoice::CheapFirst => Box::new(CascadeRouter::cheap_first(seed, transport)),
-        }
-    }
-}
-
-/// How the router classifies one outgoing prompt — the same markers the
-/// simulated backend dispatches on, so router and backend can never
-/// disagree about what a prompt is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CallClass {
-    /// A fresh task (synthesis/translation/global): restart at tier 0.
-    Task,
-    /// A repair-task prompt: self-contained (description + broken
-    /// config), forwarded as-is; consecutive repairs escalate.
-    Repair,
-    /// Verifier feedback on the current draft: escalation signal.
-    Feedback,
-}
-
-fn classify(content: &str) -> CallClass {
-    // Repair first: repair prompts strip the synthesis task sentence but
-    // carry the rest of the router description.
-    if content.contains(prompts::REPAIR_TASK) || content.contains(prompts::REPAIR_REWRITE) {
-        return CallClass::Repair;
-    }
-    if content.contains(prompts::SYNTH_TASK)
-        || content.contains(prompts::TRANSLATE_TASK)
-        || content.contains(prompts::GLOBAL_TASK)
-        || (content.contains("no-transit policy") && content.contains("all routers"))
-    {
-        return CallClass::Task;
-    }
-    CallClass::Feedback
-}
-
-struct TierSlot {
-    gpt: SimulatedGpt4,
-    /// Verifier-failure feedbacks this tier absorbs before the router
-    /// escalates past it.
-    patience: usize,
-    /// Whether this tier has a live draft for the current task (its
-    /// state advanced — a timeout does not count).
-    drafted: bool,
-}
-
-/// A cost-aware routing backend: an ordered tier list, cheapest first.
-/// Task prompts restart the cascade at tier 0; verifier-failure
-/// feedback beyond a tier's patience escalates to the next tier, which
-/// receives a *replay of the stored task prompt* (it has never seen the
-/// task — its fresh draft is returned as the feedback response).
-/// Repair prompts are self-contained and forwarded as-is; consecutive
-/// repair prompts count as escalation signal. Transport retries re-send
-/// an identical transcript; the router keys its state transitions on
-/// the transcript, so a retry can never double-escalate.
-pub struct CascadeRouter {
-    tiers: Vec<TierSlot>,
-    active: usize,
-    /// Feedbacks absorbed by the active tier since it was activated.
-    feedbacks: usize,
-    last_class: Option<CallClass>,
-    /// The last task prompt, for replay to newly activated tiers.
-    task_prompt: Option<String>,
-    /// Retry detection: the transcript length and prompt of the last
-    /// routed call. An identical (length, prompt) pair is a transport
-    /// retry and must not move the routing state.
-    last_len: usize,
-    last_prompt: String,
-    label: &'static str,
-}
-
-impl CascadeRouter {
-    /// The cheap-first route: `sim-cheap` (patience 0 — the first
-    /// verifier failure escalates) → `sim-std` (patience 2) →
-    /// `sim-premium` (absorbs everything). All tiers share the session
-    /// seed and transport model.
-    pub fn cheap_first(seed: u64, transport: TransportModel) -> Self {
-        CascadeRouter::from_tiers(
-            &[
-                (Tier::Cheap, 0),
-                (Tier::Std, 2),
-                (Tier::Premium, usize::MAX),
-            ],
-            seed,
-            transport,
-            "cheap-first",
-        )
-    }
-
-    /// A degenerate single-tier cascade: no escalation is ever possible,
-    /// so it must forward every call unchanged (the routing-degeneracy
-    /// pin).
-    pub fn single(tier: Tier, seed: u64, transport: TransportModel) -> Self {
-        CascadeRouter::from_tiers(&[(tier, usize::MAX)], seed, transport, tier.name())
-    }
-
-    fn from_tiers(
-        tiers: &[(Tier, usize)],
-        seed: u64,
-        transport: TransportModel,
-        label: &'static str,
-    ) -> Self {
-        CascadeRouter {
-            tiers: tiers
-                .iter()
-                .map(|&(t, patience)| TierSlot {
-                    gpt: SimulatedGpt4::for_tier(t, seed).with_transport(transport),
-                    patience,
-                    drafted: false,
-                })
-                .collect(),
-            active: 0,
-            feedbacks: 0,
-            last_class: None,
-            task_prompt: None,
-            last_len: 0,
-            last_prompt: String::new(),
-            label,
-        }
-    }
-
-    /// The currently active tier.
-    pub fn active_tier(&self) -> Tier {
-        self.tiers[self.active].gpt.tier()
-    }
-
-    /// Routes one call: classifies the last user prompt and applies at
-    /// most one state transition per *distinct* send (transport retries
-    /// of an identical transcript are recognized and skipped).
-    fn route(&mut self, transcript: &[Message]) -> (usize, CallClass) {
-        let content = transcript
-            .iter()
-            .rev()
-            .find(|m| m.role == Role::User)
-            .map(|m| m.content.as_str())
-            .unwrap_or("");
-        let class = classify(content);
-        if self.last_len == transcript.len() && self.last_prompt == content {
-            return (self.active, class);
-        }
-        self.last_len = transcript.len();
-        self.last_prompt = content.to_string();
-        match class {
-            CallClass::Task => {
-                self.active = 0;
-                self.feedbacks = 0;
-                self.task_prompt = Some(content.to_string());
-                for slot in &mut self.tiers {
-                    slot.drafted = false;
-                }
-            }
-            CallClass::Repair => {
-                // The first repair prompt is the task itself; only a
-                // *consecutive* repair prompt means the last one failed.
-                if self.last_class == Some(CallClass::Repair) {
-                    self.bump_and_escalate();
-                }
-            }
-            CallClass::Feedback => self.bump_and_escalate(),
-        }
-        self.last_class = Some(class);
-        (self.active, class)
-    }
-
-    fn bump_and_escalate(&mut self) {
-        self.feedbacks += 1;
-        if self.feedbacks > self.tiers[self.active].patience && self.active + 1 < self.tiers.len() {
-            self.active += 1;
-            self.feedbacks = 0;
-        }
-    }
-
-    /// A feedback prompt aimed at a tier that has never drafted the
-    /// current task (it was just activated) is meaningless to it — the
-    /// router re-plays the stored task (plus any system messages) so the
-    /// tier produces a fresh draft instead.
-    fn replay_transcript(&self, transcript: &[Message], class: CallClass) -> Option<Vec<Message>> {
-        if class != CallClass::Feedback || self.tiers[self.active].drafted {
-            return None;
-        }
-        let task = self.task_prompt.as_ref()?;
-        let mut msgs: Vec<Message> = transcript
-            .iter()
-            .filter(|m| m.role == Role::System)
-            .cloned()
-            .collect();
-        msgs.push(Message::user(task.clone()));
-        Some(msgs)
-    }
-}
-
-impl LanguageModel for CascadeRouter {
-    fn complete(&mut self, transcript: &[Message]) -> String {
-        let (i, class) = self.route(transcript);
-        let replay = self.replay_transcript(transcript, class);
-        let slot = &mut self.tiers[i];
-        let out = match &replay {
-            Some(msgs) => slot.gpt.complete(msgs),
-            None => slot.gpt.complete(transcript),
-        };
-        slot.drafted = true;
-        out
-    }
-
-    fn try_complete(&mut self, transcript: &[Message]) -> Result<String, TransportError> {
-        let (i, class) = self.route(transcript);
-        let replay = self.replay_transcript(transcript, class);
-        let slot = &mut self.tiers[i];
-        let out = match &replay {
-            Some(msgs) => slot.gpt.try_complete(msgs),
-            None => slot.gpt.try_complete(transcript),
-        };
-        // A timeout never reached the tier: its state did not advance,
-        // so a retry must replay again. The other transport faults burn
-        // the completion — the tier *did* draft.
-        if !matches!(out, Err(TransportError::Timeout)) {
-            slot.drafted = true;
-        }
-        out
-    }
-
-    fn name(&self) -> &str {
-        self.label
-    }
-
-    fn cost(&self) -> CostLedger {
-        let mut total = CostLedger::new();
-        for slot in &self.tiers {
-            total.absorb(&slot.gpt.cost());
-        }
-        total
-    }
-}
-
-impl ModelBackend for CascadeRouter {
-    fn unit_milli_cost(&self) -> u64 {
-        self.active_tier().unit_milli_cost()
-    }
-
-    fn latency_ms(&self) -> u64 {
-        self.active_tier().latency_ms()
     }
 }
 
@@ -627,41 +321,7 @@ mod tests {
 
     #[test]
     fn default_choice_is_the_historical_backend() {
-        assert_eq!(BackendChoice::default(), BackendChoice::Tier(Tier::Gpt4));
-        assert_eq!(BackendChoice::default().label(), "simulated-gpt4");
-    }
-
-    #[test]
-    fn parse_backend_and_route_accept_only_known_names() {
-        for n in BackendChoice::BACKEND_NAMES {
-            assert!(BackendChoice::parse_backend(n).is_some(), "{n}");
-        }
-        assert_eq!(BackendChoice::parse_backend("cheap-first"), None);
-        assert_eq!(
-            BackendChoice::parse_route("cheap-first"),
-            Some(BackendChoice::CheapFirst)
-        );
-        assert_eq!(BackendChoice::parse_route("sim-cheap"), None);
-    }
-
-    #[test]
-    fn classify_matches_backend_dispatch_order() {
-        assert_eq!(classify(prompts::SYNTH_TASK), CallClass::Task);
-        assert_eq!(classify(prompts::TRANSLATE_TASK), CallClass::Task);
-        assert_eq!(classify(prompts::GLOBAL_TASK), CallClass::Task);
-        // A repair prompt embeds the description but not the synth task
-        // sentence; REPAIR_* markers must win.
-        assert_eq!(
-            classify(&format!(
-                "Router R2 ...\n{}\n```\nx\n```",
-                prompts::REPAIR_TASK
-            )),
-            CallClass::Repair
-        );
-        assert_eq!(classify(prompts::REPAIR_REWRITE), CallClass::Repair);
-        assert_eq!(
-            classify("The route-map T permits routes that should be denied."),
-            CallClass::Feedback
-        );
+        assert_eq!(Tier::default(), Tier::Gpt4);
+        assert_eq!(Tier::default().name(), "simulated-gpt4");
     }
 }

@@ -134,8 +134,8 @@ impl ErrorModel {
     /// The `sim-cheap` backend tier: a noisier model. Topology-fault
     /// draft rates are bumped and the repair pathologies (wrong-line
     /// fixes, regressions, reintroductions) are markedly more common, so
-    /// sessions need more verify rounds — the tier the cascade router
-    /// tries first because its calls are nearly free.
+    /// sessions need more verify rounds, paid for with calls that are
+    /// nearly free.
     pub fn sim_cheap() -> Self {
         let mut m = Self::paper_default();
         m.p_regress_new = 0.45;

@@ -38,7 +38,7 @@ pub mod rng;
 pub mod synth_task;
 pub mod translate_task;
 
-pub use backend::{BackendChoice, CascadeRouter, CostLedger, CostRecord, ModelBackend, Tier};
+pub use backend::{CostLedger, CostRecord, ModelBackend, Tier};
 pub use error_model::{ErrorModel, TransportModel};
 pub use faults::{FaultKind, RepairBehavior};
 pub use gpt4::SimulatedGpt4;

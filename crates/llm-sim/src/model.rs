@@ -129,7 +129,7 @@ pub trait LanguageModel {
     /// ([`crate::backend::CostLedger`]). The default is a cost-free
     /// model — an always-empty ledger — so test doubles and thin
     /// wrappers keep compiling; self-accounting backends
-    /// (`SimulatedGpt4`, `CascadeRouter`) override it.
+    /// (`SimulatedGpt4`) override it.
     fn cost(&self) -> crate::backend::CostLedger {
         crate::backend::CostLedger::new()
     }

@@ -1,6 +1,5 @@
 //! Backend conformance suite: the contract every [`LanguageModel`]
-//! backend must honour, run over all four simulated tiers, the
-//! degenerate single-tier cascades, and the cheap-first cascade.
+//! backend must honour, run over all four simulated tiers.
 //!
 //! The contract:
 //! 1. per-seed determinism — the same seed drives the same conversation
@@ -17,8 +16,7 @@
 use llm_sim::model::fence;
 use llm_sim::prompts::TRANSLATE_TASK;
 use llm_sim::{
-    BackendChoice, CascadeRouter, LanguageModel, Message, ModelBackend, SimulatedGpt4, Tier,
-    TransportError, TransportModel,
+    LanguageModel, Message, ModelBackend, SimulatedGpt4, Tier, TransportError, TransportModel,
 };
 use telemetry::{SessionTrace, Stage};
 
@@ -42,7 +40,7 @@ fn task_prompt() -> String {
 }
 
 /// Verifier-style rectification feedback: none of these carry a task
-/// marker, so the cascade classifies each as an escalation signal.
+/// marker.
 const FEEDBACKS: [&str; 4] = [
     "In the original configuration, the BGP MED value set is 50, but in \
      the translation it is 999.",
@@ -51,17 +49,6 @@ const FEEDBACKS: [&str; 4] = [
     "The interface address 10.0.1.1 does not match the translation.",
     "There is a syntax error near the policy-statement block.",
 ];
-
-/// Every backend shape under test: the four direct tiers, the four
-/// degenerate single-tier cascades, and the cheap-first route.
-fn all_choices() -> Vec<BackendChoice> {
-    Tier::ALL
-        .iter()
-        .map(|t| BackendChoice::Tier(*t))
-        .chain(Tier::ALL.iter().map(|t| BackendChoice::CascadeOf(*t)))
-        .chain(std::iter::once(BackendChoice::CheapFirst))
-        .collect()
-}
 
 /// Drives a task-plus-feedback conversation and returns every reply.
 fn drive(llm: &mut dyn LanguageModel) -> Vec<String> {
@@ -81,23 +68,23 @@ fn drive(llm: &mut dyn LanguageModel) -> Vec<String> {
 
 #[test]
 fn per_seed_determinism_with_identical_cost_ledgers() {
-    for choice in all_choices() {
+    for tier in Tier::ALL {
         let clean = TransportModel::default();
-        let mut a = choice.build(7, clean);
-        let mut b = choice.build(7, clean);
+        let mut a = tier.build(7, clean);
+        let mut b = tier.build(7, clean);
         assert_eq!(
             drive(a.as_mut()),
             drive(b.as_mut()),
             "{}: same seed must replay byte-identically",
-            choice.label()
+            tier.name()
         );
         assert_eq!(
             a.cost(),
             b.cost(),
             "{}: same conversation must bill identically",
-            choice.label()
+            tier.name()
         );
-        assert!(a.cost().conserved(), "{}", choice.label());
+        assert!(a.cost().conserved(), "{}", tier.name());
     }
 }
 
@@ -126,15 +113,15 @@ fn transport_faults_surface_as_typed_errors() {
             TransportError::MalformedPayload,
         ),
     ];
-    for choice in all_choices() {
+    for tier in Tier::ALL {
         for (transport, expected) in classes {
-            let mut llm = choice.build(3, transport);
+            let mut llm = tier.build(3, transport);
             let got = llm.try_complete(&[Message::user(task_prompt())]);
             assert_eq!(
                 got.err(),
                 Some(expected),
                 "{}: a certain {} must surface as its typed error",
-                choice.label(),
+                tier.name(),
                 expected.code()
             );
         }
@@ -143,9 +130,9 @@ fn transport_faults_surface_as_typed_errors() {
 
 #[test]
 fn every_attempt_records_one_backend_span() {
-    for choice in all_choices() {
+    for tier in Tier::ALL {
         // Three clean attempts: three spans.
-        let mut llm = choice.build(5, TransportModel::default());
+        let mut llm = tier.build(5, TransportModel::default());
         let mut trace = SessionTrace::new();
         let transcript = [Message::user(task_prompt())];
         for _ in 0..3 {
@@ -155,10 +142,10 @@ fn every_attempt_records_one_backend_span() {
             trace.get(Stage::Backend).count,
             3,
             "{}: one span per successful attempt",
-            choice.label()
+            tier.name()
         );
         // Two timed-out attempts: still one span each.
-        let mut flaky = choice.build(
+        let mut flaky = tier.build(
             5,
             TransportModel {
                 p_timeout: 1.0,
@@ -173,15 +160,15 @@ fn every_attempt_records_one_backend_span() {
             trace.get(Stage::Backend).count,
             2,
             "{}: failed attempts are spans too",
-            choice.label()
+            tier.name()
         );
     }
 }
 
 #[test]
 fn cost_ledger_is_monotone_and_conserved() {
-    for choice in all_choices() {
-        let mut llm = choice.build(11, TransportModel::default());
+    for tier in Tier::ALL {
+        let mut llm = tier.build(11, TransportModel::default());
         let mut transcript = vec![Message::user(task_prompt())];
         let mut last_calls = 0;
         for turn in 0..FEEDBACKS.len() + 1 {
@@ -195,19 +182,18 @@ fn cost_ledger_is_monotone_and_conserved() {
                 ledger.total_calls(),
                 last_calls + 1,
                 "{}: exactly one charge per completion",
-                choice.label()
+                tier.name()
             );
             last_calls = ledger.total_calls();
-            assert!(ledger.conserved(), "{}", choice.label());
+            assert!(ledger.conserved(), "{}", tier.name());
             for rec in ledger.records() {
-                let tier = Tier::parse(rec.backend).unwrap_or_else(|| {
-                    panic!("{}: unknown backend {}", choice.label(), rec.backend)
-                });
+                let billed = Tier::parse(rec.backend)
+                    .unwrap_or_else(|| panic!("{}: unknown backend {}", tier.name(), rec.backend));
                 assert_eq!(
                     rec.unit_milli_cost,
-                    tier.unit_milli_cost(),
+                    billed.unit_milli_cost(),
                     "{}",
-                    choice.label()
+                    tier.name()
                 );
             }
         }
@@ -216,9 +202,9 @@ fn cost_ledger_is_monotone_and_conserved() {
 
 #[test]
 fn timeouts_are_uncharged_but_burned_completions_are_billed() {
-    for choice in all_choices() {
+    for tier in Tier::ALL {
         let transcript = [Message::user(task_prompt())];
-        let mut timeout = choice.build(
+        let mut timeout = tier.build(
             9,
             TransportModel {
                 p_timeout: 1.0,
@@ -230,7 +216,7 @@ fn timeouts_are_uncharged_but_burned_completions_are_billed() {
             timeout.cost().total_calls(),
             0,
             "{}: a timeout never reached the backend, so it cannot bill",
-            choice.label()
+            tier.name()
         );
         for transport in [
             TransportModel {
@@ -242,13 +228,13 @@ fn timeouts_are_uncharged_but_burned_completions_are_billed() {
                 ..Default::default()
             },
         ] {
-            let mut burned = choice.build(9, transport);
+            let mut burned = tier.build(9, transport);
             assert!(burned.try_complete(&transcript).is_err());
             assert_eq!(
                 burned.cost().total_calls(),
                 1,
                 "{}: a truncated/garbled completion was produced and is billed",
-                choice.label()
+                tier.name()
             );
         }
     }
@@ -262,61 +248,4 @@ fn tier_backends_report_their_price_sheet() {
         assert_eq!(gpt.latency_ms(), t.latency_ms());
         assert_eq!(gpt.name(), t.name());
     }
-}
-
-#[test]
-fn cheap_first_escalates_on_feedback_and_restarts_on_task() {
-    let mut llm = CascadeRouter::cheap_first(21, TransportModel::default());
-    let mut transcript = vec![Message::user(task_prompt())];
-    let r = llm.complete(&transcript);
-    transcript.push(Message::assistant(r));
-    assert_eq!(llm.active_tier(), Tier::Cheap, "tasks start at the bottom");
-    assert_eq!(llm.unit_milli_cost(), Tier::Cheap.unit_milli_cost());
-
-    // Cheap has patience 0: the first feedback escalates to std.
-    transcript.push(Message::user(FEEDBACKS[0]));
-    let r = llm.complete(&transcript);
-    transcript.push(Message::assistant(r));
-    assert_eq!(llm.active_tier(), Tier::Std);
-    assert_eq!(llm.unit_milli_cost(), Tier::Std.unit_milli_cost());
-
-    // Std has patience 2: two more feedbacks are absorbed, the third
-    // escalates to premium.
-    for fb in &FEEDBACKS[1..3] {
-        transcript.push(Message::user(*fb));
-        let r = llm.complete(&transcript);
-        transcript.push(Message::assistant(r));
-        assert_eq!(llm.active_tier(), Tier::Std);
-    }
-    transcript.push(Message::user(FEEDBACKS[3]));
-    let r = llm.complete(&transcript);
-    transcript.push(Message::assistant(r));
-    assert_eq!(llm.active_tier(), Tier::Premium);
-
-    // The ledger saw every tier the cascade walked through.
-    let ledger = llm.cost();
-    assert!(ledger.calls_for(Tier::Cheap.name()) >= 1);
-    assert!(ledger.calls_for(Tier::Std.name()) >= 1);
-    assert!(ledger.calls_for(Tier::Premium.name()) >= 1);
-    assert!(ledger.conserved());
-
-    // A fresh task restarts the cascade at the cheapest tier.
-    let fresh = vec![Message::user(task_prompt())];
-    let _ = llm.complete(&fresh);
-    assert_eq!(llm.active_tier(), Tier::Cheap);
-}
-
-#[test]
-fn transport_retry_of_an_identical_transcript_never_double_escalates() {
-    let mut llm = CascadeRouter::cheap_first(13, TransportModel::default());
-    let mut transcript = vec![Message::user(task_prompt())];
-    let r = llm.complete(&transcript);
-    transcript.push(Message::assistant(r));
-    transcript.push(Message::user(FEEDBACKS[0]));
-    let _ = llm.try_complete(&transcript);
-    assert_eq!(llm.active_tier(), Tier::Std);
-    // A retry re-sends the identical transcript: the routing state must
-    // not move again.
-    let _ = llm.try_complete(&transcript);
-    assert_eq!(llm.active_tier(), Tier::Std, "retries are not feedback");
 }
