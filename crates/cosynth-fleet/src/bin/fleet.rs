@@ -20,9 +20,11 @@ use cosynth_fleet::SessionBudget;
 use cosynth_fleet::{
     all_family_names, family_names, family_of, run_case, run_chaos, scenario_for_tuned, serve,
     ChaosConfig, ChaosPlan, FleetConfig, Repair, ServeOptions, SessionTuning, Synthesis, UseCase,
+    CHAOS_MIN_SESSIONS,
 };
 use criterion::SampleStats;
 use llm_sim::Tier;
+use std::io::Write as _;
 use telemetry::{Registry, Stage, StageHists};
 use topo_model::json::ObjBuilder;
 
@@ -40,7 +42,7 @@ FLAGS:
                         localizes and repairs it).
     --sessions N        Sessions to run, at least 1 (default 16;
                         --chaos submits exactly N jobs across its
-                        scripted batches).
+                        scripted batches, and N must be at least 16).
     --seed S            Scenario/fault/model stream seed (default 1;
                         --chaos also seeds its fault schedule from S).
     --threads T         Worker threads (default: machine parallelism
@@ -420,10 +422,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv);
     if let Some(index) = args.dump_scenario {
-        println!(
-            "{}",
-            scenario_for_tuned(args.seed, index, &tuning_of(&args)).to_json()
-        );
+        dump_scenario(&args, index);
         return;
     }
     if args.chaos {
@@ -454,6 +453,12 @@ fn main() {
             "--bench-scale is a batch mode; it cannot combine with --serve, --chaos, \
              --profile, or --bench-backends",
         );
+    }
+    if args.chaos && !args.serve && args.sessions < CHAOS_MIN_SESSIONS {
+        usage_error(&format!(
+            "--chaos submits at least {CHAOS_MIN_SESSIONS} jobs; --sessions {} is too few",
+            args.sessions
+        ));
     }
     if args.bench_backends {
         run_bench_backends(&args);
@@ -488,6 +493,21 @@ fn main() {
         other => usage_error(&format!(
             "unknown --use-case {other:?} (known: synthesis, repair)"
         )),
+    }
+}
+
+/// `--dump-scenario`: prints the scenario JSON. A reader that hangs up
+/// early (`| head`) has taken all it wanted, so a broken pipe ends the
+/// dump quietly with exit 0; any other write error exits 2.
+fn dump_scenario(args: &Args, index: usize) {
+    let json = scenario_for_tuned(args.seed, index, &tuning_of(args)).to_json();
+    let mut stdout = std::io::stdout().lock();
+    let written = writeln!(stdout, "{json}").and_then(|()| stdout.flush());
+    if let Err(e) = written {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("fleet: cannot write the scenario: {e}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -593,7 +613,7 @@ fn run_serve(args: &Args) {
 /// robustness bench report.
 fn run_chaos_bench(args: &Args) {
     let cfg = ChaosConfig {
-        sessions: args.sessions.max(16),
+        sessions: args.sessions,
         seed: args.seed,
         threads: args.threads,
         queue_depth: args.queue_depth.unwrap_or(8),
@@ -1182,14 +1202,17 @@ fn run_and_report<U: UseCase>(cfg: &FleetConfig, args: &Args) {
     let p = &report.pool;
     eprintln!(
         "fleet: worker memo: {} verdict hits, {} misses, {} confirmation mismatches; \
-         reference texts {} rendered, {} reused; pinned networks {} drawn, {} reused",
+         reference texts {} rendered, {} reused; pinned networks {} drawn, {} reused; \
+         pinned scenarios {} built; topology fingerprints {}",
         p.memo_hits,
         p.memo_misses,
         p.confirm_mismatches,
         p.texts_rendered,
         p.texts_reused,
         p.networks_drawn,
-        p.networks_reused
+        p.networks_reused,
+        p.scenarios_built,
+        p.topology_fps
     );
     if report.results.len() < cfg.sessions {
         eprintln!(

@@ -115,10 +115,18 @@ pub(crate) fn poison_and_panic(ctx: &mut VerifierContext) -> ! {
     panic!("chaos: injected worker panic");
 }
 
+/// The fewest jobs a gauntlet submits: the script carves an oversized
+/// batch (a quarter of the jobs) and an expired one (an eighth) out of
+/// the count and spreads the rest over six ordinary batches.
+/// [`chaos_script`] and [`run_chaos`] raise a smaller count to this;
+/// `fleet --chaos` rejects one.
+pub const CHAOS_MIN_SESSIONS: usize = 16;
+
 /// Chaos-run shape: how many sessions, under which seeds and limits.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
-    /// Total jobs submitted across the scripted batches (min 16).
+    /// Total jobs submitted across the scripted batches (at least
+    /// [`CHAOS_MIN_SESSIONS`]).
     pub sessions: usize,
     /// Scenario/plan seed.
     pub seed: u64,
@@ -238,9 +246,9 @@ impl ChaosReport {
 /// oversized batch, and one already-expired batch. Ends with a line
 /// truncated mid-object and **no trailing newline** — the EOF
 /// hardening case. Submits exactly `sessions` jobs across the
-/// well-formed batches.
+/// well-formed batches, or [`CHAOS_MIN_SESSIONS`] if that is more.
 pub fn chaos_script(sessions: usize, seed: u64) -> String {
-    let sessions = sessions.max(16);
+    let sessions = sessions.max(CHAOS_MIN_SESSIONS);
     // One oversized batch (to overflow the queue), one expired batch
     // (shed at admission), the rest spread over six ordinary batches.
     let oversized = sessions / 4;
@@ -291,7 +299,7 @@ pub fn chaos_script(sessions: usize, seed: u64) -> String {
 /// folds the drain summary into a [`ChaosReport`].
 pub fn run_chaos(cfg: &ChaosConfig) -> std::io::Result<ChaosReport> {
     let cfg = ChaosConfig {
-        sessions: cfg.sessions.max(16),
+        sessions: cfg.sessions.max(CHAOS_MIN_SESSIONS),
         ..*cfg
     };
     let script = chaos_script(cfg.sessions, cfg.seed);

@@ -15,13 +15,15 @@
 //!   (`BENCH_scenarios.json`).
 //! * [`cases::Repair`]: each session's job comes from the worker's
 //!   context ([`VerifierContext::prepare_repair`]): a pinned large
-//!   family's network is drawn once per worker, each known-good text is
-//!   rendered and scanned once per distinct prompt, and `fault-inject`
-//!   breaks exactly one router in a snapshot that shares every other
-//!   text with the worker's reference. `cosynth::RepairSession::run_job`
-//!   then localizes via the verifier channels, prompts and re-verifies,
-//!   aggregating repair rate, localization precision, and rounds-to-fix
-//!   per fault class × topology family (`BENCH_repair.json`).
+//!   family's network is drawn once per worker and each of its intents
+//!   applied once (every job shares that scenario's topology), each
+//!   known-good text is rendered and scanned once per distinct prompt,
+//!   and `fault-inject` breaks exactly one router in a snapshot that
+//!   shares every other text with the worker's reference.
+//!   `cosynth::RepairSession::run_job` then localizes via the verifier
+//!   channels, prompts and re-verifies, aggregating repair rate,
+//!   localization precision, and rounds-to-fix per fault class ×
+//!   topology family (`BENCH_repair.json`).
 //!
 //! Workers are **resident**: each owns a [`VerifierContext`] whose
 //! manager pool recycles BDD tables across every session the worker
@@ -42,7 +44,7 @@ use cosynth::{Modularizer, VerifierContext};
 use llm_sim::{CostLedger, Tier, TransportModel};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::Scope;
 use std::time::Instant;
 use topo_model::Scenario;
@@ -58,7 +60,9 @@ pub use cases::{
     run_repair_session_tuned, run_session, run_session_in, run_session_tuned, Repair, RepairRow,
     RepairSessionResult, SessionResult, Synthesis,
 };
-pub use chaos::{run_chaos, ChaosConfig, ChaosPlan, ChaosReport, SessionDirective};
+pub use chaos::{
+    run_chaos, ChaosConfig, ChaosPlan, ChaosReport, SessionDirective, CHAOS_MIN_SESSIONS,
+};
 pub use cosynth::session::{RetryPolicy as SessionRetryPolicy, SessionBudget};
 pub use server::serve_listener;
 pub use service::{serve, RequestError, ServeOptions, ServeSummary};
@@ -215,8 +219,10 @@ pub fn scenario_for_tuned(seed: u64, index: usize, tuning: &SessionTuning) -> Sc
 
 /// [`scenario_for_tuned`] drawn through the worker's context: a pinned
 /// large family's network is drawn once per worker
-/// ([`VerifierContext::pinned_network`]) and each index applies its
-/// intent to a copy. Equal to [`scenario_for_tuned`].
+/// ([`VerifierContext::pinned_network`]), each of its intents is applied
+/// once per worker ([`VerifierContext::pinned_scenario`]), and each index
+/// gets that scenario under its own name, sharing its topology. Equal to
+/// [`scenario_for_tuned`].
 pub(crate) fn scenario_in(
     seed: u64,
     index: usize,
@@ -228,8 +234,11 @@ pub(crate) fn scenario_in(
             let network = ctx.pinned_network(family, seed, || {
                 scenario_gen::pinned_network(family, seed).expect("large families pin a network")
             });
-            let (topology, stubs) = &*network;
-            scenario_gen::pinned_scenario(family, seed, index, topology.clone(), stubs)
+            let (intent, name) = scenario_gen::pinned_intent(family, seed, index);
+            ctx.pinned_scenario(family, seed, intent.as_str(), name, || {
+                let (topology, stubs) = &*network;
+                scenario_gen::pinned_scenario(family, seed, index, Arc::clone(topology), stubs)
+            })
         }
         _ => scenario_for_tuned(seed, index, tuning),
     }
@@ -358,6 +367,12 @@ pub struct PoolCounters {
     pub networks_drawn: usize,
     /// Pinned-network lookups answered by a network already drawn.
     pub networks_reused: usize,
+    /// Pinned scenario bodies built (see
+    /// [`cosynth::MemoCounters::scenarios_built`]).
+    pub scenarios_built: usize,
+    /// Topology fingerprints computed (see
+    /// [`cosynth::MemoCounters::topology_fps`]).
+    pub topology_fps: usize,
 }
 
 impl PoolCounters {
@@ -382,6 +397,8 @@ impl PoolCounters {
         self.texts_reused += memo.texts_reused;
         self.networks_drawn += memo.networks_drawn;
         self.networks_reused += memo.networks_reused;
+        self.scenarios_built += memo.scenarios_built;
+        self.topology_fps += memo.topology_fps;
     }
 
     /// Fraction of space builds served by a recycled manager.
@@ -827,6 +844,51 @@ mod tests {
         assert!(p.texts_reused > p.texts_rendered, "{p:?}");
         assert!(p.memo_hits > 0 && p.memo_misses > 0, "{p:?}");
         assert_eq!(p.confirm_mismatches, 0, "{p:?}");
+        // At most one scenario body per intent on each worker, and one
+        // fingerprint per topology allocation on each: the pinned
+        // network and prefer-customer's extended copy.
+        assert!(p.scenarios_built <= 8, "{p:?}");
+        assert!(p.topology_fps <= 4, "{p:?}");
+    }
+
+    #[test]
+    fn pinned_scenarios_share_their_network_and_equal_the_generator() {
+        let seed = 1;
+        let mut ctx = VerifierContext::new();
+        for family in ["as-graph-64", "fat-tree-36"] {
+            let tuning = SessionTuning {
+                scenario_family: Some(family),
+                ..SessionTuning::default()
+            };
+            let mut by_intent: std::collections::BTreeMap<String, Arc<topo_model::Topology>> =
+                Default::default();
+            for index in 0..32 {
+                let s = scenario_in(seed, index, &tuning, &mut ctx);
+                assert_eq!(
+                    s,
+                    scenario_for_tuned(seed, index, &tuning),
+                    "{family} {index}"
+                );
+                let shared = by_intent
+                    .entry(s.intent.clone())
+                    .or_insert_with(|| Arc::clone(&s.topology));
+                assert!(Arc::ptr_eq(shared, &s.topology), "{}", s.name);
+            }
+            assert_eq!(by_intent.len(), 4, "{family}: {:?}", by_intent.keys());
+            // Only prefer-customer extends the network, so only its
+            // bodies hold a copy.
+            let network = ctx.pinned_network(family, seed, || unreachable!("drawn above"));
+            for (intent, topology) in &by_intent {
+                assert_eq!(
+                    Arc::ptr_eq(&network.0, topology),
+                    intent != "prefer-customer",
+                    "{family} {intent}"
+                );
+            }
+        }
+        let memo = ctx.memo_counters();
+        assert_eq!(memo.scenarios_built, 8, "{memo:?}");
+        assert_eq!(memo.topology_fps, 4, "{memo:?}");
     }
 
     #[test]

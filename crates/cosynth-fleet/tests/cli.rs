@@ -194,3 +194,51 @@ fn dump_scenario_honours_a_pinned_large_family() {
     // The default rotation is unchanged.
     assert_eq!(name(&["--dump-scenario", "0"]), "chain-no-transit-s1-i0");
 }
+
+#[test]
+fn dump_scenario_exits_quietly_when_the_reader_hangs_up() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+    // The as-graph-512 dump is about 500 KB, far more than a pipe
+    // buffer holds, so fleet is still writing when the reader leaves.
+    let mut child = fleet()
+        .args(["--families", "as-graph-512", "--dump-scenario", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fleet");
+    let mut head = [0u8; 200];
+    child
+        .stdout
+        .take()
+        .expect("stdout is piped")
+        .read_exact(&mut head)
+        .expect("read the dump's head");
+    let out = child.wait_with_output().expect("wait for fleet");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn chaos_below_its_minimum_is_a_usage_error() {
+    let out = fleet()
+        .args([
+            "--chaos",
+            "--sessions",
+            "8",
+            "--seed",
+            "1",
+            "--out",
+            "/dev/null",
+        ])
+        .output()
+        .expect("spawn fleet");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("--sessions 8"), "{err}");
+    assert!(
+        err.contains(&cosynth_fleet::CHAOS_MIN_SESSIONS.to_string()),
+        "must name the minimum: {err}"
+    );
+}

@@ -49,8 +49,9 @@
 //!   bases, the snapshot name layout, the dependency tracker, and
 //!   (built on first request) the [`ReferenceSnapshot`] — is a pure
 //!   function of `(topology, policies)` and is shared through an `Arc`
-//!   in the worker memo; a later session pays one streamed hash of the
-//!   topology instead of re-deriving ~n prompts and keys, and a later
+//!   in the worker memo; a later session pays at most one streamed hash
+//!   of the topology (none on a pinned scenario's, below) instead of
+//!   re-deriving ~n prompts and keys, and a later
 //!   repair job ([`VerifierContext::prepare_repair`]) draws its fault
 //!   from the stored known-good texts instead of re-rendering and
 //!   re-parsing the network. The reference holds no `Arc` back to its
@@ -64,6 +65,16 @@
 //!   second fingerprint) that each hit compares. The memo also keeps
 //!   each rendered known-good text by its exact prompt and each drawn
 //!   pinned network by `(family, seed)`.
+//! * A pinned network's intents are applied once per worker: the memo
+//!   keeps one scenario body per `(family, seed, intent)` with its
+//!   topology's fingerprint ([`VerifierContext::pinned_scenario`]). A
+//!   job gets a clone of the body under its own name, sharing the
+//!   body's `Arc<Topology>` (the network's own allocation under every
+//!   intent but prefer-customer, which extends a copy), so a warm job
+//!   copies, hashes and frees no router. A statics lookup finds the
+//!   body that holds the job's topology by `Arc::ptr_eq` and reads its
+//!   fingerprint: sound, because the body keeps the allocation alive
+//!   and an `Arc` held twice cannot be mutated in place.
 //!
 //! ## Synthesis
 //!
@@ -509,16 +520,18 @@ impl SessionStatics {
 /// The worker's statics bundle for `scenario`'s `(topology, policies)`
 /// pair and that pair's fingerprint, built and memoized on first sight.
 /// The topology fingerprint is the only O(network) hashing cost of a
-/// lookup; field-walk hashing via the derived `Hash` impls is an order
-/// of magnitude cheaper than rendering `Debug` text at 512 routers.
+/// lookup, and a topology the memo holds in a pinned scenario is
+/// fingerprinted once per worker, not once per lookup; field-walk
+/// hashing via the derived `Hash` impls is an order of magnitude
+/// cheaper than rendering `Debug` text at 512 routers.
 fn statics_for(
     scenario: &Scenario,
     ctx: &mut VerifierContext,
 ) -> ((u64, u64), Arc<SessionStatics>) {
     let mut p = FxHasher::default();
     scenario.policies.hash(&mut p);
-    let key = (topology_fp(&scenario.topology), p.finish());
     let memo = &mut ctx.memo;
+    let key = (memo.fingerprint(&scenario.topology), p.finish());
     let statics = match memo.statics.get(&key) {
         Some(s) => {
             memo.statics_hits += 1;
@@ -618,8 +631,8 @@ impl VerifierContext {
         &mut self,
         family: &str,
         seed: u64,
-        draw: impl FnOnce() -> (Topology, StubSet),
-    ) -> Arc<(Topology, StubSet)> {
+        draw: impl FnOnce() -> (Arc<Topology>, StubSet),
+    ) -> Arc<(Arc<Topology>, StubSet)> {
         let memo = &mut self.memo;
         if let Some((_, network)) = memo
             .networks
@@ -638,6 +651,51 @@ impl VerifierContext {
             .push(((family.to_string(), seed), Arc::clone(&network)));
         network
     }
+
+    /// Scenario `name` of pinned large family `family` at `seed`, whose
+    /// per-index draw was `intent` (`scenario_gen::pinned_intent`). Every
+    /// index of one `(family, seed, intent)` runs the same scenario but
+    /// for its name, so `build` runs the first time this context sees
+    /// the triple, and every call returns a clone of that body under
+    /// `name`: it shares the body's topology allocation, so no router is
+    /// copied, and a statics lookup reads the fingerprint the body
+    /// carries instead of hashing the network again. `build` must
+    /// return the triple's scenario (`scenario_gen::pinned_scenario` on
+    /// the context's [`Self::pinned_network`]).
+    pub fn pinned_scenario(
+        &mut self,
+        family: &str,
+        seed: u64,
+        intent: &str,
+        name: String,
+        build: impl FnOnce() -> Scenario,
+    ) -> Scenario {
+        let memo = &mut self.memo;
+        let found = memo.scenarios.iter().position(|b| {
+            b.seed == seed && b.scenario.intent == intent && b.scenario.family == family
+        });
+        let i = match found {
+            Some(i) => i,
+            None => {
+                memo.scenarios_built += 1;
+                let scenario = build();
+                debug_assert!(scenario.family == family && scenario.intent == intent);
+                let topology_fp = memo.fingerprint(&scenario.topology);
+                if memo.scenarios.len() >= SCENARIO_CAP {
+                    memo.scenarios.clear();
+                }
+                memo.scenarios.push(PinnedScenario {
+                    seed,
+                    scenario,
+                    topology_fp,
+                });
+                memo.scenarios.len() - 1
+            }
+        };
+        let mut scenario = memo.scenarios[i].scenario.clone();
+        scenario.name = name;
+        scenario
+    }
 }
 
 /// Entries per cross-session verdict map before the map is cleared
@@ -655,8 +713,24 @@ const STATICS_CAP: usize = 64;
 /// seed the worker has run.
 const NETWORK_CAP: usize = 8;
 
+/// Pinned scenario bodies kept per worker — one per intent of every
+/// network [`NETWORK_CAP`] keeps.
+const SCENARIO_CAP: usize = 4 * NETWORK_CAP;
+
 /// A pinned network's `(family, seed)`.
 type PinnedKey = (String, u64);
+
+/// A pinned network: its shared topology and its stub set.
+type PinnedNetwork = (Arc<Topology>, StubSet);
+
+/// The scenario every index of one pinned `(family, seed, intent)`
+/// runs, but for its name, keyed by `seed` and the scenario's own
+/// family and intent, with its topology's fingerprint.
+struct PinnedScenario {
+    seed: u64,
+    scenario: Scenario,
+    topology_fp: u64,
+}
 
 /// The confirmation stored beside every verdict-memo entry: a text's
 /// length and second fingerprint ([`TextPrint::confirmation`]) for a
@@ -717,7 +791,9 @@ pub(crate) struct VerdictMemo {
     /// Known-good texts by their exact prompt (the render's only input).
     rendered: HashMap<String, Rendered>,
     /// Pinned networks by `(family, seed)`.
-    networks: Vec<(PinnedKey, Arc<(Topology, StubSet)>)>,
+    networks: Vec<(PinnedKey, Arc<PinnedNetwork>)>,
+    /// Pinned scenario bodies by `(family, seed, intent)`.
+    scenarios: Vec<PinnedScenario>,
     /// Verdicts answered from the memo.
     pub(crate) hits: usize,
     /// Verdicts computed (and inserted).
@@ -736,6 +812,10 @@ pub(crate) struct VerdictMemo {
     pub(crate) networks_drawn: usize,
     /// Pinned-network lookups answered by a drawn network.
     pub(crate) networks_reused: usize,
+    /// Pinned scenario bodies built.
+    pub(crate) scenarios_built: usize,
+    /// Topology fingerprints computed.
+    pub(crate) topology_fps: usize,
 }
 
 impl VerdictMemo {
@@ -783,6 +863,24 @@ impl VerdictMemo {
             self.rendered.clear();
         }
         self.rendered.insert(prompt, rendered);
+    }
+
+    /// The fingerprint of `topology`: the one a pinned scenario body
+    /// carries when the body holds this very allocation, else computed
+    /// (and counted). Matching by pointer is sound because the body
+    /// keeps the allocation alive, and an `Arc` held twice cannot be
+    /// mutated in place: a caller that changes its copy gets a new
+    /// allocation, which is fingerprinted afresh.
+    fn fingerprint(&mut self, topology: &Arc<Topology>) -> u64 {
+        if let Some(b) = self
+            .scenarios
+            .iter()
+            .find(|b| Arc::ptr_eq(&b.scenario.topology, topology))
+        {
+            return b.topology_fp;
+        }
+        self.topology_fps += 1;
+        topology_fp(topology)
     }
 
     /// The parsed device memoized for the text printed `print` of the

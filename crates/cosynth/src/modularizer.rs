@@ -167,7 +167,7 @@ impl Modularizer {
             name: format!("star-{}", roles.edges.len()),
             family: "star".into(),
             intent: "no-transit".into(),
-            topology: topology.clone(),
+            topology: std::sync::Arc::new(topology.clone()),
             policies: vec![(roles.hub.clone(), policy)],
             expectations,
         }

@@ -161,6 +161,13 @@ pub struct MemoCounters {
     pub networks_drawn: usize,
     /// Pinned-network lookups answered by a network already drawn.
     pub networks_reused: usize,
+    /// Pinned scenario bodies built, one per `(family, seed, intent)`
+    /// the worker has run while the memo keeps it.
+    pub scenarios_built: usize,
+    /// Topology fingerprints computed for statics lookups and pinned
+    /// scenario bodies; a topology a pinned body holds is fingerprinted
+    /// once.
+    pub topology_fps: usize,
 }
 
 /// Worker-resident verifier state: the manager pool plus the
@@ -334,6 +341,8 @@ impl VerifierContext {
             texts_reused: self.memo.texts_reused,
             networks_drawn: self.memo.networks_drawn,
             networks_reused: self.memo.networks_reused,
+            scenarios_built: self.memo.scenarios_built,
+            topology_fps: self.memo.topology_fps,
         }
     }
 

@@ -228,10 +228,19 @@ impl CostLedger {
     }
 
     /// The charges accumulated since `baseline` was snapshotted from the
-    /// same backend (per-record subtraction). Lets a caller that reuses
-    /// one backend across sessions extract each session's own cost.
+    /// same backend: each record minus the baseline's, and the running
+    /// total minus the baseline's running total (both saturating). Lets
+    /// a caller that reuses one backend across sessions extract each
+    /// session's own cost. The total is not rebuilt from the records, so
+    /// a ledger whose running total drifted from its records yields a
+    /// delta that fails [`CostLedger::conserved`] too.
     pub fn since(&self, baseline: &CostLedger) -> CostLedger {
-        let mut out = CostLedger::new();
+        let mut out = CostLedger {
+            records: Vec::new(),
+            total_milli_cost: self
+                .total_milli_cost
+                .saturating_sub(baseline.total_milli_cost),
+        };
         for r in &self.records {
             let base = baseline.records.iter().find(|b| b.backend == r.backend);
             let calls = r.calls.saturating_sub(base.map_or(0, |b| b.calls));
@@ -246,7 +255,6 @@ impl CostLedger {
                     .latency_ms
                     .saturating_sub(base.map_or(0, |b| b.latency_ms)),
             });
-            out.total_milli_cost += calls * r.unit_milli_cost;
         }
         out
     }
@@ -317,6 +325,21 @@ mod tests {
         let mut rebuilt = snapshot.clone();
         rebuilt.absorb(&delta);
         assert_eq!(rebuilt, base);
+    }
+
+    #[test]
+    fn since_keeps_a_drifting_total_visible() {
+        let mut ledger = CostLedger::new();
+        ledger.charge("sim-std", 5, 450);
+        let baseline = ledger.clone();
+        ledger.charge("sim-std", 5, 450);
+        // A charge that bills 1 m$ more than its record says.
+        ledger.total_milli_cost += 1;
+        assert!(!ledger.conserved());
+        let delta = ledger.since(&baseline);
+        assert_eq!(delta.total_milli_cost(), 6);
+        assert_eq!(delta.calls_for("sim-std"), 1);
+        assert!(!delta.conserved(), "{delta:?}");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::families::StubSet;
 use net_model::Community;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use topo_model::{Expectation, RouterPolicy, Scenario, Topology};
 
 /// The intent families the generator can attach to a topology.
@@ -82,10 +83,12 @@ fn adjacencies(t: &Topology, stub: &str) -> Vec<(String, Ipv4Addr)> {
 
 /// Applies an intent to a generated topology, producing the scenario.
 /// `name` becomes the scenario's unique name; `family` its topology
-/// family label.
+/// family label. The scenario keeps `topology`'s allocation, except
+/// under prefer-customer, which extends the network and so works on a
+/// copy when the `Arc` is shared.
 pub fn apply(
     intent: Intent,
-    topology: Topology,
+    topology: Arc<Topology>,
     stubs: &StubSet,
     family: &str,
     name: String,
@@ -124,7 +127,7 @@ fn tag_peers(t: &Topology, stubs: &StubSet, by_router: &mut BTreeMap<String, Rou
     }
 }
 
-fn no_transit(t: Topology, stubs: &StubSet, family: &str, name: String) -> Scenario {
+fn no_transit(t: Arc<Topology>, stubs: &StubSet, family: &str, name: String) -> Scenario {
     let mut by_router: BTreeMap<String, RouterPolicy> = BTreeMap::new();
     tag_peers(&t, stubs, &mut by_router);
     // Egress toward each peer: deny every *other* peer's tag.
@@ -175,7 +178,7 @@ fn no_transit(t: Topology, stubs: &StubSet, family: &str, name: String) -> Scena
     }
 }
 
-fn community_tagging(t: Topology, stubs: &StubSet, family: &str, name: String) -> Scenario {
+fn community_tagging(t: Arc<Topology>, stubs: &StubSet, family: &str, name: String) -> Scenario {
     let mut by_router: BTreeMap<String, RouterPolicy> = BTreeMap::new();
     tag_peers(&t, stubs, &mut by_router);
     // No filters: every stub reaches every other stub's prefix.
@@ -201,7 +204,7 @@ fn community_tagging(t: Topology, stubs: &StubSet, family: &str, name: String) -
     }
 }
 
-fn prefix_block(t: Topology, stubs: &StubSet, family: &str, name: String) -> Scenario {
+fn prefix_block(t: Arc<Topology>, stubs: &StubSet, family: &str, name: String) -> Scenario {
     let blocked_idx = stubs.peers.len() - 1;
     let (blocked, blocked_prefix) = stubs.peers[blocked_idx].clone();
     let c_b = peer_community(blocked_idx);
@@ -254,7 +257,9 @@ fn prefix_block(t: Topology, stubs: &StubSet, family: &str, name: String) -> Sce
     }
 }
 
-fn prefer_customer(mut t: Topology, stubs: &StubSet, family: &str, name: String) -> Scenario {
+fn prefer_customer(t: Arc<Topology>, stubs: &StubSet, family: &str, name: String) -> Scenario {
+    // The only intent that extends the network: copy a shared one, once.
+    let mut t = Arc::unwrap_or_clone(t);
     let cust_adj = adjacencies(&t, &stubs.customer);
     // Provider: the first peer with an entry router that is (or links to)
     // a customer entry router — guaranteeing the customer-origin route is
@@ -326,7 +331,7 @@ fn prefer_customer(mut t: Topology, stubs: &StubSet, family: &str, name: String)
         family: family.into(),
         intent: Intent::PreferCustomer.as_str().into(),
         policies: collect(&t, by_router),
-        topology: t,
+        topology: Arc::new(t),
         expectations,
     }
 }

@@ -26,6 +26,7 @@ pub mod intents;
 pub use families::StubSet;
 pub use intents::Intent;
 use llm_sim::rng::SimRng;
+use std::sync::Arc;
 use topo_model::{Scenario, Topology};
 
 /// The generator's topology families, in rotation order.
@@ -85,15 +86,30 @@ fn build_family(rng: &mut SimRng, family: &str) -> (Topology, StubSet) {
     }
 }
 
+/// The intent a scenario's stream draws first, before any size.
+fn draw_intent(rng: &mut SimRng) -> Intent {
+    Intent::ALL[rng.index(Intent::ALL.len())]
+}
+
+/// The unique name of scenario `index` of stream `seed`.
+fn scenario_name(family: &str, intent: Intent, seed: u64, index: usize) -> String {
+    format!("{family}-{}-s{seed}-i{index}", intent.as_str())
+}
+
 /// Generates scenario `index` of the stream `seed`. Deterministic: see
 /// the crate-level determinism contract.
 pub fn generate(seed: u64, index: usize) -> Scenario {
+    rotation_scenario(FAMILIES[index % FAMILIES.len()], seed, index)
+}
+
+/// Scenario `index` of the stream `seed` on rotation family `family`:
+/// the intent, then the family's size, drawn from one stream.
+fn rotation_scenario(family: &str, seed: u64, index: usize) -> Scenario {
     let mut rng = stream(seed, index);
-    let family = FAMILIES[index % FAMILIES.len()];
-    let intent = Intent::ALL[rng.index(Intent::ALL.len())];
+    let intent = draw_intent(&mut rng);
     let (topology, stubs) = build_family(&mut rng, family);
-    let name = format!("{family}-{}-s{seed}-i{index}", intent.as_str());
-    intents::apply(intent, topology, &stubs, family, name)
+    let name = scenario_name(family, intent, seed, index);
+    intents::apply(intent, Arc::new(topology), &stubs, family, name)
 }
 
 /// The AS-graph attachment stream: keyed on `(seed, size)` only — NOT
@@ -114,9 +130,10 @@ fn topology_stream(seed: u64, size: usize) -> SimRng {
 /// fat trees structurally, the AS graphs via `topology_stream`. `None`
 /// for the rotation families, whose size (and so topology) is drawn per
 /// index. A caller that runs many indices of one large family draws this
-/// once and hands a copy to [`pinned_scenario`] per index.
-pub fn pinned_network(family: &str, seed: u64) -> Option<(Topology, StubSet)> {
-    Some(match family {
+/// once and shares the topology's `Arc` with [`pinned_scenario`] per
+/// index.
+pub fn pinned_network(family: &str, seed: u64) -> Option<(Arc<Topology>, StubSet)> {
+    let (topology, stubs) = match family {
         "fat-tree-36" => families::fat_tree_multi(4),
         "fat-tree-72" => families::fat_tree_multi(8),
         "fat-tree-144" => families::fat_tree_multi(16),
@@ -125,23 +142,34 @@ pub fn pinned_network(family: &str, seed: u64) -> Option<(Topology, StubSet)> {
         "as-graph-256" => families::as_graph(256, &mut topology_stream(seed, 256)),
         "as-graph-512" => families::as_graph(512, &mut topology_stream(seed, 512)),
         _ => return None,
-    })
+    };
+    Some((Arc::new(topology), stubs))
+}
+
+/// The intent and the name of scenario `index` of large family `family`
+/// at `seed`: the only draw a pinned family makes per index. Every
+/// index that draws the same intent gets the same scenario but for its
+/// name, so a caller that keeps one scenario per `(family, seed,
+/// intent)` serves an index by renaming that scenario.
+pub fn pinned_intent(family: &str, seed: u64, index: usize) -> (Intent, String) {
+    let intent = draw_intent(&mut stream(seed, index));
+    (intent, scenario_name(family, intent, seed, index))
 }
 
 /// Scenario `index` of a large family at `seed`, on `topology` and
-/// `stubs` — the family's [`pinned_network`] at that seed. Only the
-/// intent is drawn per index. The topology is taken by value because an
-/// intent may extend it (prefer-customer announces the contested prefix
-/// from two stubs), so each index works on its own copy.
+/// `stubs` — the family's [`pinned_network`] at that seed — with the
+/// intent [`pinned_intent`] draws. No-transit, community-tagging and
+/// prefix-block keep `topology`'s allocation; prefer-customer announces
+/// the contested prefix from two stubs, so it extends a copy of a
+/// shared topology.
 pub fn pinned_scenario(
     family: &str,
     seed: u64,
     index: usize,
-    topology: Topology,
+    topology: Arc<Topology>,
     stubs: &StubSet,
 ) -> Scenario {
-    let intent = Intent::ALL[stream(seed, index).index(Intent::ALL.len())];
-    let name = format!("{family}-{}-s{seed}-i{index}", intent.as_str());
+    let (intent, name) = pinned_intent(family, seed, index);
     intents::apply(intent, topology, stubs, family, name)
 }
 
@@ -154,14 +182,10 @@ pub fn pinned_scenario(
 /// [`generate`]. Panics on unknown names — CLIs validate against
 /// [`FAMILIES`] + [`LARGE_FAMILIES`] first.
 pub fn generate_family(family: &str, seed: u64, index: usize) -> Scenario {
-    if let Some((topology, stubs)) = pinned_network(family, seed) {
-        return pinned_scenario(family, seed, index, topology, &stubs);
+    match pinned_network(family, seed) {
+        Some((topology, stubs)) => pinned_scenario(family, seed, index, topology, &stubs),
+        None => rotation_scenario(family, seed, index),
     }
-    let mut rng = stream(seed, index);
-    let intent = Intent::ALL[rng.index(Intent::ALL.len())];
-    let (topology, stubs) = build_family(&mut rng, family);
-    let name = format!("{family}-{}-s{seed}-i{index}", intent.as_str());
-    intents::apply(intent, topology, &stubs, family, name)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use crate::topology::Topology;
 use net_model::{Asn, Community, Prefix};
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// The local policy assigned to one router, in the formulaic vocabulary
 /// the prompt contract supports: ingress community tagging, ingress
@@ -99,8 +100,10 @@ pub struct Scenario {
     pub family: String,
     /// Intent family (`no-transit`, `prefer-customer`, …).
     pub intent: String,
-    /// The network.
-    pub topology: Topology,
+    /// The network, shared: every scenario of a pinned large family
+    /// whose intent leaves the network as drawn holds the same
+    /// allocation, so a clone of the scenario copies no router.
+    pub topology: Arc<Topology>,
     /// Per-router policies, `(router name, policy)`; routers absent from
     /// the list get an empty policy (plain eBGP forwarding).
     pub policies: Vec<(String, RouterPolicy)>,
@@ -207,7 +210,7 @@ mod tests {
             name: "star-demo".into(),
             family: "star".into(),
             intent: "no-transit".into(),
-            topology,
+            topology: Arc::new(topology),
             policies: vec![(
                 roles.hub.clone(),
                 RouterPolicy {
