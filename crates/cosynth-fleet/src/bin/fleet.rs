@@ -134,13 +134,17 @@ FLAGS:
                         confirmation mismatches, and per-stage latency
                         histograms. A {\"metrics\":true} request line
                         gets a mid-run snapshot whether or not this
-                        flag is set.
+                        flag is set; it carries the same fields but
+                        the pool reuse and space-cache hit rates,
+                        which the workers report only at drain (the
+                        verdict memo is the whole pool's, so its hit
+                        rate and mismatches are live).
     --profile           Stage-cost profile: run the synthesis AND repair
                         fleets at --sessions/--seed, fold every
                         session's trace into per-family stage
                         histograms, and write BENCH_telemetry.json
                         (default --out) instead of the usual reports.
-    --no-incremental    Full re-verification, bypassing the worker's
+    --no-incremental    Full re-verification, bypassing the pool's
                         verdict memo: a repair session re-checks every
                         device and re-runs the whole-network sim after
                         each edit, instead of only the edited device's
@@ -148,7 +152,7 @@ FLAGS:
                         neighbors) with the sim deferred to the rounds
                         that read it; a synthesis session recomputes
                         every draft's verdict and its final sim instead
-                        of reusing the ones the worker has computed.
+                        of reusing the ones the pool has computed.
                         Per-seed session content is byte-identical
                         either way — this is the A/B lever --bench-scale
                         measures.
@@ -1058,11 +1062,11 @@ fn run_bench_scale(args: &Args) {
     // per-edit cost grows sub-linearly in router count across the
     // sweep. Per-edit cost is estimated by the p10 session wall — the
     // steady-state cost of one repair edit on a warm resident worker.
-    // The median folds in each worker's one-time per-family warm-up
-    // (statics build, first-seen space builds, the first simulation of
-    // each intent's snapshot), which amortizes with fleet lifetime and
-    // is visible separately in the percentile block; both ratios are
-    // recorded in the contract for transparency.
+    // The median folds in the pool's one-time per-family warm-up
+    // (statics build, the first simulation of each intent's snapshot)
+    // and each worker's first-seen space builds, which amortize with
+    // fleet lifetime and are visible separately in the percentile
+    // block; both ratios are recorded in the contract for transparency.
     let (largest, largest_routers, largest_legs, _) = families.last().expect("non-empty sweep");
     let largest_speedup =
         largest_legs[0].wall.median / largest_legs[1].wall.median.max(f64::MIN_POSITIVE);
@@ -1201,7 +1205,7 @@ fn run_and_report<U: UseCase>(cfg: &FleetConfig, args: &Args) {
     println!("{}", U::summary_line(&report));
     let p = &report.pool;
     eprintln!(
-        "fleet: worker memo: {} verdict hits, {} misses, {} confirmation mismatches; \
+        "fleet: pool memo: {} verdict hits, {} misses, {} confirmation mismatches; \
          reference texts {} rendered, {} reused; pinned networks {} drawn, {} reused; \
          pinned scenarios {} built; topology fingerprints {}",
         p.memo_hits,

@@ -334,9 +334,9 @@ impl UseCase for Synthesis {
 /// Renders the known-good config for every internal router of a
 /// scenario (the snapshot `fault-inject` breaks and the fixed point a
 /// repair session should restore), from scratch on every call. Repair
-/// jobs take the same texts from the worker's reference snapshot
+/// jobs take the same texts from the pool's reference snapshot
 /// ([`VerifierContext::prepare_repair`]), which renders each distinct
-/// router prompt once per worker.
+/// router prompt once per worker pool.
 pub fn clean_configs_for(scenario: &Scenario) -> BTreeMap<String, String> {
     cosynth::reference_configs(&Modularizer::assign_scenario(scenario))
 }
@@ -406,9 +406,9 @@ impl RepairSessionResult {
 /// paper-calibrated simulated model with the repair error-model
 /// pathologies. The job comes from the context
 /// ([`VerifierContext::prepare_repair`]): a pinned family's network is
-/// drawn once per worker, each known-good text is rendered once per
-/// distinct prompt, and the broken snapshot shares every unbroken text
-/// with the worker's reference.
+/// drawn once per worker pool, each known-good text is rendered once
+/// per distinct prompt, and the broken snapshot shares every unbroken
+/// text with the pool's reference.
 pub fn run_repair_session_tuned(
     seed: u64,
     index: usize,

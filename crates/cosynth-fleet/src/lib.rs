@@ -15,11 +15,11 @@
 //!   (`BENCH_scenarios.json`).
 //! * [`cases::Repair`]: each session's job comes from the worker's
 //!   context ([`VerifierContext::prepare_repair`]): a pinned large
-//!   family's network is drawn once per worker and each of its intents
+//!   family's network is drawn once per pool and each of its intents
 //!   applied once (every job shares that scenario's topology), each
 //!   known-good text is rendered and scanned once per distinct prompt,
 //!   and `fault-inject` breaks exactly one router in a snapshot that
-//!   shares every other text with the worker's reference.
+//!   shares every other text with the pool's reference.
 //!   `cosynth::RepairSession::run_job` then localizes via the verifier
 //!   channels, prompts and re-verifies, aggregating repair rate,
 //!   localization precision, and rounds-to-fix per fault class ×
@@ -27,10 +27,12 @@
 //!
 //! Workers are **resident**: each owns a [`VerifierContext`] whose
 //! manager pool recycles BDD tables across every session the worker
-//! runs (see `cosynth::verifier_ctx`). A batch run pushes its whole job
-//! list onto the queue and closes it; the daemons keep the pool alive
-//! between batches for the `fleet --serve` mode ([`service`],
-//! [`server`]).
+//! runs (see `cosynth::verifier_ctx`), and every worker's context holds
+//! the pool's one [`VerdictMemo`], so the pool derives each pinned
+//! network, reference text and verdict once, whichever worker asks
+//! first. A batch run pushes its whole job list onto the queue and
+//! closes it; the daemons keep the pool alive between batches for the
+//! `fleet --serve` mode ([`service`], [`server`]).
 //!
 //! Determinism: session `i` of seed `s` always runs the same scenario
 //! (and, for repair, the same injected fault) against the same
@@ -40,7 +42,7 @@
 //! sessions, each on its own unpooled context, field by field.
 
 use cosynth::session::RetryPolicy;
-use cosynth::{Modularizer, VerifierContext};
+use cosynth::{MemoCounters, Modularizer, VerdictMemo, VerifierContext};
 use llm_sim::{CostLedger, Tier, TransportModel};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -218,9 +220,9 @@ pub fn scenario_for_tuned(seed: u64, index: usize, tuning: &SessionTuning) -> Sc
 }
 
 /// [`scenario_for_tuned`] drawn through the worker's context: a pinned
-/// large family's network is drawn once per worker
+/// large family's network is drawn once per pool
 /// ([`VerifierContext::pinned_network`]), each of its intents is applied
-/// once per worker ([`VerifierContext::pinned_scenario`]), and each index
+/// once per pool ([`VerifierContext::pinned_scenario`]), and each index
 /// gets that scenario under its own name, sharing its topology. Equal to
 /// [`scenario_for_tuned`].
 pub(crate) fn scenario_in(
@@ -322,11 +324,11 @@ pub trait UseCase: Sized + Sync {
     fn result_json(result: &Self::Result) -> String;
 }
 
-/// Reuse counters aggregated across every worker of a run: the manager
-/// pool's allocation amortization, the space cache's per-session hit
-/// profile, and the worker memo's verdict and statics counters. This is
-/// the observability payload behind the `manager_pool` bench block and
-/// the `fleetd` drain report.
+/// Reuse counters of a run's worker pool: the manager pools' allocation
+/// amortization and the space caches' per-session hit profile, summed
+/// over workers, and the pool memo's verdict and statics counters,
+/// read once for the pool. This is the observability payload behind the
+/// `manager_pool` bench block and the `fleetd` drain report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Workers that contributed.
@@ -347,9 +349,9 @@ pub struct PoolCounters {
     /// Managers dropped (never recycled) because the session that owned
     /// them panicked — see `VerifierContext::quarantine`.
     pub quarantined: usize,
-    /// Worker verdict-memo lookups answered from the memo.
+    /// Pool verdict-memo lookups answered from the memo.
     pub memo_hits: usize,
-    /// Worker verdict-memo verdicts computed.
+    /// Pool verdict-memo verdicts computed.
     pub memo_misses: usize,
     /// `(topology, policies)` statics bundles built (each renders and
     /// scans its reference snapshot at most once).
@@ -376,7 +378,9 @@ pub struct PoolCounters {
 }
 
 impl PoolCounters {
-    /// Folds one worker's finished context into the totals.
+    /// Folds one worker's finished context into the per-worker totals.
+    /// The memo's counters are the pool's, not the worker's: they are
+    /// set once, by [`Self::set_memo`].
     fn absorb(&mut self, ctx: &VerifierContext) {
         self.workers += 1;
         self.sessions += ctx.sessions;
@@ -387,18 +391,21 @@ impl PoolCounters {
         let (hits, misses) = ctx.cache_totals();
         self.cache_hits += hits;
         self.cache_misses += misses;
-        let memo = ctx.memo_counters();
-        self.memo_hits += memo.verdict_hits;
-        self.memo_misses += memo.verdict_misses;
-        self.statics_builds += memo.statics_builds;
-        self.statics_hits += memo.statics_hits;
-        self.confirm_mismatches += memo.confirm_mismatches;
-        self.texts_rendered += memo.texts_rendered;
-        self.texts_reused += memo.texts_reused;
-        self.networks_drawn += memo.networks_drawn;
-        self.networks_reused += memo.networks_reused;
-        self.scenarios_built += memo.scenarios_built;
-        self.topology_fps += memo.topology_fps;
+    }
+
+    /// Sets the pool memo's counters.
+    fn set_memo(&mut self, memo: MemoCounters) {
+        self.memo_hits = memo.verdict_hits;
+        self.memo_misses = memo.verdict_misses;
+        self.statics_builds = memo.statics_builds;
+        self.statics_hits = memo.statics_hits;
+        self.confirm_mismatches = memo.confirm_mismatches;
+        self.texts_rendered = memo.texts_rendered;
+        self.texts_reused = memo.texts_reused;
+        self.networks_drawn = memo.networks_drawn;
+        self.networks_reused = memo.networks_reused;
+        self.scenarios_built = memo.scenarios_built;
+        self.topology_fps = memo.topology_fps;
     }
 
     /// Fraction of space builds served by a recycled manager.
@@ -426,7 +433,8 @@ pub struct FleetReport<U: UseCase> {
     pub seed: u64,
     /// Total wall-clock, milliseconds.
     pub wall_ms: f64,
-    /// Manager-pool and space-cache counters, summed over workers.
+    /// Manager-pool and space-cache counters, summed over workers, and
+    /// the pool memo's counters.
     pub pool: PoolCounters,
 }
 
@@ -562,19 +570,22 @@ impl<T> ShardedQueue<T> {
 
 /// Spawns the resident worker pool on `scope`: one worker per queue
 /// shard, the one pool behind every front-end. Worker `w` owns one
-/// [`VerifierContext`] for its whole lifetime, pops shard `w` first
-/// (stealing from the others when it comes up dry), and hands each job
-/// to `run` along with its context. Once the queue is closed and
-/// drained, the worker folds its context into `counters`.
+/// [`VerifierContext`] for its whole lifetime, on the pool's `memo`
+/// (made for as many workers as `queue` has shards), pops shard `w`
+/// first (stealing from the others when it comes up dry), and hands
+/// each job to `run` along with its context. Once the queue is closed
+/// and drained, the worker folds its context into `counters`; the
+/// caller reads the memo's counters once the pool has joined.
 pub(crate) fn spawn_workers<'scope, T: Send + 'scope>(
     scope: &'scope Scope<'scope, '_>,
     queue: &'scope ShardedQueue<T>,
+    memo: &'scope Arc<VerdictMemo>,
     counters: &'scope Mutex<PoolCounters>,
     run: impl Fn(usize, T, &mut VerifierContext) + Copy + Send + 'scope,
 ) {
     for w in 0..queue.shards.len() {
         scope.spawn(move || {
-            let mut ctx = VerifierContext::new();
+            let mut ctx = VerifierContext::with_memo(Arc::clone(memo));
             while let Some(job) = queue.pop(w) {
                 run(w, job, &mut ctx);
             }
@@ -612,8 +623,8 @@ pub(crate) fn run_contained<R>(
 /// `on_panic` as the sentinel). Shared locks are taken through
 /// [`lock_clean`], so even a panic that escapes the containment (e.g.
 /// inside a result's `Clone`) cannot cascade into aborting every other
-/// worker. Results come back sorted by index, along with the workers'
-/// pooled reuse counters.
+/// worker. Results come back sorted by index, along with the pool's
+/// counters.
 fn run_pool<R: Send>(
     threads: usize,
     jobs: &[usize],
@@ -625,20 +636,20 @@ fn run_pool<R: Send>(
         queue.push(index);
     }
     queue.close();
+    let memo = VerdictMemo::for_pool(threads);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let counters: Mutex<PoolCounters> = Mutex::new(PoolCounters::default());
     std::thread::scope(|scope| {
-        spawn_workers(scope, &queue, &counters, |_, index, ctx| {
+        spawn_workers(scope, &queue, &memo, &counters, |_, index, ctx| {
             let result = run_contained(ctx, |ctx| run(index, ctx), || on_panic(index));
             lock_clean(&results).push((index, result));
         });
     });
     let mut results = results.into_inner().unwrap_or_else(|e| e.into_inner());
     results.sort_by_key(|r| r.0);
-    (
-        results,
-        counters.into_inner().unwrap_or_else(|e| e.into_inner()),
-    )
+    let mut counters = counters.into_inner().unwrap_or_else(|e| e.into_inner());
+    counters.set_memo(memo.counters());
+    (results, counters)
 }
 
 /// Runs a fleet of `U` sessions — the one pipeline behind both use
@@ -849,6 +860,43 @@ mod tests {
         // network and prefer-customer's extended copy.
         assert!(p.scenarios_built <= 8, "{p:?}");
         assert!(p.topology_fps <= 4, "{p:?}");
+    }
+
+    #[test]
+    fn pinned_repair_fleet_builds_each_network_once_per_pool() {
+        let tuning = SessionTuning {
+            scenario_family: Some("as-graph-64"),
+            ..SessionTuning::default()
+        };
+        let report = run_case::<Repair>(&FleetConfig {
+            sessions: 16,
+            seed: 1,
+            threads: 2,
+            families: None,
+            tuning,
+        });
+        assert_eq!(report.results.len(), 16);
+        let p = report.pool;
+        // Both workers share one memo: one network draw, one body per
+        // intent, one fingerprint for the network and one for
+        // prefer-customer's copy, one statics bundle per intent.
+        assert_eq!(p.networks_drawn, 1, "{p:?}");
+        assert_eq!(p.networks_drawn + p.networks_reused, 16, "{p:?}");
+        assert!(p.scenarios_built <= 4, "{p:?}");
+        assert!(p.topology_fps <= 2, "{p:?}");
+        assert!(p.statics_builds <= 4, "{p:?}");
+        assert_eq!(p.confirm_mismatches, 0, "{p:?}");
+        // Each distinct prompt is rendered once by the pool: exactly as
+        // many texts as one context renders over the same jobs.
+        let mut ctx = VerifierContext::new();
+        for index in 0..16 {
+            cases::run_repair_session_tuned(1, index, &mut ctx, &tuning);
+        }
+        assert_eq!(
+            p.texts_rendered,
+            ctx.memo_counters().texts_rendered,
+            "{p:?}"
+        );
     }
 
     #[test]

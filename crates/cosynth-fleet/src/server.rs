@@ -88,12 +88,12 @@ use crate::service::{
     Request, ServeOptions, ServeSummary, ANONYMOUS_CLIENT,
 };
 use crate::{job_indices, lock_clean, spawn_workers, PoolCounters, ShardedQueue};
-use cosynth::VerifierContext;
+use cosynth::{VerdictMemo, VerifierContext};
 use std::collections::HashMap;
 use std::io::{self, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 use telemetry::Registry;
@@ -151,6 +151,9 @@ pub(crate) struct Core<'o> {
     /// The global drain ledger, folded by the readers (admission) and
     /// the workers (completions).
     ledger: Mutex<ServeSummary>,
+    /// The worker pool's verdict memo; a mid-run metrics snapshot reads
+    /// its counters.
+    pub(crate) memo: Arc<VerdictMemo>,
     counters: Mutex<PoolCounters>,
     /// Set by a `{"shutdown":true}` line: stop accepting connections
     /// and new requests, drain what's in flight.
@@ -172,6 +175,7 @@ impl<'o> Core<'o> {
             opts,
             queue_depth: opts.queue_depth.max(1),
             queue: ShardedQueue::new(threads),
+            memo: VerdictMemo::for_pool(threads),
             reg,
             ids,
             accounting: Mutex::new(Accounting::default()),
@@ -194,9 +198,13 @@ impl<'o> Core<'o> {
         front_end: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> io::Result<()>,
     ) -> io::Result<ServeSummary> {
         std::thread::scope(|scope| {
-            spawn_workers(scope, &self.queue, &self.counters, move |w, sj, ctx| {
-                self.work(w, sj, ctx)
-            });
+            spawn_workers(
+                scope,
+                &self.queue,
+                &self.memo,
+                &self.counters,
+                move |w, sj, ctx| self.work(w, sj, ctx),
+            );
             let result = front_end(scope);
             self.queue.close();
             self.done.store(true, Relaxed);
@@ -204,6 +212,7 @@ impl<'o> Core<'o> {
         })?;
         let mut summary = lock_clean(&self.ledger).clone();
         summary.pool = *lock_clean(&self.counters);
+        summary.pool.set_memo(self.memo.counters());
         Ok(summary)
     }
 
@@ -446,7 +455,7 @@ impl<'a, 'o> ConnReader<'a, 'o> {
             Ok(Request::Batch(r)) => r,
             Ok(Request::Metrics) => {
                 let _acc = lock_clean(&core.accounting);
-                self.send_line(metrics_json(&core.reg, false, None));
+                self.send_line(metrics_json(&core.reg, &core.memo.counters(), None));
                 return true;
             }
             Ok(Request::Shutdown) => {

@@ -48,7 +48,7 @@
 use crate::server::{Conn, ConnReader, ConnWriter, Core};
 use crate::{cases, chaos, run_contained, PoolCounters, SessionTuning, UseCase};
 use cosynth::session::SessionBudget;
-use cosynth::VerifierContext;
+use cosynth::{MemoCounters, VerifierContext};
 use llm_sim::{CostLedger, Tier, TransportModel};
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
@@ -771,40 +771,48 @@ pub(crate) fn identities(snap: &Snapshot) -> (bool, bool) {
 /// Renders one `{"event":"metrics"}` line: the accounting counters,
 /// queue high-water mark, and per-stage latency histograms, with the
 /// [`identities`] recomputed from the snapshot itself (so a consumer
-/// can check the conservation law without waiting for the drain line).
-/// Pool-derived rates (manager reuse, space-cache and verdict-memo hit
-/// rates, memo confirmation mismatches) are only available at drain,
-/// after the workers have reported their contexts.
-pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounters>) -> String {
+/// can check the conservation law without waiting for the drain line),
+/// plus the pool memo's verdict hit rate and confirmation mismatches,
+/// read from `memo` at any point. The per-worker rates (manager reuse,
+/// space-cache hits) come from `drain`, the pool's counters after the
+/// workers have reported their contexts, so only the drain line (the
+/// one call that passes them) carries them.
+pub(crate) fn metrics_json(
+    reg: &Registry,
+    memo: &MemoCounters,
+    drain: Option<&PoolCounters>,
+) -> String {
     let snap = reg.snapshot();
     let (accounted, cost_accounted) = identities(&snap);
     let mut b = ObjBuilder::event("metrics")
-        .bool("drain", drain)
+        .bool("drain", drain.is_some())
         .bool("accounted", accounted)
         .bool("cost_accounted", cost_accounted);
-    if let Some(p) = pool {
+    let rate = |hits: usize, misses: usize| {
+        if hits + misses == 0 {
+            0.0
+        } else {
+            hits as f64 / (hits + misses) as f64
+        }
+    };
+    if let Some(p) = drain {
         // The verdict memo sits in front of the space cache: a draft the
-        // worker has checked before never reaches the cache, so the two
+        // pool has checked before never reaches the cache, so the two
         // hit rates are read together.
-        let rate = |hits: usize, misses: usize| {
-            if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
-            }
-        };
-        b = b
-            .f64("manager_reuse_rate", p.reuse_rate(), 4)
-            .f64(
-                "space_cache_hit_rate",
-                rate(p.cache_hits, p.cache_misses),
-                4,
-            )
-            .f64("verdict_memo_hit_rate", rate(p.memo_hits, p.memo_misses), 4)
-            .u64("confirm_mismatches", p.confirm_mismatches as u64);
+        b = b.f64("manager_reuse_rate", p.reuse_rate(), 4).f64(
+            "space_cache_hit_rate",
+            rate(p.cache_hits, p.cache_misses),
+            4,
+        );
     }
-    b.raw("registry", &format!("{{{}}}", snap.to_json_fields()))
-        .finish()
+    b.f64(
+        "verdict_memo_hit_rate",
+        rate(memo.verdict_hits, memo.verdict_misses),
+        4,
+    )
+    .u64("confirm_mismatches", memo.confirm_mismatches as u64)
+    .raw("registry", &format!("{{{}}}", snap.to_json_fields()))
+    .finish()
 }
 
 /// Runs the stdin front-end: one lockstep connection on the daemon
@@ -863,7 +871,11 @@ pub fn serve(
     // The metrics snapshot (when asked for) goes out before the drain
     // line so the drain line stays the stream's last word.
     if opts.emit_metrics {
-        writeln!(output, "{}", metrics_json(&core.reg, true, Some(p)))?;
+        writeln!(
+            output,
+            "{}",
+            metrics_json(&core.reg, &core.memo.counters(), Some(p))
+        )?;
     }
     writeln!(
         output,
@@ -1334,9 +1346,26 @@ mod tests {
                     + counter(m, "quarantined");
                 assert_eq!(counter(m, "submitted"), spent, "{text}");
             }
-            // The mid-run snapshot only covers the first batch; the
-            // drain one covers everything and adds the pool rates.
-            assert_eq!(counter(&metrics[0], "submitted"), 4);
+            // The mid-run snapshot only covers the first batch and
+            // already carries the pool memo's rates; the drain one
+            // covers everything and adds the per-worker rates.
+            let mid = &metrics[0];
+            assert_eq!(counter(mid, "submitted"), 4);
+            assert_eq!(mid.get("drain").and_then(Json::as_bool), Some(false));
+            let Some(Json::Num(mid_rate)) = mid.get("verdict_memo_hit_rate") else {
+                panic!("a mid-run line carries the verdict-memo hit rate: {text}");
+            };
+            assert!(
+                *mid_rate > 0.0 && *mid_rate < 1.0,
+                "the first batch's drafts went through the memo: {text}"
+            );
+            assert_eq!(
+                mid.get("confirm_mismatches").and_then(Json::as_u32),
+                Some(0),
+                "{text}"
+            );
+            assert!(mid.get("manager_reuse_rate").is_none(), "{text}");
+            assert!(mid.get("space_cache_hit_rate").is_none(), "{text}");
             let drain = &metrics[1];
             assert_eq!(drain.get("drain").and_then(Json::as_bool), Some(true));
             assert_eq!(counter(drain, "submitted"), summary.submitted as u64);

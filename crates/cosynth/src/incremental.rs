@@ -43,45 +43,66 @@
 //!
 //! The fleet pins one topology per `(seed, family)` and varies only the
 //! intent and fault per session, so almost everything a session derives
-//! from the scenario is derivable once per family:
+//! from the scenario is derivable once per family. One [`VerdictMemo`]
+//! serves a whole worker pool: every worker's [`VerifierContext`] holds
+//! the same memo, so the pool derives each of the following once, not
+//! once per worker.
 //!
 //! * `SessionStatics` — the assignments, the per-device memo-key
 //!   bases, the snapshot name layout, the dependency tracker, and
 //!   (built on first request) the [`ReferenceSnapshot`] — is a pure
 //!   function of `(topology, policies)` and is shared through an `Arc`
-//!   in the worker memo; a later session pays at most one streamed hash
+//!   in the pool's memo; a later session pays at most one streamed hash
 //!   of the topology (none on a pinned scenario's, below) instead of
 //!   re-deriving ~n prompts and keys, and a later
 //!   repair job ([`VerifierContext::prepare_repair`]) draws its fault
 //!   from the stored known-good texts instead of re-rendering and
 //!   re-parsing the network. The reference holds no `Arc` back to its
 //!   bundle, so an evicted bundle is freed with its snapshot.
-//! * `VerdictMemo` keeps per-device local/campion verdicts, whole
+//! * [`VerdictMemo`] keeps per-device local/campion verdicts, whole
 //!   sweeps and whole `GlobalCheckReport`s keyed by content
-//!   fingerprints, so a warm worker answers the sweeps and the final
-//!   simulation of session *k+1* from session *k*'s work. Whole-snapshot
-//!   keys fold the per-text fingerprints a [`ConfigSnapshot`] carries.
-//!   Every entry stores a confirmation (text length plus an independent
-//!   second fingerprint) that each hit compares. The memo also keeps
-//!   each rendered known-good text by its exact prompt and each drawn
-//!   pinned network by `(family, seed)`.
-//! * A pinned network's intents are applied once per worker: the memo
+//!   fingerprints, so a warm pool answers the sweeps and the final
+//!   simulation of session *k+1* from session *k*'s work, whichever
+//!   worker ran it. Whole-snapshot keys fold the per-text fingerprints a
+//!   [`ConfigSnapshot`] carries. Every entry stores a confirmation (text
+//!   length plus an independent second fingerprint) that each hit
+//!   compares. The memo also keeps each rendered known-good text by its
+//!   exact prompt and each drawn pinned network by `(family, seed)`.
+//! * A pinned network's intents are applied once per pool: the memo
 //!   keeps one scenario body per `(family, seed, intent)` with its
 //!   topology's fingerprint ([`VerifierContext::pinned_scenario`]). A
 //!   job gets a clone of the body under its own name, sharing the
 //!   body's `Arc<Topology>` (the network's own allocation under every
 //!   intent but prefer-customer, which extends a copy), so a warm job
 //!   copies, hashes and frees no router. A statics lookup finds the
-//!   body that holds the job's topology by `Arc::ptr_eq` and reads its
-//!   fingerprint: sound, because the body keeps the allocation alive
-//!   and an `Arc` held twice cannot be mutated in place.
+//!   network or body that holds the job's topology by `Arc::ptr_eq` and
+//!   reads its fingerprint: sound, because the memo keeps the
+//!   allocation alive and an `Arc` held twice cannot be mutated in place.
+//!
+//! Sharing rules: one mutex guards the maps, and it is held only for a
+//! map operation — every parse, check, campion diff and simulation runs
+//! outside it. A worker that misses a verdict claims its key and
+//! computes it; another worker that misses the same key meanwhile waits
+//! for the claim to end instead of computing it again, so the pool
+//! computes each verdict once and publishes one value for it, and every
+//! hit still compares its confirmation. The per-network builds (a
+//! pinned network, a scenario body, a statics bundle with its reference
+//! render, one rendered text) run once per pool the same way: the map
+//! holds a once-cell for each, the build runs outside the lock, and a
+//! second worker that asks for it waits for the first. No wait is ever
+//! taken while holding the lock, and waits nest one way only — a sweep
+//! waits on per-device verdicts, a reference render on rendered texts —
+//! while those wait on nothing, so waits cannot form a cycle. A
+//! computation or build that panics publishes nothing, so the next
+//! caller computes afresh, and a poisoned lock is recovered, since the
+//! maps only change by whole-value operations.
 //!
 //! ## Synthesis
 //!
 //! A synthesis session re-checks a router's draft every rectification
 //! round, and the model often returns the draft unchanged. Every draft
 //! goes through the same memoized local verdict as repair's sweep, under
-//! the same per-device key, so a draft the worker has checked before —
+//! the same per-device key, so a draft the pool has checked before —
 //! in this session or an earlier one — costs one hash; the final
 //! whole-network check goes through the same report memo as repair's.
 //! A synthesis session builds no statics bundle: `DraftKeys` computes
@@ -103,6 +124,7 @@ use crate::composer::{self, GlobalCheckReport};
 use crate::modularizer::{Modularizer, RouterAssignment};
 use crate::repair::{self, Localization};
 use crate::snapshot::{ConfigSnapshot, SnapshotLayout, SnapshotText, TextPrint};
+use crate::verifier_ctx::MemoCounters;
 use crate::verifier_ctx::VerifierContext;
 use bdd::FxHasher;
 use bf_lite::LocalPolicyCheck;
@@ -110,10 +132,12 @@ use config_ir::Device;
 use fault_inject::{FaultClass, FaultSites, GroundTruth};
 use llm_sim::synth_task::SynthesisDraft;
 use net_model::{ParseWarning, RouteAdvertisement};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
-use std::hash::{Hash as _, Hasher as _};
-use std::sync::{Arc, OnceLock};
+use std::hash::{Hash, Hasher as _};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use telemetry::Stage;
 use topo_model::{Scenario, StubSet, Topology, TopologyFinding};
 
@@ -282,13 +306,16 @@ pub(crate) fn check_map(check: &LocalPolicyCheck) -> String {
 }
 
 /// A cross-session local verdict, kept compact (with its confirmation,
-/// 32 bytes per map value): the first finding, boxed because most
-/// verdicts are clean, and the parsed device where the caller keeps one.
-/// Repair's sweep keeps it with clean verdicts, for the campion phase
-/// and the whole-network parse hook; synthesis keeps none.
+/// 32 bytes per map value): the first finding, behind a pointer because
+/// most verdicts are clean, and the parsed device where the caller keeps
+/// one. Repair's sweep keeps it with clean verdicts, for the campion
+/// phase and the whole-network parse hook; synthesis keeps none. Both
+/// are `Arc`s, so a hit copies two pointers under the memo lock and
+/// clones the finding outside it.
+#[derive(Clone)]
 pub(crate) struct CachedLocal {
-    finding: Option<Box<LocalFinding>>,
-    device: Option<Box<Device>>,
+    finding: Option<Arc<LocalFinding>>,
+    device: Option<Arc<Device>>,
 }
 
 /// The local memo-key base of every assignment, in order: the router's
@@ -405,7 +432,7 @@ fn render_reference(prompt: &str) -> String {
 }
 
 /// The known-good snapshot of one `(topology, policies)` pair, kept in
-/// the worker memo next to the assignments it was rendered from: the
+/// the pool's memo next to the assignments it was rendered from: the
 /// clean config texts, fingerprinted, plus their [`FaultSites`], so
 /// every repair job on that network draws its fault without rendering
 /// or parsing a router. Get it through
@@ -428,31 +455,34 @@ impl ReferenceSnapshot {
 
     /// Renders and scans the reference of `statics`' network. A text is
     /// a pure function of its prompt, so a router whose exact prompt the
-    /// worker has rendered before reuses that text and its fault classes
-    /// from the memo instead of rendering and parsing it again.
-    fn build(statics: &SessionStatics, memo: &mut VerdictMemo) -> Self {
+    /// pool has rendered before reuses that text and its fault classes
+    /// from the memo instead of rendering and parsing it again, and each
+    /// prompt is rendered once per pool.
+    fn build(statics: &SessionStatics, memo: &VerdictMemo) -> Self {
         let n = statics.assignments.len();
         let mut texts = Vec::with_capacity(n);
         let mut classes = Vec::with_capacity(n);
         for a in statics.assignments.iter() {
-            let rendered = match memo.rendered.get(&a.prompt) {
-                Some(r) => {
-                    memo.texts_reused += 1;
-                    r.clone()
+            let slot = slot_in(
+                &mut memo.maps().rendered,
+                a.prompt.as_str(),
+                memo.cap(CROSS_CAP),
+            );
+            let (rendered, built) = build_once(&slot, || {
+                let text = render_reference(&a.prompt);
+                Rendered {
+                    classes: fault_inject::applicable_classes(&text),
+                    text: SnapshotText::new(text),
                 }
-                None => {
-                    memo.texts_rendered += 1;
-                    let text = render_reference(&a.prompt);
-                    let r = Rendered {
-                        classes: fault_inject::applicable_classes(&text),
-                        text: SnapshotText::new(text),
-                    };
-                    memo.insert_rendered(a.prompt.clone(), r.clone());
-                    r
-                }
-            };
-            classes.push((a.name.clone(), rendered.classes));
-            texts.push(Some(rendered.text));
+            });
+            let c = &memo.counters;
+            bump(if built {
+                &c.texts_rendered
+            } else {
+                &c.texts_reused
+            });
+            classes.push((a.name.clone(), rendered.classes.clone()));
+            texts.push(Some(rendered.text.clone()));
         }
         ReferenceSnapshot {
             snapshot: ConfigSnapshot::from_texts(Arc::clone(&statics.layout), texts),
@@ -462,7 +492,6 @@ impl ReferenceSnapshot {
 }
 
 /// One rendered known-good text and the fault classes that apply to it.
-#[derive(Clone)]
 struct Rendered {
     text: SnapshotText,
     classes: Vec<FaultClass>,
@@ -472,7 +501,7 @@ struct Rendered {
 /// function of `(topology, policies)`: the modular assignments, the
 /// per-device memo-key bases, the name layout of its snapshots, the
 /// dependency tracker, and the reference snapshot. Built once per
-/// `(topology, policies)` per worker and shared via `Arc` — a session on
+/// `(topology, policies)` per pool and shared via `Arc` — a session on
 /// a pinned family pays one streamed topology hash instead of
 /// re-deriving ~n prompts, keys, and adjacency lists.
 pub(crate) struct SessionStatics {
@@ -517,34 +546,26 @@ impl SessionStatics {
     }
 }
 
-/// The worker's statics bundle for `scenario`'s `(topology, policies)`
-/// pair and that pair's fingerprint, built and memoized on first sight.
+/// The pool's statics bundle for `scenario`'s `(topology, policies)`
+/// pair and that pair's fingerprint, built once per pool on first sight.
 /// The topology fingerprint is the only O(network) hashing cost of a
-/// lookup, and a topology the memo holds in a pinned scenario is
-/// fingerprinted once per worker, not once per lookup; field-walk
+/// lookup, and a topology the memo holds in a pinned network or scenario
+/// is fingerprinted once per pool, not once per lookup; field-walk
 /// hashing via the derived `Hash` impls is an order of magnitude
 /// cheaper than rendering `Debug` text at 512 routers.
-fn statics_for(
-    scenario: &Scenario,
-    ctx: &mut VerifierContext,
-) -> ((u64, u64), Arc<SessionStatics>) {
+fn statics_for(scenario: &Scenario, memo: &VerdictMemo) -> ((u64, u64), Arc<SessionStatics>) {
     let mut p = FxHasher::default();
     scenario.policies.hash(&mut p);
-    let memo = &mut ctx.memo;
     let key = (memo.fingerprint(&scenario.topology), p.finish());
-    let statics = match memo.statics.get(&key) {
-        Some(s) => {
-            memo.statics_hits += 1;
-            Arc::clone(s)
-        }
-        None => {
-            memo.statics_builds += 1;
-            let s = Arc::new(SessionStatics::build(scenario));
-            memo.insert_statics(key, Arc::clone(&s));
-            s
-        }
-    };
-    (key, statics)
+    let slot = slot_in(&mut memo.maps().statics, &key, memo.cap(STATICS_CAP));
+    let (statics, built) = build_once(&slot, || Arc::new(SessionStatics::build(scenario)));
+    let c = &memo.counters;
+    bump(if built {
+        &c.statics_builds
+    } else {
+        &c.statics_hits
+    });
+    (key, Arc::clone(statics))
 }
 
 /// A repair job ready to run: its scenario, the known-good snapshot with
@@ -583,19 +604,20 @@ impl RepairJob {
 impl VerifierContext {
     /// The known-good snapshot of `scenario`'s network — every internal
     /// router's clean config plus its scanned fault sites — built once
-    /// per `(topology, policies)` pair this context has seen, and shared
-    /// by every later call on the same pair. Equal to rendering the
-    /// scenario's assignments afresh and scanning them.
+    /// per `(topology, policies)` pair the context's pool has seen, and
+    /// shared by every later call on the same pair. Equal to rendering
+    /// the scenario's assignments afresh and scanning them.
     pub fn reference_snapshot(&mut self, scenario: &Scenario) -> Arc<ReferenceSnapshot> {
-        let (_, statics) = statics_for(scenario, self);
+        let (_, statics) = statics_for(scenario, &self.memo);
         self.reference_of(&statics)
     }
 
-    fn reference_of(&mut self, statics: &SessionStatics) -> Arc<ReferenceSnapshot> {
-        let memo = &mut self.memo;
+    /// The bundle's reference, rendered by the first worker that asks;
+    /// another worker asking meanwhile waits for that render.
+    fn reference_of(&self, statics: &SessionStatics) -> Arc<ReferenceSnapshot> {
         let reference = statics
             .reference
-            .get_or_init(|| Arc::new(ReferenceSnapshot::build(statics, memo)));
+            .get_or_init(|| Arc::new(ReferenceSnapshot::build(statics, &self.memo)));
         Arc::clone(reference)
     }
 
@@ -606,7 +628,7 @@ impl VerifierContext {
     /// `fault_inject::inject` on the scenario's freshly rendered configs.
     /// `None` only when no fault class applies anywhere in the network.
     pub fn prepare_repair(&mut self, scenario: Scenario, fault_seed: u64) -> Option<RepairJob> {
-        let (key, statics) = statics_for(&scenario, self);
+        let (key, statics) = statics_for(&scenario, &self.memo);
         let reference = self.reference_of(&statics);
         let (text, fault) = reference
             .sites
@@ -623,45 +645,49 @@ impl VerifierContext {
     }
 
     /// The pinned network of large family `family` at `seed` — its
-    /// topology and stub set — drawn by `draw` the first time this
-    /// context sees the pair and shared afterwards. The context keys the
-    /// network on `(family, seed)` alone, so `draw` must be that pair's
-    /// generator (`scenario_gen::pinned_network`).
+    /// topology and stub set — drawn by `draw` the first time the
+    /// context's pool sees the pair and shared afterwards; a worker that
+    /// asks while another draws waits for that draw. The draw also
+    /// fingerprints the topology once, for every statics lookup on it.
+    /// The pool keys the network on `(family, seed)` alone, so `draw`
+    /// must be that pair's generator (`scenario_gen::pinned_network`).
     pub fn pinned_network(
         &mut self,
         family: &str,
         seed: u64,
         draw: impl FnOnce() -> (Arc<Topology>, StubSet),
     ) -> Arc<(Arc<Topology>, StubSet)> {
-        let memo = &mut self.memo;
-        if let Some((_, network)) = memo
-            .networks
-            .iter()
-            .find(|((f, s), _)| f == family && *s == seed)
-        {
-            memo.networks_reused += 1;
-            return Arc::clone(network);
-        }
-        memo.networks_drawn += 1;
-        let network = Arc::new(draw());
-        if memo.networks.len() >= NETWORK_CAP {
-            memo.networks.clear();
-        }
-        memo.networks
-            .push(((family.to_string(), seed), Arc::clone(&network)));
-        network
+        let memo = &*self.memo;
+        let key = (family.to_string(), seed);
+        let slot = slot_in(&mut memo.maps().networks, &key, memo.cap(NETWORK_CAP));
+        let (drawn, built) = build_once(&slot, || {
+            let network = Arc::new(draw());
+            bump(&memo.counters.topology_fps);
+            DrawnNetwork {
+                topology_fp: topology_fp(&network.0),
+                network,
+            }
+        });
+        let c = &memo.counters;
+        bump(if built {
+            &c.networks_drawn
+        } else {
+            &c.networks_reused
+        });
+        Arc::clone(&drawn.network)
     }
 
     /// Scenario `name` of pinned large family `family` at `seed`, whose
     /// per-index draw was `intent` (`scenario_gen::pinned_intent`). Every
     /// index of one `(family, seed, intent)` runs the same scenario but
-    /// for its name, so `build` runs the first time this context sees
-    /// the triple, and every call returns a clone of that body under
-    /// `name`: it shares the body's topology allocation, so no router is
-    /// copied, and a statics lookup reads the fingerprint the body
-    /// carries instead of hashing the network again. `build` must
-    /// return the triple's scenario (`scenario_gen::pinned_scenario` on
-    /// the context's [`Self::pinned_network`]).
+    /// for its name, so `build` runs the first time the context's pool
+    /// sees the triple (a worker asking meanwhile waits for it), and
+    /// every call returns a clone of that body under `name`: it shares
+    /// the body's topology allocation, so no router is copied, and a
+    /// statics lookup reads the fingerprint the body carries instead of
+    /// hashing the network again. `build` must return the triple's
+    /// scenario (`scenario_gen::pinned_scenario` on the context's
+    /// [`Self::pinned_network`]).
     pub fn pinned_scenario(
         &mut self,
         family: &str,
@@ -670,67 +696,72 @@ impl VerifierContext {
         name: String,
         build: impl FnOnce() -> Scenario,
     ) -> Scenario {
-        let memo = &mut self.memo;
-        let found = memo.scenarios.iter().position(|b| {
-            b.seed == seed && b.scenario.intent == intent && b.scenario.family == family
-        });
-        let i = match found {
-            Some(i) => i,
-            None => {
-                memo.scenarios_built += 1;
-                let scenario = build();
-                debug_assert!(scenario.family == family && scenario.intent == intent);
-                let topology_fp = memo.fingerprint(&scenario.topology);
-                if memo.scenarios.len() >= SCENARIO_CAP {
-                    memo.scenarios.clear();
-                }
-                memo.scenarios.push(PinnedScenario {
-                    seed,
-                    scenario,
-                    topology_fp,
-                });
-                memo.scenarios.len() - 1
+        let memo = &*self.memo;
+        let key = (family.to_string(), seed, intent.to_string());
+        let slot = slot_in(&mut memo.maps().scenarios, &key, memo.cap(SCENARIO_CAP));
+        let (body, built) = build_once(&slot, || {
+            let scenario = build();
+            debug_assert!(scenario.family == family && scenario.intent == intent);
+            PinnedScenario {
+                topology_fp: memo.fingerprint(&scenario.topology),
+                scenario,
             }
-        };
-        let mut scenario = memo.scenarios[i].scenario.clone();
+        });
+        if built {
+            bump(&memo.counters.scenarios_built);
+        }
+        let mut scenario = body.scenario.clone();
         scenario.name = name;
         scenario
     }
 }
 
-/// Entries per cross-session verdict map before the map is cleared
-/// wholesale. A worker pinned to one large family needs one entry per
-/// device per distinct config text — a few thousand covers every family
-/// with room for the faulted/repaired variants; clearing on overflow
-/// only costs recomputation, never correctness.
+/// Entries per cross-session verdict map, per worker of the pool, before
+/// the map is cleared wholesale: a pool of `n` workers keeps `n` times
+/// this many, so the process-wide bound is the one per-worker memos had.
+/// A worker pinned to one large family needs one entry per device per
+/// distinct config text — a few thousand covers every family with room
+/// for the faulted/repaired variants; clearing on overflow only costs
+/// recomputation, never correctness.
 const CROSS_CAP: usize = 4096;
 
-/// Distinct `(topology, policies)` bundles kept per worker — one per
-/// family the worker has seen.
+/// Distinct `(topology, policies)` bundles kept per worker of the pool —
+/// one per family a worker has seen.
 const STATICS_CAP: usize = 64;
 
-/// Distinct pinned networks kept per worker — one per large family and
-/// seed the worker has run.
+/// Distinct pinned networks kept per worker of the pool — one per large
+/// family and seed a worker has run.
 const NETWORK_CAP: usize = 8;
 
-/// Pinned scenario bodies kept per worker — one per intent of every
-/// network [`NETWORK_CAP`] keeps.
+/// Pinned scenario bodies kept per worker of the pool — one per intent
+/// of every network [`NETWORK_CAP`] keeps.
 const SCENARIO_CAP: usize = 4 * NETWORK_CAP;
 
 /// A pinned network's `(family, seed)`.
 type PinnedKey = (String, u64);
 
+/// A pinned scenario body's `(family, seed, intent)`.
+type ScenarioKey = (String, u64, String);
+
 /// A pinned network: its shared topology and its stub set.
 type PinnedNetwork = (Arc<Topology>, StubSet);
 
+/// A pinned network as drawn, with its topology's fingerprint.
+struct DrawnNetwork {
+    network: Arc<PinnedNetwork>,
+    topology_fp: u64,
+}
+
 /// The scenario every index of one pinned `(family, seed, intent)`
-/// runs, but for its name, keyed by `seed` and the scenario's own
-/// family and intent, with its topology's fingerprint.
+/// runs, but for its name, with its topology's fingerprint.
 struct PinnedScenario {
-    seed: u64,
     scenario: Scenario,
     topology_fp: u64,
 }
+
+/// A value the pool builds once: the map holds the cell, the build runs
+/// outside the memo lock ([`build_once`]).
+type Slot<T> = Arc<OnceLock<T>>;
 
 /// The confirmation stored beside every verdict-memo entry: a text's
 /// length and second fingerprint ([`TextPrint::confirmation`]) for a
@@ -739,23 +770,193 @@ struct PinnedScenario {
 type Confirmation = (usize, u64);
 
 /// A verdict map: values keyed on `(input fingerprint, text fingerprint)`,
-/// each stored beside its [`Confirmation`].
-type Confirmed<V> = HashMap<(u64, u64), (Confirmation, V)>;
+/// each stored beside its [`Confirmation`], and the keys a worker is
+/// computing right now.
+struct VerdictMap<V> {
+    entries: HashMap<(u64, u64), (Confirmation, V)>,
+    /// Keys claimed by a worker computing their verdict ([`Claim`]); a
+    /// worker that misses one waits for it instead of computing it too.
+    computing: Vec<(u64, u64)>,
+}
 
-/// The **worker-lifetime** verdict memo, resident in the
-/// [`VerifierContext`] next to the manager pool.
+impl<V> Default for VerdictMap<V> {
+    fn default() -> Self {
+        VerdictMap {
+            entries: HashMap::new(),
+            computing: Vec::new(),
+        }
+    }
+}
+
+/// Selects one verdict map of the memo.
+type Pick<V> = fn(&mut MemoMaps) -> &mut VerdictMap<V>;
+
+/// The answer of a verdict lookup: a confirmed hit, or a claim on the
+/// verdict, which the caller computes and publishes.
+enum Lookup<'m, V> {
+    Hit(V),
+    Miss(Claim<'m, V>),
+}
+
+/// A worker's claim on computing the verdict under one key: while it
+/// lasts, another worker that misses the key waits for it instead of
+/// computing the verdict again. [`Claim::publish`] ends it with the
+/// verdict; dropping it unpublished (the computation panicked) ends it
+/// with nothing, and a waiting worker computes the verdict itself.
+struct Claim<'m, V> {
+    memo: &'m VerdictMemo,
+    pick: Pick<V>,
+    key: (u64, u64),
+    confirm: Confirmation,
+    ended: bool,
+}
+
+impl<V> Claim<'_, V> {
+    /// Publishes the claimed key's verdict and ends the claim. No other
+    /// worker computed the key meanwhile, so this is the one value
+    /// published for it; an entry already there under another
+    /// confirmation is a collision and is replaced.
+    fn publish(mut self, value: V) {
+        let cap = self.memo.cap(CROSS_CAP);
+        // A replaced entry is dropped after the lock is released.
+        let _replaced = {
+            let mut maps = self.memo.maps();
+            let entries = &mut (self.pick)(&mut maps).entries;
+            if entries.len() >= cap {
+                entries.clear();
+            }
+            let replaced = entries.insert(self.key, (self.confirm, value));
+            self.end(&mut maps);
+            replaced
+        };
+    }
+
+    /// Removes the claim and wakes the workers waiting on the memo.
+    fn end(&mut self, maps: &mut MemoMaps) {
+        let computing = &mut (self.pick)(maps).computing;
+        if let Some(i) = computing.iter().position(|k| *k == self.key) {
+            computing.swap_remove(i);
+        }
+        if maps.waiting > 0 {
+            self.memo.published.notify_all();
+        }
+        self.ended = true;
+    }
+}
+
+impl<V> Drop for Claim<'_, V> {
+    fn drop(&mut self) {
+        if !self.ended {
+            let mut maps = self.memo.maps();
+            self.end(&mut maps);
+        }
+    }
+}
+
+/// The value in `slot`, built by `build` unless some worker has built it
+/// already, and whether this call built it. A worker that finds the
+/// build in progress waits for it; a build that panics leaves the cell
+/// empty, so the next caller builds afresh and nothing half-built is
+/// ever read. Never call this while holding the memo lock: the build
+/// may take it.
+fn build_once<T>(slot: &OnceLock<T>, build: impl FnOnce() -> T) -> (&T, bool) {
+    let mut built = false;
+    let value = slot.get_or_init(|| {
+        let value = build();
+        built = true;
+        value
+    });
+    (value, built)
+}
+
+/// The cell under `key` in `map`, inserted empty if absent (clearing a
+/// map that holds `cap` cells first).
+fn slot_in<K, Q, T>(map: &mut HashMap<K, Slot<T>>, key: &Q, cap: usize) -> Slot<T>
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: ToOwned<Owned = K> + Hash + Eq + ?Sized,
+{
+    if let Some(slot) = map.get(key) {
+        return Arc::clone(slot);
+    }
+    if map.len() >= cap {
+        map.clear();
+    }
+    Arc::clone(map.entry(key.to_owned()).or_default())
+}
+
+fn bump(counter: &AtomicUsize) {
+    counter.fetch_add(1, Relaxed);
+}
+
+/// The memo's maps, behind its one lock.
+#[derive(Default)]
+struct MemoMaps {
+    local: VerdictMap<CachedLocal>,
+    campion: VerdictMap<Option<Arc<Localization>>>,
+    /// Whole-network check reports, keyed on `(topology + expectations,
+    /// every internal config text)` — `check_scenario` is pure in
+    /// exactly those inputs, so sessions that converge back to the same
+    /// snapshot (the common case: a repair restores the reference text)
+    /// share one simulation.
+    global: VerdictMap<Arc<GlobalCheckReport>>,
+    /// Whole-sweep localizations, keyed on `(topology + policies, every
+    /// internal config text)`. The sweep is pure in exactly those
+    /// inputs (assignment order, checks, and prompts all derive from
+    /// topology + policies), so a snapshot the pool has swept before
+    /// — above all the per-intent reference snapshot every converging
+    /// session ends on, whose clean sweep is the costliest scan of the
+    /// session — returns its verdict for the cost of folding the texts'
+    /// fingerprints.
+    sweep: VerdictMap<Option<Arc<Localization>>>,
+    /// Scenario-static bundles, keyed on `(topology fingerprint,
+    /// policies fingerprint)`.
+    statics: HashMap<(u64, u64), Slot<Arc<SessionStatics>>>,
+    /// Known-good texts by their exact prompt (the render's only input).
+    rendered: HashMap<String, Slot<Rendered>>,
+    /// Pinned networks by `(family, seed)`.
+    networks: HashMap<PinnedKey, Slot<DrawnNetwork>>,
+    /// Pinned scenario bodies by `(family, seed, intent)`.
+    scenarios: HashMap<ScenarioKey, Slot<PinnedScenario>>,
+    /// Workers waiting on [`VerdictMemo::published`] for a claimed verdict.
+    waiting: usize,
+}
+
+/// The memo's lifetime counters (see [`MemoCounters`] for each one's
+/// meaning), counted once per pool.
+#[derive(Default)]
+struct Counters {
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    confirm_mismatches: AtomicUsize,
+    statics_builds: AtomicUsize,
+    statics_hits: AtomicUsize,
+    texts_rendered: AtomicUsize,
+    texts_reused: AtomicUsize,
+    networks_drawn: AtomicUsize,
+    networks_reused: AtomicUsize,
+    scenarios_built: AtomicUsize,
+    topology_fps: AtomicUsize,
+}
+
+/// The **pool-lifetime** verdict memo: one per worker pool, shared by
+/// the [`VerifierContext`] of every worker (a context made alone, by
+/// [`VerifierContext::new`] or [`VerifierContext::without_pooling`], is
+/// a pool of one), while each worker keeps its own manager pool and
+/// space cache.
 ///
 /// Per-device verdicts are pure functions of `(own topology spec, check
 /// set, config text)` — local — and `(assignment name, prompt, config
 /// text)` — campion. On the internet-scale families the fleet pins one
 /// topology per `(seed, family)` and varies only the intent and fault
 /// per session, so almost every device of session *k+1* carries the
-/// same spec, checks, and text as in session *k*: a resident worker can
-/// answer those sweeps from this memo without recomputing anything.
+/// same spec, checks, and text as in session *k*: a resident pool can
+/// answer those sweeps from this memo without recomputing anything, on
+/// whichever worker session *k* ran.
 ///
 /// Per-device keys are `(input fingerprint, text fingerprint)` 64-bit
 /// FxHash pairs; whole-snapshot keys fold one fingerprint per router.
-/// Every entry also stores a [`Confirmation`] computed with an
+/// Every entry also stores a confirmation computed with an
 /// independent hasher — the text's length and second fingerprint, or
 /// their fold over the snapshot — and every hit compares it: a hit whose
 /// confirmation differs is a key collision, so it is counted
@@ -765,162 +966,155 @@ type Confirmed<V> = HashMap<(u64, u64), (Confirmation, V)>;
 /// consult the memo in incremental mode only — `--no-incremental` keeps
 /// the historical recompute-everything path untouched — and hits return
 /// clones of pure values, so session content stays byte-identical across
-/// modes and across worker placements.
-#[derive(Default)]
-pub(crate) struct VerdictMemo {
-    local: Confirmed<CachedLocal>,
-    campion: Confirmed<Option<Box<Localization>>>,
-    /// Whole-network check reports, keyed on `(topology + expectations,
-    /// every internal config text)` — `check_scenario` is pure in
-    /// exactly those inputs, so sessions that converge back to the same
-    /// snapshot (the common case: a repair restores the reference text)
-    /// share one simulation.
-    global: Confirmed<GlobalCheckReport>,
-    /// Whole-sweep localizations, keyed on `(topology + policies, every
-    /// internal config text)`. The sweep is pure in exactly those
-    /// inputs (assignment order, checks, and prompts all derive from
-    /// topology + policies), so a snapshot the worker has swept before
-    /// — above all the per-intent reference snapshot every converging
-    /// session ends on, whose clean sweep is the costliest scan of the
-    /// session — returns its verdict for the cost of folding the texts'
-    /// fingerprints.
-    sweep: Confirmed<Option<Localization>>,
-    /// Scenario-static bundles, keyed on `(topology fingerprint,
-    /// policies fingerprint)`.
-    statics: HashMap<(u64, u64), Arc<SessionStatics>>,
-    /// Known-good texts by their exact prompt (the render's only input).
-    rendered: HashMap<String, Rendered>,
-    /// Pinned networks by `(family, seed)`.
-    networks: Vec<(PinnedKey, Arc<PinnedNetwork>)>,
-    /// Pinned scenario bodies by `(family, seed, intent)`.
-    scenarios: Vec<PinnedScenario>,
-    /// Verdicts answered from the memo.
-    pub(crate) hits: usize,
-    /// Verdicts computed (and inserted).
-    pub(crate) misses: usize,
-    /// Hits whose confirmation differed (recomputed and replaced).
-    pub(crate) confirm_mismatches: usize,
-    /// Statics lookups that had to build the bundle.
-    pub(crate) statics_builds: usize,
-    /// Statics lookups answered by a resident bundle.
-    pub(crate) statics_hits: usize,
-    /// Reference texts rendered and scanned.
-    pub(crate) texts_rendered: usize,
-    /// Reference texts served by an earlier render of the same prompt.
-    pub(crate) texts_reused: usize,
-    /// Pinned networks drawn.
-    pub(crate) networks_drawn: usize,
-    /// Pinned-network lookups answered by a drawn network.
-    pub(crate) networks_reused: usize,
-    /// Pinned scenario bodies built.
-    pub(crate) scenarios_built: usize,
-    /// Topology fingerprints computed.
-    pub(crate) topology_fps: usize,
+/// modes and across worker placements. The module docs give the locking
+/// rules.
+pub struct VerdictMemo {
+    /// Workers sharing the memo: every cap is its per-worker value
+    /// times this.
+    workers: usize,
+    maps: Mutex<MemoMaps>,
+    /// Signalled when a claim ends, with its verdict or without.
+    published: Condvar,
+    counters: Counters,
 }
 
 impl VerdictMemo {
-    fn insert_local(&mut self, key: (u64, u64), entry: (Confirmation, CachedLocal)) {
-        if self.local.len() >= CROSS_CAP {
-            self.local.clear();
-        }
-        self.local.insert(key, entry);
+    /// The memo of a pool of `workers` workers (at least one): each map
+    /// holds up to `workers` times the entries one worker's would.
+    pub fn for_pool(workers: usize) -> Arc<Self> {
+        Arc::new(VerdictMemo {
+            workers: workers.max(1),
+            maps: Mutex::default(),
+            published: Condvar::new(),
+            counters: Counters::default(),
+        })
     }
 
-    fn insert_campion(
-        &mut self,
+    /// The pool's lifetime counters.
+    pub fn counters(&self) -> MemoCounters {
+        let c = &self.counters;
+        let read = |n: &AtomicUsize| n.load(Relaxed);
+        MemoCounters {
+            verdict_hits: read(&c.hits),
+            verdict_misses: read(&c.misses),
+            confirm_mismatches: read(&c.confirm_mismatches),
+            statics_builds: read(&c.statics_builds),
+            statics_hits: read(&c.statics_hits),
+            texts_rendered: read(&c.texts_rendered),
+            texts_reused: read(&c.texts_reused),
+            networks_drawn: read(&c.networks_drawn),
+            networks_reused: read(&c.networks_reused),
+            scenarios_built: read(&c.scenarios_built),
+            topology_fps: read(&c.topology_fps),
+        }
+    }
+
+    /// The maps, locked. A poisoned lock is recovered: the maps only
+    /// change by whole-value operations, so a holder that panicked left
+    /// them sound.
+    fn maps(&self) -> MutexGuard<'_, MemoMaps> {
+        self.maps.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The pool-wide cap of a map whose per-worker cap is `per_worker`.
+    fn cap(&self, per_worker: usize) -> usize {
+        per_worker * self.workers
+    }
+
+    /// The verdict under `key` in the map `pick` selects: a clone of
+    /// the entry if its stored confirmation matches (a hit, counted), or
+    /// else a claim on computing it (a mismatch is counted first). When
+    /// another worker holds the claim, this waits until that claim ends
+    /// and looks again. Values are `Arc`s or small, so the lock is held
+    /// for the lookup alone.
+    fn lookup<V: Clone>(
+        &self,
+        pick: Pick<V>,
         key: (u64, u64),
-        entry: (Confirmation, Option<Box<Localization>>),
-    ) {
-        if self.campion.len() >= CROSS_CAP {
-            self.campion.clear();
+        confirm: Confirmation,
+    ) -> Lookup<'_, V> {
+        let mut maps = self.maps();
+        loop {
+            let map = pick(&mut maps);
+            let collided = match map.entries.get(&key) {
+                Some((stored, value)) if *stored == confirm => {
+                    bump(&self.counters.hits);
+                    return Lookup::Hit(value.clone());
+                }
+                found => found.is_some(),
+            };
+            if !map.computing.contains(&key) {
+                if collided {
+                    bump(&self.counters.confirm_mismatches);
+                }
+                map.computing.push(key);
+                return Lookup::Miss(Claim {
+                    memo: self,
+                    pick,
+                    key,
+                    confirm,
+                    ended: false,
+                });
+            }
+            maps.waiting += 1;
+            maps = self.published.wait(maps).unwrap_or_else(|e| e.into_inner());
+            maps.waiting -= 1;
         }
-        self.campion.insert(key, entry);
     }
 
-    fn insert_global(&mut self, key: (u64, u64), entry: (Confirmation, GlobalCheckReport)) {
-        if self.global.len() >= CROSS_CAP {
-            self.global.clear();
-        }
-        self.global.insert(key, entry);
-    }
-
-    fn insert_sweep(&mut self, key: (u64, u64), entry: (Confirmation, Option<Localization>)) {
-        if self.sweep.len() >= CROSS_CAP {
-            self.sweep.clear();
-        }
-        self.sweep.insert(key, entry);
-    }
-
-    fn insert_statics(&mut self, key: (u64, u64), statics: Arc<SessionStatics>) {
-        if self.statics.len() >= STATICS_CAP {
-            self.statics.clear();
-        }
-        self.statics.insert(key, statics);
-    }
-
-    fn insert_rendered(&mut self, prompt: String, rendered: Rendered) {
-        if self.rendered.len() >= CROSS_CAP {
-            self.rendered.clear();
-        }
-        self.rendered.insert(prompt, rendered);
-    }
-
-    /// The fingerprint of `topology`: the one a pinned scenario body
-    /// carries when the body holds this very allocation, else computed
-    /// (and counted). Matching by pointer is sound because the body
-    /// keeps the allocation alive, and an `Arc` held twice cannot be
-    /// mutated in place: a caller that changes its copy gets a new
+    /// The fingerprint of `topology`: the one a pinned network or
+    /// scenario body carries when it holds this very allocation, else
+    /// computed (and counted). Matching by pointer is sound because the
+    /// memo keeps the allocation alive, and an `Arc` held twice cannot
+    /// be mutated in place: a caller that changes its copy gets a new
     /// allocation, which is fingerprinted afresh.
-    fn fingerprint(&mut self, topology: &Arc<Topology>) -> u64 {
-        if let Some(b) = self
-            .scenarios
-            .iter()
-            .find(|b| Arc::ptr_eq(&b.scenario.topology, topology))
-        {
-            return b.topology_fp;
-        }
-        self.topology_fps += 1;
-        topology_fp(topology)
+    fn fingerprint(&self, topology: &Arc<Topology>) -> u64 {
+        let held = {
+            let maps = self.maps();
+            let networks = maps
+                .networks
+                .values()
+                .filter_map(|slot| slot.get())
+                .map(|n| (&n.network.0, n.topology_fp));
+            let bodies = maps
+                .scenarios
+                .values()
+                .filter_map(|slot| slot.get())
+                .map(|b| (&b.scenario.topology, b.topology_fp));
+            networks
+                .chain(bodies)
+                .find(|(held, _)| Arc::ptr_eq(held, topology))
+                .map(|(_, fp)| fp)
+        };
+        held.unwrap_or_else(|| {
+            bump(&self.counters.topology_fps);
+            topology_fp(topology)
+        })
     }
 
     /// The parsed device memoized for the text printed `print` of the
     /// router whose local key base is `base`, if an entry holds one and
     /// its confirmation matches the text's. A parse hook that finds none
     /// parses the text itself.
-    fn parsed_device(&self, base: u64, print: TextPrint) -> Option<&Device> {
-        let (confirm, entry) = self.local.get(&(base, print.fx))?;
+    fn parsed_device(&self, base: u64, print: TextPrint) -> Option<Arc<Device>> {
+        let maps = self.maps();
+        let (confirm, entry) = maps.local.entries.get(&(base, print.fx))?;
         if *confirm == print.confirmation() {
-            entry.device.as_deref()
+            entry.device.clone()
         } else {
-            None
-        }
-    }
-
-    /// The memoized entry under `key`, if its stored confirmation
-    /// matches; a mismatch is counted and reads as a miss.
-    fn confirmed<'a, V>(
-        map: &'a Confirmed<V>,
-        key: &(u64, u64),
-        confirm: Confirmation,
-        mismatches: &mut usize,
-    ) -> Option<&'a V> {
-        let (stored, value) = map.get(key)?;
-        if *stored == confirm {
-            Some(value)
-        } else {
-            *mismatches += 1;
             None
         }
     }
 }
 
 impl VerifierContext {
-    /// [`local_verdict`] through the worker memo, under the per-device key
-    /// `(base, print.fx)`: `base` is the router's local key base and
+    /// [`local_verdict`] through the pool's memo, under the per-device
+    /// key `(base, print.fx)`: `base` is the router's local key base and
     /// `print` the fingerprints of `text`. A hit whose confirmation
     /// matches costs one lookup; a mismatch is counted, recomputed and
-    /// replaced. `keep_device` stores the parsed device beside a clean
-    /// verdict, for callers that read it back through a parse hook.
+    /// replaced; a verdict another worker is computing is waited for.
+    /// `keep_device` stores the parsed device beside a clean verdict, for
+    /// callers that read it back through a parse hook.
     pub(crate) fn memo_local_verdict(
         &mut self,
         topology: &Topology,
@@ -930,26 +1124,21 @@ impl VerifierContext {
         print: TextPrint,
         keep_device: bool,
     ) -> Option<LocalFinding> {
-        let key = (base, print.fx);
-        let confirm = print.confirmation();
-        let memo = &mut self.memo;
-        if let Some(cached) =
-            VerdictMemo::confirmed(&memo.local, &key, confirm, &mut memo.confirm_mismatches)
-        {
-            memo.hits += 1;
-            return cached.finding.as_deref().cloned();
-        }
-        memo.misses += 1;
-        let (device, finding) = local_verdict(topology, assignment, text, self);
-        let cached = CachedLocal {
-            finding: finding.clone().map(Box::new),
-            device: (keep_device && finding.is_none()).then(|| Box::new(device)),
+        let memo = Arc::clone(&self.memo);
+        let claim = match memo.lookup(|m| &mut m.local, (base, print.fx), print.confirmation()) {
+            Lookup::Hit(cached) => return cached.finding.as_deref().cloned(),
+            Lookup::Miss(claim) => claim,
         };
-        self.memo.insert_local(key, (confirm, cached));
+        bump(&memo.counters.misses);
+        let (device, finding) = local_verdict(topology, assignment, text, self);
+        claim.publish(CachedLocal {
+            finding: finding.clone().map(Arc::new),
+            device: (keep_device && finding.is_none()).then(|| Arc::new(device)),
+        });
         finding
     }
 
-    /// The whole-network check of `snapshot` through the worker's report
+    /// The whole-network check of `snapshot` through the pool's report
     /// memo, keyed on `(base, snapshot.key())` where `base` is the
     /// scenario's report base; the one body behind repair's deferred
     /// check and synthesis's final one. On a miss the parse hook serves
@@ -957,33 +1146,30 @@ impl VerifierContext {
     /// aligns with the snapshot's positions) and parses the rest, so the
     /// report is byte-identical to the hook-free path either way.
     fn checked_report(
-        &mut self,
+        &self,
         scenario: &Scenario,
         base: u64,
         snapshot: &ConfigSnapshot,
         local_bases: &[u64],
     ) -> GlobalCheckReport {
+        let memo = &*self.memo;
         let key = (base, snapshot.key());
-        let confirm = snapshot.confirmation();
-        let memo = &mut self.memo;
-        if let Some(report) =
-            VerdictMemo::confirmed(&memo.global, &key, confirm, &mut memo.confirm_mismatches)
-        {
-            memo.hits += 1;
-            return report.clone();
-        }
-        memo.misses += 1;
+        let claim = match memo.lookup(|m| &mut m.global, key, snapshot.confirmation()) {
+            Lookup::Hit(report) => return GlobalCheckReport::clone(&report),
+            Lookup::Miss(claim) => claim,
+        };
+        bump(&memo.counters.misses);
         let report = composer::check_scenario_with(scenario, |name| {
             let parsed = snapshot.index_of(name).and_then(|i| {
                 let text = snapshot.text(i)?;
                 memo.parsed_device(local_bases[i], text.print)
             });
             match parsed {
-                Some(device) => device.clone(),
+                Some(device) => Device::clone(&device),
                 None => composer::lower_internal(name, snapshot.get(name)),
             }
         });
-        memo.insert_global(key, (confirm, report.clone()));
+        claim.publish(Arc::new(report.clone()));
         report
     }
 }
@@ -1006,9 +1192,9 @@ pub(crate) struct IncrementalVerifier {
 
 impl IncrementalVerifier {
     /// The verifier for a session that brings its own snapshot: looks
-    /// the scenario's statics bundle up in the worker memo.
+    /// the scenario's statics bundle up in the pool's memo.
     pub(crate) fn new(scenario: &Scenario, ctx: &mut VerifierContext) -> Self {
-        let (key, statics) = statics_for(scenario, ctx);
+        let (key, statics) = statics_for(scenario, &ctx.memo);
         Self::with_statics(scenario, statics, key)
     }
 
@@ -1045,7 +1231,7 @@ impl IncrementalVerifier {
 
     /// The deferred whole-network check. Two memo layers, both sound by
     /// purity of `check_scenario` in `(topology, expectations, configs)`:
-    /// the whole **report** is served from the worker memo when this
+    /// the whole **report** is served from the pool's memo when this
     /// exact snapshot was simulated before (sessions that converge back
     /// to the reference text share one simulation), and on a report
     /// miss the parse hook serves clones of devices the sweeps already
@@ -1081,8 +1267,8 @@ impl IncrementalVerifier {
     /// memo where the dependency tracker proved them still valid.
     ///
     /// The whole sweep is itself a pure function of `(topology,
-    /// policies, configs)`, so a snapshot the worker has swept before is
-    /// answered from the worker memo for the cost of folding the texts'
+    /// policies, configs)`, so a snapshot the pool has swept before is
+    /// answered from the pool's memo for the cost of folding the texts'
     /// fingerprints — the per-intent reference snapshot every converging
     /// session ends on makes this the common case on a pinned family.
     pub(crate) fn localize(
@@ -1092,17 +1278,14 @@ impl IncrementalVerifier {
         ctx: &mut VerifierContext,
     ) -> Option<Localization> {
         debug_assert!(snapshot.follows(&self.statics.layout));
+        let memo = Arc::clone(&ctx.memo);
         let key = (self.sweep_base, snapshot.key());
-        let confirm = snapshot.confirmation();
-        let memo = &mut ctx.memo;
-        if let Some(v) =
-            VerdictMemo::confirmed(&memo.sweep, &key, confirm, &mut memo.confirm_mismatches)
-        {
-            memo.hits += 1;
-            return v.clone();
-        }
+        let claim = match memo.lookup(|m| &mut m.sweep, key, snapshot.confirmation()) {
+            Lookup::Hit(verdict) => return verdict.as_deref().cloned(),
+            Lookup::Miss(claim) => claim,
+        };
         let verdict = self.localize_uncached(scenario, snapshot, ctx);
-        ctx.memo.insert_sweep(key, (confirm, verdict.clone()));
+        claim.publish(verdict.clone().map(Arc::new));
         verdict
     }
 
@@ -1162,39 +1345,27 @@ impl IncrementalVerifier {
                     m.verdict.clone()
                 }
                 None => {
+                    let memo = Arc::clone(&ctx.memo);
                     let ckey = (statics.campion_bases[i], text.print.fx);
                     let confirm = text.print.confirmation();
-                    let memo = &mut ctx.memo;
-                    let cached = VerdictMemo::confirmed(
-                        &memo.campion,
-                        &ckey,
-                        confirm,
-                        &mut memo.confirm_mismatches,
-                    )
-                    .map(|v| v.as_deref().cloned());
-                    let verdict = match cached {
-                        Some(v) => {
-                            ctx.memo.hits += 1;
-                            v
-                        }
-                        None => {
-                            ctx.memo.misses += 1;
+                    let verdict = match memo.lookup(|m| &mut m.campion, ckey, confirm) {
+                        Lookup::Hit(verdict) => verdict.as_deref().cloned(),
+                        Lookup::Miss(claim) => {
+                            bump(&memo.counters.misses);
                             // The device passed its local channels this
                             // round, so the reparse is warning-free —
-                            // and skippable when the worker memo still
+                            // and skippable when the pool's memo still
                             // holds the parse.
-                            let device =
-                                match ctx.memo.parsed_device(statics.local_bases[i], text.print) {
-                                    Some(device) => device.clone(),
-                                    None => {
-                                        composer::parse_internal(&assignment.name, text.as_str())
-                                            .device
-                                    }
-                                };
+                            let device = memo
+                                .parsed_device(statics.local_bases[i], text.print)
+                                .unwrap_or_else(|| {
+                                    let parsed =
+                                        composer::parse_internal(&assignment.name, text.as_str());
+                                    Arc::new(parsed.device)
+                                });
                             let verdict =
                                 repair::campion_verdict_in(assignment, text.as_str(), &device, ctx);
-                            ctx.memo
-                                .insert_campion(ckey, (confirm, verdict.clone().map(Box::new)));
+                            claim.publish(verdict.clone().map(Arc::new));
                             verdict
                         }
                     };
@@ -1294,14 +1465,18 @@ mod tests {
         let a = ConfigSnapshot::with_layout(inc.layout(), &clean);
         let b = ConfigSnapshot::with_layout(inc.layout(), &broken.configs);
         assert_eq!(inc.localize(&scenario, &a, &mut ctx), None);
-        let planted = ctx.memo.sweep[&(inc.sweep_base, a.key())].clone();
+        let planted = ctx.memo.maps().sweep.entries[&(inc.sweep_base, a.key())].clone();
         let b_key = (inc.sweep_base, b.key());
-        ctx.memo.sweep.insert(b_key, planted);
+        ctx.memo.maps().sweep.entries.insert(b_key, planted);
 
         let mut inc = IncrementalVerifier::new(&scenario, &mut ctx);
         assert_eq!(inc.localize(&scenario, &b, &mut ctx), expected);
         assert_eq!(ctx.memo_counters().confirm_mismatches, 1);
-        assert_eq!(ctx.memo.sweep[&b_key], (b.confirmation(), expected.clone()));
+        let (confirm, replaced) = ctx.memo.maps().sweep.entries[&b_key].clone();
+        assert_eq!(
+            (confirm, replaced.as_deref().cloned()),
+            (b.confirmation(), expected.clone())
+        );
         // The replaced entry now confirms: a second sweep is a plain hit.
         let mut inc = IncrementalVerifier::new(&scenario, &mut ctx);
         assert_eq!(inc.localize(&scenario, &b, &mut ctx), expected);
@@ -1343,10 +1518,16 @@ mod tests {
         assert!(ctx.memo.parsed_device(base, print_a).is_some());
         let planted = ctx
             .memo
+            .maps()
             .local
+            .entries
             .remove(&(base, print_a.fx))
             .expect("inserted");
-        ctx.memo.local.insert((base, print_b.fx), planted);
+        ctx.memo
+            .maps()
+            .local
+            .entries
+            .insert((base, print_b.fx), planted);
         assert!(
             ctx.memo.parsed_device(base, print_b).is_none(),
             "a colliding entry's device is never served"
@@ -1368,9 +1549,95 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_build_or_a_poisoned_lock_leaves_the_shared_memo_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let memo = VerdictMemo::for_pool(2);
+        let mut first = VerifierContext::with_memo(Arc::clone(&memo));
+        let mut second = VerifierContext::with_memo(Arc::clone(&memo));
+        // A draw that panics mid-build, as a chaos-injected panic would,
+        // publishes nothing.
+        let drawn = catch_unwind(AssertUnwindSafe(|| {
+            first.pinned_network("as-graph-64", 1, || panic!("injected draw panic"))
+        }));
+        assert!(drawn.is_err());
+        assert_eq!(memo.counters(), MemoCounters::default());
+        // A verdict computation that panics ends its claim unpublished.
+        let key = (1, 2);
+        let claimed = catch_unwind(AssertUnwindSafe(|| {
+            let Lookup::Miss(_claim) = memo.lookup(|m| &mut m.sweep, key, (3, 4)) else {
+                unreachable!("an empty memo misses");
+            };
+            panic!("injected panic mid-verdict");
+        }));
+        assert!(claimed.is_err());
+        assert!(memo.maps().sweep.computing.is_empty());
+        assert!(memo.maps().sweep.entries.is_empty());
+        // A panic while the lock is held poisons it.
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _held = memo.maps();
+            panic!("injected panic under the memo lock");
+        }));
+        assert!(memo.maps.is_poisoned());
+
+        // The other context still draws, and both answer from the memo.
+        let network = second.pinned_network("as-graph-64", 1, || {
+            scenario_gen::pinned_network("as-graph-64", 1).expect("large family")
+        });
+        let again = first.pinned_network("as-graph-64", 1, || unreachable!("drawn above"));
+        assert!(Arc::ptr_eq(&network, &again));
+        let scenario = scenario_gen::generate(3, 1);
+        let assignments = Modularizer::assign_scenario(&scenario);
+        let a = &assignments[0];
+        let text = render_reference(&a.prompt);
+        let base = local_key_bases(&scenario.topology, &assignments)[0];
+        let print = TextPrint::of(&text);
+        for ctx in [&mut second, &mut first] {
+            let finding = ctx.memo_local_verdict(&scenario.topology, a, base, &text, print, false);
+            assert!(finding.is_none(), "a reference text is clean");
+        }
+        // And the pool counts once: one draw, one reuse, one verdict
+        // computed and answered once.
+        let c = memo.counters();
+        assert_eq!((c.networks_drawn, c.networks_reused), (1, 1), "{c:?}");
+        assert_eq!((c.verdict_misses, c.verdict_hits), (1, 1), "{c:?}");
+        assert_eq!(c.topology_fps, 1, "{c:?}");
+        // The key the panicked claim held is free: the next lookup
+        // claims it instead of waiting forever.
+        assert!(matches!(
+            memo.lookup(|m| &mut m.sweep, key, (3, 4)),
+            Lookup::Miss(_)
+        ));
+    }
+
+    #[test]
+    fn a_worker_asking_for_a_network_mid_draw_waits_for_that_draw() {
+        let memo = VerdictMemo::for_pool(2);
+        let drawing = std::sync::Barrier::new(2);
+        let networks = std::thread::scope(|scope| {
+            let drawer = scope.spawn(|| {
+                let mut ctx = VerifierContext::with_memo(Arc::clone(&memo));
+                ctx.pinned_network("as-graph-64", 1, || {
+                    drawing.wait();
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    scenario_gen::pinned_network("as-graph-64", 1).expect("large family")
+                })
+            });
+            let waiter = scope.spawn(|| {
+                drawing.wait();
+                let mut ctx = VerifierContext::with_memo(Arc::clone(&memo));
+                ctx.pinned_network("as-graph-64", 1, || unreachable!("the other worker draws"))
+            });
+            [drawer.join().unwrap(), waiter.join().unwrap()]
+        });
+        assert!(Arc::ptr_eq(&networks[0], &networks[1]));
+        let c = memo.counters();
+        assert_eq!((c.networks_drawn, c.networks_reused), (1, 1), "{c:?}");
+    }
+
+    #[test]
     fn local_entries_stay_compact() {
-        // 4,096 entries take 8,192 buckets: every byte of a value counts
-        // twice per worker.
+        // 4,096 entries per worker take 8,192 buckets: every byte of a
+        // value counts twice per worker of the pool.
         assert_eq!(std::mem::size_of::<(Confirmation, CachedLocal)>(), 32);
     }
 

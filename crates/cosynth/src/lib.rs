@@ -64,7 +64,7 @@ pub use composer::{check_scenario, compose_and_check, GlobalCheckReport, GlobalV
 pub use humanizer::Humanizer;
 pub use iip::IipDatabase;
 pub use incremental::{
-    reference_configs, DependencyTracker, ReferenceSnapshot, RepairJob, VerifyMode,
+    reference_configs, DependencyTracker, ReferenceSnapshot, RepairJob, VerdictMemo, VerifyMode,
 };
 pub use leverage::Leverage;
 pub use modularizer::{LocalPolicySpec, Modularizer, RouterAssignment};

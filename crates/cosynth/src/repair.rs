@@ -249,7 +249,7 @@ impl RepairSession {
         let mut deadline_exceeded = false;
         // Assignments are pure in (topology, policies); incremental mode
         // shares one Arc'd copy across sessions on a pinned family via
-        // the worker memo instead of re-deriving ~n prompts per session.
+        // the pool's memo instead of re-deriving ~n prompts per session.
         // Same bytes either way, so content stays identical across modes.
         let assignments_arc = match inc.as_ref() {
             Some(inc) => inc.assignments(),

@@ -17,9 +17,11 @@
 //!   release time (read from `Manager::stats` by way of `node_count`).
 //! * [`RouteSpaceCache`] — **session-lifetime** state: one warm space
 //!   per router draft, invalidated by config-IR fingerprint.
-//! * [`VerifierContext`] — both, wired together, plus the
-//!   worker-lifetime verdict memo of `cosynth::incremental` (readable
-//!   through [`VerifierContext::memo_counters`]). Sessions call
+//! * [`VerifierContext`] — both, wired together, plus a handle on the
+//!   pool-lifetime [`VerdictMemo`] of `cosynth::incremental` (readable
+//!   through [`VerifierContext::memo_counters`]): every worker of a pool
+//!   holds the same memo ([`VerifierContext::with_memo`]), while the
+//!   manager pool and the space cache stay the worker's own. Sessions call
 //!   [`VerifierContext::begin_session`], which drains the previous
 //!   session's spaces back into the pool and zeroes the cache counters,
 //!   so per-session accounting (and with it every committed
@@ -32,11 +34,13 @@
 //! and fresh-per-space fleets produce identical session content — the
 //! determinism guard in `cosynth-fleet` pins this.
 
+use crate::incremental::VerdictMemo;
 use crate::space_cache::RouteSpaceCache;
 use bdd::Manager;
 use bf_lite::LocalPolicyCheck;
 use net_model::RouteAdvertisement;
 use policy_symbolic::RouteSpace;
+use std::sync::Arc;
 use telemetry::{SessionTrace, Stage};
 
 /// A pool of cleared, ready-to-recycle BDD managers with reuse
@@ -132,9 +136,10 @@ impl ManagerPool {
     }
 }
 
-/// Lifetime counters of a context's worker memo (see
-/// `cosynth::incremental`), read through
-/// [`VerifierContext::memo_counters`].
+/// Lifetime counters of a pool's verdict memo (see
+/// `cosynth::incremental`), read through [`VerdictMemo::counters`] or
+/// [`VerifierContext::memo_counters`]. Every worker of the pool adds to
+/// the same counters, so they are read once per pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoCounters {
     /// Verdict lookups (per-device local and campion verdicts of both
@@ -162,7 +167,7 @@ pub struct MemoCounters {
     /// Pinned-network lookups answered by a network already drawn.
     pub networks_reused: usize,
     /// Pinned scenario bodies built, one per `(family, seed, intent)`
-    /// the worker has run while the memo keeps it.
+    /// the pool has run while the memo keeps it.
     pub scenarios_built: usize,
     /// Topology fingerprints computed for statics lookups and pinned
     /// scenario bodies; a topology a pinned body holds is fingerprinted
@@ -171,9 +176,11 @@ pub struct MemoCounters {
 }
 
 /// Worker-resident verifier state: the manager pool plus the
-/// session-scoped route-space cache. Create one per worker (or one per
-/// session for one-shot runs — a context is also the cheap way to get
-/// the old behaviour), call [`VerifierContext::begin_session`] at every
+/// session-scoped route-space cache, and a handle on the pool's verdict
+/// memo. Create one per worker on the pool's memo
+/// ([`VerifierContext::with_memo`]), or one alone — a pool of one — per
+/// session for one-shot runs (a context is also the cheap way to get the
+/// old behaviour); call [`VerifierContext::begin_session`] at every
 /// session start, and hand it to
 /// [`crate::SynthesisSession::run_scenario_in`] /
 /// [`crate::RepairSession::run_in`].
@@ -198,20 +205,21 @@ pub struct VerifierContext {
     /// [`Self::begin_session`] and merged into the outcome's trace by the
     /// session driver.
     pub trace: SessionTrace,
-    /// Worker-lifetime memo of `crate::incremental`: per-device local
-    /// verdicts (every synthesis draft and every repair sweep in
-    /// incremental mode checks through them), campion verdicts, whole
-    /// sweeps and whole-network reports, each confirmed on every hit,
-    /// plus the statics bundles, rendered reference texts and pinned
-    /// networks that repair job preparation reads in either mode.
-    /// `--no-incremental` sessions bypass the verdicts. Survives
-    /// [`Self::begin_session`] by design: a synthesis model returns many
-    /// drafts unchanged, within a session and across sessions on the same
-    /// scenario, and on a fleet pinned to one `(seed, family)` topology
-    /// repair sessions differ only in their intent and fault, so most
-    /// verdicts recur verbatim. Entries are pure values (no managers), so
-    /// quarantine leaves them alone.
-    pub(crate) memo: crate::incremental::VerdictMemo,
+    /// The pool's memo of `crate::incremental`, shared by every worker
+    /// context of the pool: per-device local verdicts (every synthesis
+    /// draft and every repair sweep in incremental mode checks through
+    /// them), campion verdicts, whole sweeps and whole-network reports,
+    /// each confirmed on every hit, plus the statics bundles, rendered
+    /// reference texts and pinned networks that repair job preparation
+    /// reads in either mode. `--no-incremental` sessions bypass the
+    /// verdicts. Survives [`Self::begin_session`] by design: a synthesis
+    /// model returns many drafts unchanged, within a session and across
+    /// sessions on the same scenario, and on a fleet pinned to one
+    /// `(seed, family)` topology repair sessions differ only in their
+    /// intent and fault, so most verdicts recur verbatim, on whichever
+    /// worker. Entries are pure values (no managers), so quarantine
+    /// leaves them alone.
+    pub(crate) memo: Arc<VerdictMemo>,
 }
 
 impl Default for VerifierContext {
@@ -221,18 +229,27 @@ impl Default for VerifierContext {
 }
 
 impl VerifierContext {
-    /// A context with manager pooling on — the resident-worker shape.
+    /// A context with manager pooling on — the resident-worker shape —
+    /// and a memo of its own: a pool of one.
     pub fn new() -> Self {
-        Self::with_pool(ManagerPool::new())
+        Self::with_memo(VerdictMemo::for_pool(1))
     }
 
     /// A context that builds every space fresh — the one-shot shape
-    /// (identical results, no reuse) that `run_scenario` / `run` use.
+    /// (identical results, no reuse) that `run_scenario` / `run` use —
+    /// with a memo of its own: a pool of one.
     pub fn without_pooling() -> Self {
-        Self::with_pool(ManagerPool::disabled())
+        Self::with_parts(ManagerPool::disabled(), VerdictMemo::for_pool(1))
     }
 
-    fn with_pool(pool: ManagerPool) -> Self {
+    /// A worker's context in a pool: manager pooling on, a fresh space
+    /// cache, and `memo`, the verdict memo every worker of the pool
+    /// holds ([`VerdictMemo::for_pool`] sized for the pool).
+    pub fn with_memo(memo: Arc<VerdictMemo>) -> Self {
+        Self::with_parts(ManagerPool::new(), memo)
+    }
+
+    fn with_parts(pool: ManagerPool, memo: Arc<VerdictMemo>) -> Self {
         VerifierContext {
             pool,
             cache: RouteSpaceCache::new(),
@@ -240,7 +257,7 @@ impl VerifierContext {
             cache_hits_total: 0,
             cache_misses_total: 0,
             trace: SessionTrace::new(),
-            memo: crate::incremental::VerdictMemo::default(),
+            memo,
         }
     }
 
@@ -329,21 +346,10 @@ impl VerifierContext {
         None
     }
 
-    /// The worker memo's lifetime counters.
+    /// The lifetime counters of the context's memo: the whole pool's,
+    /// not this worker's share.
     pub fn memo_counters(&self) -> MemoCounters {
-        MemoCounters {
-            verdict_hits: self.memo.hits,
-            verdict_misses: self.memo.misses,
-            confirm_mismatches: self.memo.confirm_mismatches,
-            statics_builds: self.memo.statics_builds,
-            statics_hits: self.memo.statics_hits,
-            texts_rendered: self.memo.texts_rendered,
-            texts_reused: self.memo.texts_reused,
-            networks_drawn: self.memo.networks_drawn,
-            networks_reused: self.memo.networks_reused,
-            scenarios_built: self.memo.scenarios_built,
-            topology_fps: self.memo.topology_fps,
-        }
+        self.memo.counters()
     }
 
     /// Lifetime cache totals including the live session's counters.
