@@ -79,9 +79,9 @@ impl LocalPolicyCheck {
     }
 
     /// Whether the check is decided symbolically (needs a [`RouteSpace`])
-    /// rather than by a concrete probe. Callers that cache spaces per
-    /// router draft (cosynth's `RouteSpaceCache`) use this to skip space
-    /// construction for the concrete variants.
+    /// rather than by a concrete probe. Callers that build one space per
+    /// router draft for all its checks (cosynth's local verdict) use this
+    /// to skip space construction when every check is concrete.
     pub fn is_symbolic(&self) -> bool {
         !matches!(self, LocalPolicyCheck::PermittedRoutesSetLocalPref { .. })
     }
@@ -136,9 +136,9 @@ impl LocalPolicyCheck {
 /// violating route (the example Batfish prints and the humanizer
 /// forwards).
 ///
-/// Callers that verify the same router draft repeatedly (the VPP
-/// rectification loop) should build the space once with
-/// [`space_for_checks`] and use [`check_local_policy_in`] instead.
+/// Callers that run several checks on one router draft (the VPP local
+/// verdict) should build the space once with [`space_for_checks`] and
+/// use [`check_local_policy_in`] instead.
 pub fn check_local_policy(
     device: &Device,
     check: &LocalPolicyCheck,
@@ -212,9 +212,10 @@ fn check_local_policy_concrete(
 /// "carries community c" would be trivially false rather than checkable.
 ///
 /// One space built here serves *all* the given checks, which is what
-/// makes per-draft caching sound: a community variable unconstrained by
-/// both the policy and the query never appears on a counterexample path,
-/// so witnesses are identical to those from a single-check space.
+/// makes sharing it across a draft's checks sound: a community variable
+/// unconstrained by both the policy and the query never appears on a
+/// counterexample path, so witnesses are identical to those from a
+/// single-check space.
 pub fn space_for_checks(device: &Device, checks: &[LocalPolicyCheck]) -> RouteSpace {
     space_for_checks_in(
         bdd::Manager::with_capacity(RouteSpace::DEFAULT_NODE_CAPACITY),

@@ -107,7 +107,7 @@ FLAGS:
                         and chaos sessions alike.
     --trace             Stream one {\"event\":\"trace\"} line per session
                         with its per-stage wall-clock spans (prompt
-                        render, backend, parse, space build/hit, check,
+                        render, backend, parse, space build, check,
                         sim, localize). Batch mode prints them after
                         the run; --serve streams each one right after
                         its session's result line.
@@ -129,16 +129,15 @@ FLAGS:
                         recomputed per scrape.
     --metrics           (--serve only) Emit a {\"event\":\"metrics\"}
                         registry snapshot at drain: the accounting
-                        counters, queue high-water mark, pool reuse,
-                        space-cache and verdict-memo hit rates, memo
-                        confirmation mismatches, and per-stage latency
-                        histograms. A {\"metrics\":true} request line
-                        gets a mid-run snapshot whether or not this
-                        flag is set; it carries the same fields but
-                        the pool reuse and space-cache hit rates,
-                        which the workers report only at drain (the
-                        verdict memo is the whole pool's, so its hit
-                        rate and mismatches are live).
+                        counters, queue high-water mark, pool reuse
+                        and verdict-memo hit rates, memo confirmation
+                        mismatches, and per-stage latency histograms.
+                        A {\"metrics\":true} request line gets a
+                        mid-run snapshot whether or not this flag is
+                        set; it carries the same fields but the pool
+                        reuse rate, which the workers report only at
+                        drain (the verdict memo is the whole pool's,
+                        so its hit rate and mismatches are live).
     --profile           Stage-cost profile: run the synthesis AND repair
                         fleets at --sessions/--seed, fold every
                         session's trace into per-family stage
@@ -953,7 +952,7 @@ struct ScaleLeg {
     /// Per-session content signature: everything per-seed-deterministic
     /// across verification modes — outcome, rounds, localization, edit
     /// leverage, retries, model cost. Wall-clock, stage spans, and
-    /// cache/pool counters are excluded by contract (see
+    /// pool counters are excluded by contract (see
     /// `cosynth::incremental`).
     signatures: Vec<String>,
 }

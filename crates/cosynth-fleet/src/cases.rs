@@ -375,10 +375,6 @@ pub struct RepairSessionResult {
     pub auto: usize,
     /// Human prompts issued.
     pub human: usize,
-    /// Space-cache hits across the session's verification rounds.
-    pub space_hits: usize,
-    /// Space-cache (re)builds.
-    pub space_misses: usize,
     /// Session wall-clock, milliseconds.
     pub wall_ms: f64,
     /// Whether the session panicked (counted as failed).
@@ -448,8 +444,6 @@ pub fn run_repair_session_tuned(
             .unwrap_or(false),
         auto: outcome.leverage.auto,
         human: outcome.leverage.human,
-        space_hits: outcome.space_cache_hits,
-        space_misses: outcome.space_cache_misses,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         panicked: false,
         deadline_exceeded: outcome.deadline_exceeded,
@@ -567,8 +561,6 @@ impl UseCase for Repair {
             localized: false,
             auto: 0,
             human: 0,
-            space_hits: 0,
-            space_misses: 0,
             wall_ms: 0.0,
             panicked: true,
             deadline_exceeded: false,

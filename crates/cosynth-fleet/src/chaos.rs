@@ -93,10 +93,11 @@ impl ChaosPlan {
     }
 }
 
-/// Builds a route space on the worker's resident context, then panics.
-/// Called (under `catch_unwind`) for jobs whose directive injects a
-/// panic: the space guarantees the context owns at least one live
-/// manager at unwind time, so quarantine has something real to drop.
+/// Builds a route space on a manager from the worker's pool, then
+/// panics while holding it. Called (under `catch_unwind`) for jobs whose
+/// directive injects a panic: the unwind drops the space, so its manager
+/// never returns to the pool and quarantine has something real to
+/// count.
 pub(crate) fn poison_and_panic(ctx: &mut VerifierContext) -> ! {
     ctx.begin_session();
     let scenario = crate::scenario_for(1, 0);
@@ -111,7 +112,7 @@ pub(crate) fn poison_and_panic(ctx: &mut VerifierContext) -> ! {
         Some(bf_lite::Vendor::Cisco),
     )
     .device;
-    let _ = ctx.space_for(&a.name, &device, &a.checks);
+    let _space = bf_lite::space_for_checks_in(ctx.pool.acquire(), &device, &a.checks);
     panic!("chaos: injected worker panic");
 }
 

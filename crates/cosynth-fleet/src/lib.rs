@@ -265,8 +265,9 @@ pub trait UseCase: Sized + Sync {
     /// Runs session `index` of stream `seed` against `ctx` under the
     /// fleet's robustness `tuning`. Must be deterministic per
     /// `(seed, index, tuning)` — content independent of the context's
-    /// history (the context's `begin_session` guarantees the cache side;
-    /// manager recycling guarantees the kernel side).
+    /// history (no verifier state outlives a verdict, the memo serves
+    /// only pure, confirmed values, and manager recycling reproduces a
+    /// fresh manager's `Ref`s).
     fn run_session(
         seed: u64,
         index: usize,
@@ -325,10 +326,10 @@ pub trait UseCase: Sized + Sync {
 }
 
 /// Reuse counters of a run's worker pool: the manager pools' allocation
-/// amortization and the space caches' per-session hit profile, summed
-/// over workers, and the pool memo's verdict and statics counters,
-/// read once for the pool. This is the observability payload behind the
-/// `manager_pool` bench block and the `fleetd` drain report.
+/// amortization, summed over workers, and the pool memo's verdict and
+/// statics counters, read once for the pool. This is the observability
+/// payload behind the `manager_pool` bench block and the `fleetd` drain
+/// report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Workers that contributed.
@@ -342,11 +343,7 @@ pub struct PoolCounters {
     /// Largest BDD node arena seen at any space release
     /// (`Manager::stats().node_count` at its high-water mark).
     pub peak_nodes: usize,
-    /// Space-cache lookups served warm, across all sessions.
-    pub cache_hits: usize,
-    /// Space-cache (re)builds, across all sessions.
-    pub cache_misses: usize,
-    /// Managers dropped (never recycled) because the session that owned
+    /// Managers dropped (never recycled) because the session that held
     /// them panicked — see `VerifierContext::quarantine`.
     pub quarantined: usize,
     /// Pool verdict-memo lookups answered from the memo.
@@ -388,9 +385,6 @@ impl PoolCounters {
         self.manager_allocs += ctx.pool.allocs;
         self.peak_nodes = self.peak_nodes.max(ctx.pool.peak_nodes);
         self.quarantined += ctx.pool.quarantined;
-        let (hits, misses) = ctx.cache_totals();
-        self.cache_hits += hits;
-        self.cache_misses += misses;
     }
 
     /// Sets the pool memo's counters.
@@ -433,8 +427,8 @@ pub struct FleetReport<U: UseCase> {
     pub seed: u64,
     /// Total wall-clock, milliseconds.
     pub wall_ms: f64,
-    /// Manager-pool and space-cache counters, summed over workers, and
-    /// the pool memo's counters.
+    /// Manager-pool counters, summed over workers, and the pool memo's
+    /// counters.
     pub pool: PoolCounters,
 }
 
@@ -589,17 +583,14 @@ pub(crate) fn spawn_workers<'scope, T: Send + 'scope>(
             while let Some(job) = queue.pop(w) {
                 run(w, job, &mut ctx);
             }
-            // Fold the final session's cache counters into the context
-            // totals before reporting.
-            ctx.flush();
             lock_clean(counters).absorb(&ctx);
         });
     }
 }
 
 /// Runs one job on a worker's resident context, panic-contained: a job
-/// that panics is caught, the context is quarantined (its session's
-/// managers are dropped, never recycled — see
+/// that panics is caught, the context is quarantined (the managers the
+/// unwind dropped are counted, never recycled — see
 /// `VerifierContext::quarantine`), `sentinel` supplies the result, and
 /// the worker carries on.
 pub(crate) fn run_contained<R>(
@@ -607,10 +598,15 @@ pub(crate) fn run_contained<R>(
     job: impl FnOnce(&mut VerifierContext) -> R,
     sentinel: impl FnOnce() -> R,
 ) -> R {
-    // AssertUnwindSafe is sound because quarantine drops every piece of
-    // state a mid-session panic could have left half-mutated, and the
-    // sentinel must not re-enter the job (if generation panicked, a
-    // second call would re-panic).
+    // AssertUnwindSafe is sound because nothing a verdict builds outlives
+    // it: a space and its manager live on the verdict's stack, so the
+    // unwind drops whatever a panic left half-mutated, and quarantine
+    // only counts the managers that never came back. What the context
+    // keeps across jobs is the free list of cleared managers, the trace
+    // (reset by the next `begin_session`) and the memo, which publishes
+    // nothing for a claim a panic dropped. The sentinel must not
+    // re-enter the job (if generation panicked, a second call would
+    // re-panic).
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&mut *ctx))).unwrap_or_else(|_| {
         ctx.quarantine();
         sentinel()
@@ -717,9 +713,7 @@ pub fn bench_prelude<U: UseCase>(
     let _ = writeln!(out, "    \"manager_allocs\": {},", p.manager_allocs);
     let _ = writeln!(out, "    \"manager_reuses\": {},", p.manager_reuses);
     let _ = writeln!(out, "    \"reuse_rate\": {:.4},", p.reuse_rate());
-    let _ = writeln!(out, "    \"peak_nodes\": {},", p.peak_nodes);
-    let _ = writeln!(out, "    \"space_cache_hits\": {},", p.cache_hits);
-    let _ = writeln!(out, "    \"space_cache_misses\": {}", p.cache_misses);
+    let _ = writeln!(out, "    \"peak_nodes\": {}", p.peak_nodes);
     let _ = writeln!(out, "  }},");
     out
 }
@@ -985,8 +979,9 @@ mod tests {
 
     #[test]
     fn panicked_session_quarantines_its_managers() {
-        // A job that builds a space and then panics: its manager must be
-        // dropped (quarantined), not parked for the next session.
+        // A job that builds a space on its pool's manager and panics
+        // while holding it: the unwind drops the manager, and quarantine
+        // counts it instead of parking it for the next session.
         let jobs: Vec<usize> = (0..6).collect();
         let (results, counters) = run_pool(
             2,
@@ -1008,23 +1003,53 @@ mod tests {
                     Some(bf_lite::Vendor::Cisco),
                 )
                 .device;
-                let _ = ctx.space_for(&a.name, &d, &a.checks);
+                let space = bf_lite::space_for_checks_in(ctx.pool.acquire(), &d, &a.checks);
                 if index % 2 == 1 {
                     panic!("injected worker panic");
                 }
+                ctx.pool.release(space.into_manager());
                 index
             },
             |index| index + 1000,
         );
         assert_eq!(results.len(), 6);
-        assert!(
-            counters.quarantined >= 1,
+        // Three of the six jobs panic, each holding one manager.
+        assert_eq!(
+            counters.quarantined, 3,
             "panicked sessions must quarantine: {counters:?}"
         );
-        // Conservation: every alloc is recycled-or-parked or quarantined
-        // — the absorbed totals can't count a quarantined manager as
-        // reusable.
+        // Conservation: every alloc is parked (at most one per worker)
+        // or quarantined — the absorbed totals can't count a quarantined
+        // manager as reusable.
         assert!(counters.manager_allocs >= counters.quarantined);
+        assert!(
+            counters.manager_allocs <= counters.quarantined + counters.workers,
+            "{counters:?}"
+        );
+    }
+
+    #[test]
+    fn fleets_hold_one_bdd_manager_per_worker() {
+        // A local verdict builds its space on a manager from the
+        // worker's pool and returns it before the verdict ends, so no
+        // worker ever holds two managers: each allocates one and
+        // recycles it for every space it builds, in both use cases.
+        let cfg = FleetConfig {
+            sessions: 64,
+            seed: 1,
+            threads: 2,
+            families: None,
+            tuning: SessionTuning::default(),
+        };
+        for pool in [
+            run_case::<Synthesis>(&cfg).pool,
+            run_case::<Repair>(&cfg).pool,
+        ] {
+            assert_eq!(pool.workers, 2, "{pool:?}");
+            assert!(pool.manager_allocs <= pool.workers, "{pool:?}");
+            assert!(pool.manager_reuses > 0, "{pool:?}");
+            assert_eq!(pool.quarantined, 0, "{pool:?}");
+        }
     }
 
     #[test]

@@ -773,10 +773,10 @@ pub(crate) fn identities(snap: &Snapshot) -> (bool, bool) {
 /// [`identities`] recomputed from the snapshot itself (so a consumer
 /// can check the conservation law without waiting for the drain line),
 /// plus the pool memo's verdict hit rate and confirmation mismatches,
-/// read from `memo` at any point. The per-worker rates (manager reuse,
-/// space-cache hits) come from `drain`, the pool's counters after the
-/// workers have reported their contexts, so only the drain line (the
-/// one call that passes them) carries them.
+/// read from `memo` at any point. The per-worker manager reuse rate
+/// comes from `drain`, the pool's counters after the workers have
+/// reported their contexts, so only the drain line (the one call that
+/// passes them) carries it.
 pub(crate) fn metrics_json(
     reg: &Registry,
     memo: &MemoCounters,
@@ -796,14 +796,7 @@ pub(crate) fn metrics_json(
         }
     };
     if let Some(p) = drain {
-        // The verdict memo sits in front of the space cache: a draft the
-        // pool has checked before never reaches the cache, so the two
-        // hit rates are read together.
-        b = b.f64("manager_reuse_rate", p.reuse_rate(), 4).f64(
-            "space_cache_hit_rate",
-            rate(p.cache_hits, p.cache_misses),
-            4,
-        );
+        b = b.f64("manager_reuse_rate", p.reuse_rate(), 4);
     }
     b.f64(
         "verdict_memo_hit_rate",
@@ -888,8 +881,6 @@ pub fn serve(
             .u64("manager_quarantined", p.quarantined as u64)
             .f64("reuse_rate", p.reuse_rate(), 4)
             .u64("peak_nodes", p.peak_nodes as u64)
-            .u64("space_cache_hits", p.cache_hits as u64)
-            .u64("space_cache_misses", p.cache_misses as u64)
             .finish()
     )?;
     output.flush()?;
@@ -1365,13 +1356,11 @@ mod tests {
                 "{text}"
             );
             assert!(mid.get("manager_reuse_rate").is_none(), "{text}");
-            assert!(mid.get("space_cache_hit_rate").is_none(), "{text}");
             let drain = &metrics[1];
             assert_eq!(drain.get("drain").and_then(Json::as_bool), Some(true));
             assert_eq!(counter(drain, "submitted"), summary.submitted as u64);
             assert_eq!(counter(drain, "quarantined"), summary.quarantined as u64);
             assert!(drain.get("manager_reuse_rate").is_some(), "{text}");
-            assert!(drain.get("space_cache_hit_rate").is_some(), "{text}");
             let Some(Json::Num(memo_rate)) = drain.get("verdict_memo_hit_rate") else {
                 panic!("drain carries the verdict-memo hit rate: {text}");
             };

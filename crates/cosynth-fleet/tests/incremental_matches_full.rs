@@ -2,7 +2,7 @@
 //! session **content** is byte-identical between full re-verification
 //! (`--no-incremental`) and the incremental dirty-set schedule (default)
 //! — across seeds and both use cases.
-//! Wall-clock, trace span counts, and cache/pool counters are the only
+//! Wall-clock, trace span counts, and pool counters are the only
 //! excluded fields (see `cosynth::incremental` for why).
 //!
 //! Plus the dirty-set soundness property the bookkeeping rests on: an

@@ -6,15 +6,15 @@
 //!
 //! This is the contract that lets the pooled path replace the fresh
 //! path without re-validating any committed `BENCH_*.json` provenance:
-//! `Ref`s depend on the op sequence alone,
-//! `VerifierContext::begin_session` makes each session start from an
-//! observationally fresh cache, and the verdict memo every worker of a
-//! pool shares serves only pure, confirmed values.
+//! `Ref`s depend on the op sequence alone, no verifier state outlives
+//! the local verdict that built it, and the verdict memo every worker
+//! of a pool shares serves only pure, confirmed values.
 
 use cosynth::VerifierContext;
 use cosynth_fleet::{
     run_case, run_repair_session_in, FleetConfig, Repair, SessionTuning, Synthesis, UseCase,
 };
+use telemetry::Stage;
 
 const SESSIONS: usize = 16;
 
@@ -38,7 +38,6 @@ fn one_shot<U: UseCase>(
         .map(|index| {
             let mut ctx = VerifierContext::without_pooling();
             let result = U::run_session(1, index, &mut ctx, tuning);
-            ctx.flush();
             assert_eq!(ctx.pool.reuses, 0, "one-shot session {index} recycled");
             result
         })
@@ -127,22 +126,23 @@ fn pooled_and_fresh_repair_fleets_are_byte_identical() {
             );
         }
     }
-    // Even the space-cache profile is identical: pooling changes where
-    // managers come from, never what the cache does. Which spaces a
-    // session builds depends on what its pool's verdict memo holds
-    // from earlier sessions, so the profile is compared where that
-    // history is fixed: every session in index order through one
-    // resident context per side.
+    // Even the space-build profile is identical: pooling changes where
+    // managers come from, never which spaces a session builds. That
+    // depends on what its pool's verdict memo holds from earlier
+    // sessions, so the profile is compared where that history is fixed:
+    // every session in index order through one resident context per
+    // side.
     let mut fresh_ctx = VerifierContext::without_pooling();
     let mut pooled_ctx = VerifierContext::new();
     for index in 0..SESSIONS {
         let a = run_repair_session_in(1, index, &mut fresh_ctx);
         let b = run_repair_session_in(1, index, &mut pooled_ctx);
-        assert_eq!(a.space_hits, b.space_hits, "session {index}");
-        assert_eq!(a.space_misses, b.space_misses, "session {index}");
+        assert_eq!(
+            a.trace.get(Stage::SpaceBuild).count,
+            b.trace.get(Stage::SpaceBuild).count,
+            "session {index}"
+        );
     }
-    fresh_ctx.flush();
-    pooled_ctx.flush();
     assert!(
         pooled_ctx.pool.reuses > 0,
         "resident context never recycled"

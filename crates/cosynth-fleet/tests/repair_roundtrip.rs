@@ -1,8 +1,8 @@
 //! Property test: every mutated config the fault corpus emits must
 //! survive the print/parse cycle unchanged — render → reparse → lower
-//! reaches the identical `config-ir` fingerprint — or the ground-truth
-//! line spans (and with them localization precision) would drift the
-//! moment a config round-trips through the session machinery.
+//! reaches an identical `config_ir::Device` — or the ground-truth line
+//! spans (and with them localization precision) would drift the moment
+//! a config round-trips through the session machinery.
 
 use cosynth_fleet::{clean_configs_for, fault_seed, scenario_for};
 
@@ -44,15 +44,14 @@ fn mutated_corpus_round_trips_print_parse_lower() {
                 scenario.name
             );
 
-            // 2. Lowering the reparsed text reaches the identical IR
-            // fingerprint (the space cache's invalidation key).
+            // 2. Lowering the reparsed text reaches an identical IR:
+            // every field, so no hash collision can stand in for it.
             let (device1, _) = config_ir::from_cisco(&ast);
             let (ast2, _) = cisco_cfg::parse(&reprinted);
             let (device2, _) = config_ir::from_cisco(&ast2);
             assert_eq!(
-                cosynth::space_cache::ir_fingerprint(&device1, &[]),
-                cosynth::space_cache::ir_fingerprint(&device2, &[]),
-                "{}: {fault:?} fingerprint must be stable",
+                device1, device2,
+                "{}: {fault:?} IR must be stable",
                 scenario.name
             );
 

@@ -116,7 +116,7 @@
 //! localizations, the global report, leverage, the prompt log, cost —
 //! is identical across full and incremental re-verification, in both
 //! use cases; the fleet A/B tests pin this. Wall-clock, trace span
-//! *counts* (skipped parses, checks and sims), and space-cache/pool
+//! *counts* (skipped parses, space builds, checks and sims), and pool
 //! counters necessarily differ between modes and are excluded from the
 //! identity.
 
@@ -257,18 +257,20 @@ pub(crate) enum LocalFinding {
 
 /// The VPP local verdict of one router draft: parse warnings, then the
 /// topology verifier, then the router's local policy checks (symbolic
-/// ones on the draft's warm space from the context's cache). Returns the
-/// parsed device — named by the assignment when the draft carries no
-/// hostname, as the composer names it — and the first finding, `None`
-/// when every channel is silent. Records one [`Stage::Parse`] span and
-/// one [`Stage::Check`] span per check run.
+/// ones in one space built for the draft on a pooled manager and
+/// returned before the verdict ends). Returns the parsed device — named
+/// by the assignment when the draft carries no hostname, as the composer
+/// names it — and the first finding, `None` when every channel is
+/// silent. Records one [`Stage::Parse`] span, one [`Stage::SpaceBuild`]
+/// span when a check is symbolic, and one [`Stage::Check`] span per
+/// check run.
 ///
 /// The verdict is pure in the router's own topology spec, its check set
 /// and the text: `topo_model::verify_router` reads nothing else, no
-/// channel reads the device's name, and the context only caches the
-/// symbolic space, which never changes a witness. That purity is what
-/// makes the per-device memo sound, within a session and across
-/// sessions and use cases on one worker.
+/// channel reads the device's name, and the context only lends a BDD
+/// manager, which never changes a witness. That purity is what makes the
+/// per-device memo sound, within a session and across sessions and use
+/// cases on one worker.
 pub(crate) fn local_verdict(
     topology: &Topology,
     assignment: &RouterAssignment,
@@ -287,7 +289,7 @@ pub(crate) fn local_verdict(
         return (device, Some(LocalFinding::Topology(f)));
     }
     let finding = ctx
-        .first_violation(&assignment.name, &device, &assignment.checks)
+        .first_violation(&device, &assignment.checks)
         .map(|(check, witness)| LocalFinding::Semantic { check, witness });
     (device, finding)
 }
@@ -942,8 +944,7 @@ struct Counters {
 /// The **pool-lifetime** verdict memo: one per worker pool, shared by
 /// the [`VerifierContext`] of every worker (a context made alone, by
 /// [`VerifierContext::new`] or [`VerifierContext::without_pooling`], is
-/// a pool of one), while each worker keeps its own manager pool and
-/// space cache.
+/// a pool of one), while each worker keeps its own manager pool.
 ///
 /// Per-device verdicts are pure functions of `(own topology spec, check
 /// set, config text)` — local — and `(assignment name, prompt, config

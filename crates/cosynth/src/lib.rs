@@ -30,13 +30,12 @@
 //!   prompts the verifier loop could not avoid.
 //! * Session reports → [`report`]: regenerates Table 1, Table 2 and
 //!   Table 3 from live runs.
-//! * Symbolic-space cache → [`space_cache`]: one `RouteSpace` per router
-//!   draft, keyed on a config-IR fingerprint and shared across the
-//!   synthesize–verify–rectify iterations of a session.
-//! * Verifier context → [`verifier_ctx`]: the worker-resident pairing of
-//!   a recycled-BDD-manager pool with the space cache, so a resident
-//!   worker amortizes table allocation across every session it runs
-//!   (`run_scenario_in` / `run_in` are the pooled session entry points).
+//! * Verifier context → [`verifier_ctx`]: the worker-resident
+//!   recycled-BDD-manager pool. A local verdict builds one `RouteSpace`
+//!   on a pooled manager for all of a draft's symbolic checks and
+//!   returns the manager before it ends, so a resident worker allocates
+//!   one manager for every session it runs (`run_scenario_in` /
+//!   `run_in` are the pooled session entry points).
 //! * Incremental re-verification → [`incremental`]: the one local
 //!   verdict both use cases run, the worker's confirmed verdict memo in
 //!   front of it (a draft the worker has checked before costs one
@@ -55,7 +54,6 @@ pub mod repair;
 pub mod report;
 pub mod session;
 pub mod snapshot;
-pub mod space_cache;
 pub mod synthesis;
 pub mod translation;
 pub mod verifier_ctx;
@@ -72,7 +70,6 @@ pub use repair::{Localization, RepairOutcome, RepairSession};
 pub use report::{scenario_table, FamilyRow};
 pub use session::{LoggedPrompt, PromptKind, SessionLimits, SessionTranscript};
 pub use snapshot::ConfigSnapshot;
-pub use space_cache::RouteSpaceCache;
 pub use synthesis::{SpecStyle, SynthesisOutcome, SynthesisSession};
 pub use translation::{ErrorRow, TranslationOutcome, TranslationSession};
 pub use verifier_ctx::{ManagerPool, MemoCounters, VerifierContext};

@@ -113,11 +113,6 @@ pub struct RepairOutcome {
     pub leverage: Leverage,
     /// Full prompt log.
     pub log: Vec<LoggedPrompt>,
-    /// Symbolic-space cache lookups served warm across the session's
-    /// re-verification rounds.
-    pub space_cache_hits: usize,
-    /// Space (re)builds: first sight of a router or a repair edit to it.
-    pub space_cache_misses: usize,
     /// Whether the session stopped early on its [`SessionBudget`].
     pub deadline_exceeded: bool,
     /// Transport retry/escalation accounting for the whole session.
@@ -147,8 +142,8 @@ pub struct RepairSession {
     pub retry: RetryPolicy,
     /// Re-verification strategy (default: incremental, sequential).
     /// Per-seed session content is byte-identical across every mode —
-    /// only wall-clock, trace span counts, and cache/pool counters
-    /// differ; `cosynth-fleet` pins this A/B identity.
+    /// only wall-clock, trace span counts, and pool counters differ;
+    /// `cosynth-fleet` pins this A/B identity.
     pub verify: VerifyMode,
 }
 
@@ -352,8 +347,6 @@ impl RepairSession {
             global,
             leverage: t.leverage,
             log: t.log,
-            space_cache_hits: ctx.cache.hits,
-            space_cache_misses: ctx.cache.misses,
             deadline_exceeded,
             transport: t.transport,
             trace,
@@ -670,7 +663,6 @@ fn campion_span(text: &str, f: &CampionFinding) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bf_lite::LocalPolicyCheck;
     use llm_sim::{ErrorModel, SimulatedGpt4};
     use std::collections::BTreeSet;
 
@@ -814,87 +806,6 @@ mod tests {
             SessionLimits::default().attempts_per_finding
         );
         assert!(outcome.rounds > SessionLimits::default().attempts_per_finding);
-    }
-
-    #[test]
-    fn space_cache_survives_repair_rounds_and_invalidates_per_router() {
-        // Find a scenario with at least two symbolic policy routers so
-        // per-router invalidation is observable, wipe a community on one
-        // of them (a fault only the symbolic carry check can see), and
-        // hold the model on the wrong-line pathology for the automated
-        // rounds: the cosmetic edits leave the suspect's IR unchanged and
-        // every other router untouched, so re-verification rounds after
-        // the first must be answered from the warm cache.
-        let scenario = (0..20)
-            .map(|i| scenario_gen::generate(11, i))
-            .find(|s| {
-                Modularizer::assign_scenario(s)
-                    .iter()
-                    .filter(|a| a.checks.iter().any(LocalPolicyCheck::is_symbolic))
-                    .count()
-                    >= 2
-            })
-            .expect("generator produces multi-policy-router scenarios");
-        let assignments = Modularizer::assign_scenario(&scenario);
-        let symbolic_routers = assignments
-            .iter()
-            .filter(|a| a.checks.iter().any(LocalPolicyCheck::is_symbolic))
-            .count();
-        let configs = clean_configs(&scenario);
-        let suspect = assignments
-            .iter()
-            .find(|a| {
-                a.checks.iter().any(LocalPolicyCheck::is_symbolic)
-                    && fault_inject::applicable_classes(&configs[&a.name])
-                        .contains(&fault_inject::FaultClass::CommunityWiped)
-            })
-            .expect("a tagging router exists");
-        let mut rng = llm_sim::rng::SimRng::seed_from_u64(21);
-        let (mutated, line_start, line_end, detail) = fault_inject::mutate_config(
-            &configs[&suspect.name],
-            fault_inject::FaultClass::CommunityWiped,
-            &mut rng,
-        )
-        .expect("community wipe applies");
-        let mut broken = configs.clone();
-        broken.insert(suspect.name.clone(), mutated);
-        let injection = Injection {
-            configs: broken,
-            fault: GroundTruth {
-                device: suspect.name.clone(),
-                class: fault_inject::FaultClass::CommunityWiped,
-                line_start,
-                line_end,
-                detail,
-            },
-        };
-        let mut model = ErrorModel::paper_default();
-        model.p_repair_wrong_line = 1.0;
-        let mut llm = SimulatedGpt4::new(model, 8);
-        let outcome = RepairSession::default().run(&mut llm, &scenario, &injection);
-        assert!(outcome.repaired, "{:#?}", outcome.log.last());
-        assert!(
-            outcome.rounds > SessionLimits::default().attempts_per_finding,
-            "wrong-line model must burn the automated budget"
-        );
-        // Per-router invalidation: every untouched router has exactly one
-        // IR all session (≤ 1 miss each); only the repaired router sees a
-        // second fingerprint. The cosmetic wrong-line edits lower to the
-        // same IR, so they must not rebuild anything.
-        assert!(
-            outcome.space_cache_misses <= symbolic_routers + 1,
-            "a repair to one router must invalidate only that router: \
-             misses={} symbolic_routers={symbolic_routers}",
-            outcome.space_cache_misses
-        );
-        // The suspect is re-verified every automated round with an
-        // unchanged fingerprint: those lookups must all be warm.
-        assert!(
-            outcome.space_cache_hits >= SessionLimits::default().attempts_per_finding,
-            "re-verification across rounds must hit the cache: hits={} misses={}",
-            outcome.space_cache_hits,
-            outcome.space_cache_misses
-        );
     }
 
     #[test]

@@ -54,13 +54,6 @@ pub struct SynthesisOutcome {
     pub leverage: Leverage,
     /// Full prompt log.
     pub log: Vec<LoggedPrompt>,
-    /// Symbolic-space cache lookups answered from a warm space (see
-    /// [`crate::space_cache`]). Zero for the global style, which runs no
-    /// local symbolic checks.
-    pub space_cache_hits: usize,
-    /// Symbolic-space cache (re)builds: first sight of a router draft or
-    /// a rectification edit to it.
-    pub space_cache_misses: usize,
     /// Whether the session stopped early because it tripped its
     /// [`SessionBudget`] (a typed outcome, not a panic).
     pub deadline_exceeded: bool,
@@ -96,8 +89,8 @@ pub struct SynthesisSession {
     /// unchanged — costs one hash, and sends the final whole-network
     /// check through the report memo. Full mode recomputes every verdict
     /// and report. Session content is byte-identical across the two (the
-    /// fleet A/B test pins it); trace span counts, memo counters and
-    /// space-cache counters differ.
+    /// fleet A/B test pins it); trace span counts and memo counters
+    /// differ.
     pub verify: crate::incremental::VerifyMode,
 }
 
@@ -188,12 +181,12 @@ impl SynthesisSession {
     }
 
     /// Drives every per-router syntax → topology → semantics loop of a
-    /// scenario through one transcript and one space cache. This is the
-    /// **single** accounting path behind both [`Self::run_on`] (the
+    /// scenario through one transcript and one verifier context. This is
+    /// the **single** accounting path behind both [`Self::run_on`] (the
     /// paper's star) and [`Self::run_scenario`] (generated scenarios):
-    /// prompts, escalations from a failed verify, and cache counters are
-    /// tallied here and nowhere else. In incremental mode it also
-    /// computes the session's memo keys.
+    /// prompts and escalations from a failed verify are tallied here and
+    /// nowhere else. In incremental mode it also computes the session's
+    /// memo keys.
     fn drive_scenario<M: LanguageModel + ?Sized>(
         &self,
         llm: &mut M,
@@ -241,8 +234,6 @@ impl SynthesisSession {
             verified_local,
             leverage: t.leverage,
             log: t.log,
-            space_cache_hits: ctx.cache.hits,
-            space_cache_misses: ctx.cache.misses,
             deadline_exceeded,
             transport: t.transport,
             trace,
@@ -257,9 +248,9 @@ impl SynthesisSession {
     ///
     /// Each round checks the current draft once ([`local_verdict`]):
     /// through the worker's verdict memo under the router's key `base` in
-    /// incremental mode, directly in full mode. The symbolic checks run
-    /// on `ctx`'s session-scoped space cache, so a rectification edit to
-    /// this router invalidates only this router's space.
+    /// incremental mode, directly in full mode. A computed verdict builds
+    /// its symbolic space on a manager from `ctx`'s pool and returns the
+    /// manager before the round goes on.
     fn rectify_router<M: LanguageModel + ?Sized>(
         &self,
         t: &mut SessionTranscript<'_, M>,
@@ -394,8 +385,6 @@ impl SynthesisSession {
             global,
             converged,
             leverage: t.leverage,
-            space_cache_hits: 0,
-            space_cache_misses: 0,
             deadline_exceeded,
             transport: t.transport,
             trace: t.trace,
@@ -415,8 +404,6 @@ struct ScenarioDrive {
     verified_local: bool,
     leverage: Leverage,
     log: Vec<LoggedPrompt>,
-    space_cache_hits: usize,
-    space_cache_misses: usize,
     deadline_exceeded: bool,
     transport: TransportStats,
     trace: SessionTrace,
@@ -432,8 +419,6 @@ impl ScenarioDrive {
             converged: self.verified_local,
             leverage: self.leverage,
             log: self.log,
-            space_cache_hits: self.space_cache_hits,
-            space_cache_misses: self.space_cache_misses,
             deadline_exceeded: self.deadline_exceeded,
             transport: self.transport,
             trace: self.trace,
@@ -625,7 +610,8 @@ mod tests {
         let mut ctx = VerifierContext::new();
         let outcome = SynthesisSession::default().run_scenario_in(&mut llm, &scenario, &mut ctx);
         assert!(outcome.verified_local);
-        assert!(outcome.space_cache_misses > 0, "spaces must be built");
+        let builds = outcome.trace.get(Stage::SpaceBuild).count as usize;
+        assert!(builds > 0, "spaces must be built");
         // Every draft the loop can have checked: each router's task
         // response and each rectification response, per router (a
         // response without a config leaves the draft as it was).
@@ -656,6 +642,13 @@ mod tests {
             drafts.len()
         );
         assert_eq!(memo.confirm_mismatches, 0);
+        // A draft the memo answers builds no space: at most one build
+        // per computed verdict.
+        assert!(
+            builds <= memo.verdict_misses,
+            "space builds={builds} computed verdicts={}",
+            memo.verdict_misses
+        );
     }
 
     #[test]
@@ -672,15 +665,11 @@ mod tests {
             a.log.len(),
             "clean transport: one backend span per logged prompt"
         );
-        assert_eq!(
-            a.trace.get(Stage::SpaceBuild).count as usize,
-            a.space_cache_misses,
-            "every cache miss is a build span"
-        );
-        assert_eq!(
-            a.trace.get(Stage::SpaceHit).count as usize,
-            a.space_cache_hits,
-            "every cache hit is a hit span"
+        let builds = a.trace.get(Stage::SpaceBuild).count;
+        assert!(builds > 0, "symbolic checks build spaces");
+        assert!(
+            builds <= a.trace.get(Stage::Check).count,
+            "a space is built only for a verdict whose checks run in it"
         );
         assert_eq!(a.trace.get(Stage::Sim).count, 1, "one final global check");
         assert_eq!(a.trace.get(Stage::PromptRender).count, 1);

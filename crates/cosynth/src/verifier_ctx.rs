@@ -1,5 +1,5 @@
 //! The worker-resident verifier context: a pool of recycled BDD
-//! managers plus the per-session [`RouteSpaceCache`].
+//! managers plus a handle on the pool-lifetime verdict memo.
 //!
 //! Every symbolic local check runs inside a `RouteSpace`, and before
 //! pooling every space build paid `Manager::with_capacity` — ~1.3 MB of
@@ -7,26 +7,26 @@
 //! a few milliseconds later. A fleet worker that stays resident can
 //! amortize that: [`ManagerPool`] keeps cleared managers (tables intact
 //! at whatever size they grew to) and hands them back to the next space
-//! build, so a worker allocates tables once per concurrent space, not
-//! once per session.
+//! build.
+//!
+//! A local verdict with symbolic checks builds one space on a manager
+//! from the pool, runs every check in it, and releases the manager
+//! before it returns. Nothing a verdict builds outlives it, so a worker
+//! holds at most one manager at a time and allocates one for its whole
+//! lifetime.
 //!
 //! The split of responsibilities:
 //!
 //! * [`ManagerPool`] — **worker-lifetime** state: cleared managers plus
-//!   reuse/allocation counters and the peak node count observed at
-//!   release time (read from `Manager::stats` by way of `node_count`).
-//! * [`RouteSpaceCache`] — **session-lifetime** state: one warm space
-//!   per router draft, invalidated by config-IR fingerprint.
-//! * [`VerifierContext`] — both, wired together, plus a handle on the
-//!   pool-lifetime [`VerdictMemo`] of `cosynth::incremental` (readable
-//!   through [`VerifierContext::memo_counters`]): every worker of a pool
-//!   holds the same memo ([`VerifierContext::with_memo`]), while the
-//!   manager pool and the space cache stay the worker's own. Sessions call
-//!   [`VerifierContext::begin_session`], which drains the previous
-//!   session's spaces back into the pool and zeroes the cache counters,
-//!   so per-session accounting (and with it every committed
-//!   `BENCH_*.json` field) is byte-identical to a context created
-//!   fresh for that one session.
+//!   reuse/allocation counters, the count of managers handed out and not
+//!   yet returned, and the peak node count observed at release time
+//!   (read from `Manager::stats` by way of `node_count`).
+//! * [`VerifierContext`] — the pool, the live session's stage trace,
+//!   and a handle on the pool-lifetime [`VerdictMemo`] of
+//!   `cosynth::incremental` (readable through
+//!   [`VerifierContext::memo_counters`]): every worker of a pool holds
+//!   the same memo ([`VerifierContext::with_memo`]), while the manager
+//!   pool stays the worker's own.
 //!
 //! Determinism: a recycled manager reproduces a fresh manager's `Ref`s
 //! for the same op sequence (refs are assigned in insertion order from
@@ -35,7 +35,6 @@
 //! determinism guard in `cosynth-fleet` pins this.
 
 use crate::incremental::VerdictMemo;
-use crate::space_cache::RouteSpaceCache;
 use bdd::Manager;
 use bf_lite::LocalPolicyCheck;
 use net_model::RouteAdvertisement;
@@ -47,6 +46,9 @@ use telemetry::{SessionTrace, Stage};
 /// accounting. Managers are cleared on [`ManagerPool::release`] (not on
 /// acquire), so the peak node count is captured while the arena is
 /// still populated and an acquire is a plain `Vec::pop`.
+///
+/// The pool counts every manager it hands out until it comes back:
+/// `allocs == idle() + in_use + quarantined` on a pooling pool.
 #[derive(Default)]
 pub struct ManagerPool {
     free: Vec<Manager>,
@@ -62,9 +64,15 @@ pub struct ManagerPool {
     /// [`Manager::node_count`], the `node_count` field of
     /// [`bdd::ManagerStats`]).
     pub peak_nodes: usize,
-    /// Managers dropped by [`VerifierContext::quarantine`] instead of
-    /// recycled: a panicked session may have left them mid-mutation, so
-    /// their arenas cannot be trusted by the next tenant.
+    /// Managers handed out by [`ManagerPool::acquire`] and not yet
+    /// released: +1 on acquire, −1 on release. A manager a panic drops
+    /// on its way out stays counted here until
+    /// [`VerifierContext::quarantine`] moves it to `quarantined`.
+    pub in_use: usize,
+    /// Managers that never came back because the session that held them
+    /// panicked (see [`VerifierContext::quarantine`]): the unwind
+    /// dropped them, possibly mid-mutation, so no future tenant sees
+    /// their arenas.
     pub quarantined: usize,
 }
 
@@ -107,6 +115,7 @@ impl ManagerPool {
     /// fresh-per-space path exactly (default capacity per build), which
     /// is what every one-shot session runs.
     pub fn acquire(&mut self) -> Manager {
+        self.in_use += 1;
         match self.free.pop() {
             Some(m) => {
                 self.reuses += 1;
@@ -124,15 +133,16 @@ impl ManagerPool {
         }
     }
 
-    /// Takes a manager back: records its high-water mark, clears it,
-    /// and parks it for the next acquire (or drops it when pooling is
-    /// disabled).
+    /// Takes back a manager this pool handed out: records its
+    /// high-water mark, clears it, and parks it for the next acquire
+    /// (or drops it when pooling is disabled).
     pub fn release(&mut self, mut mgr: Manager) {
         self.peak_nodes = self.peak_nodes.max(mgr.node_count());
         if self.retain {
             mgr.clear();
             self.free.push(mgr);
         }
+        self.in_use -= 1;
     }
 }
 
@@ -175,35 +185,23 @@ pub struct MemoCounters {
     pub topology_fps: usize,
 }
 
-/// Worker-resident verifier state: the manager pool plus the
-/// session-scoped route-space cache, and a handle on the pool's verdict
-/// memo. Create one per worker on the pool's memo
-/// ([`VerifierContext::with_memo`]), or one alone — a pool of one — per
-/// session for one-shot runs (a context is also the cheap way to get the
-/// old behaviour); call [`VerifierContext::begin_session`] at every
-/// session start, and hand it to
-/// [`crate::SynthesisSession::run_scenario_in`] /
+/// Worker-resident verifier state: the manager pool, the live session's
+/// stage trace, and a handle on the pool's verdict memo. Create one per
+/// worker on the pool's memo ([`VerifierContext::with_memo`]), or one
+/// alone — a pool of one — per session for one-shot runs; call
+/// [`VerifierContext::begin_session`] at every session start, and hand
+/// it to [`crate::SynthesisSession::run_scenario_in`] /
 /// [`crate::RepairSession::run_in`].
 pub struct VerifierContext {
     /// Worker-lifetime manager pool.
     pub pool: ManagerPool,
-    /// Session-lifetime space cache (drained back into the pool by
-    /// [`VerifierContext::begin_session`]).
-    pub cache: RouteSpaceCache,
     /// Sessions started on this context.
     pub sessions: usize,
-    /// Space-cache hits accumulated over *completed* sessions (the
-    /// live session's counters sit in `cache.hits` until the next
-    /// `begin_session` folds them in).
-    pub cache_hits_total: usize,
-    /// Space-cache misses accumulated over completed sessions.
-    pub cache_misses_total: usize,
-    /// The live session's stage trace: [`Stage::SpaceBuild`] /
-    /// [`Stage::SpaceHit`] spans recorded by [`Self::space_for`], plus
-    /// the [`Stage::Parse`] and [`Stage::Check`] spans of every local
-    /// verdict computed (not answered from the memo). Reset by
-    /// [`Self::begin_session`] and merged into the outcome's trace by the
-    /// session driver.
+    /// The live session's stage trace: one [`Stage::SpaceBuild`] span
+    /// per local verdict with symbolic checks, plus the [`Stage::Parse`]
+    /// and [`Stage::Check`] spans of every local verdict computed (not
+    /// answered from the memo). Reset by [`Self::begin_session`] and
+    /// merged into the outcome's trace when the session ends.
     pub trace: SessionTrace,
     /// The pool's memo of `crate::incremental`, shared by every worker
     /// context of the pool: per-device local verdicts (every synthesis
@@ -242,9 +240,9 @@ impl VerifierContext {
         Self::with_parts(ManagerPool::disabled(), VerdictMemo::for_pool(1))
     }
 
-    /// A worker's context in a pool: manager pooling on, a fresh space
-    /// cache, and `memo`, the verdict memo every worker of the pool
-    /// holds ([`VerdictMemo::for_pool`] sized for the pool).
+    /// A worker's context in a pool: manager pooling on, and `memo`, the
+    /// verdict memo every worker of the pool holds
+    /// ([`VerdictMemo::for_pool`] sized for the pool).
     pub fn with_memo(memo: Arc<VerdictMemo>) -> Self {
         Self::with_parts(ManagerPool::new(), memo)
     }
@@ -252,98 +250,55 @@ impl VerifierContext {
     fn with_parts(pool: ManagerPool, memo: Arc<VerdictMemo>) -> Self {
         VerifierContext {
             pool,
-            cache: RouteSpaceCache::new(),
             sessions: 0,
-            cache_hits_total: 0,
-            cache_misses_total: 0,
             trace: SessionTrace::new(),
             memo,
         }
     }
 
-    /// Starts a session: folds the previous session's cache counters
-    /// into the lifetime totals, drains its warm spaces back into the
-    /// manager pool, and zeroes the per-session counters. After this
-    /// the cache is observationally a fresh `RouteSpaceCache`, which is
-    /// what keeps per-session content and accounting byte-identical to
-    /// an unpooled run.
+    /// Starts a session: counts it and resets the live stage trace.
     pub fn begin_session(&mut self) {
         self.sessions += 1;
         self.trace = SessionTrace::new();
-        self.flush();
     }
 
-    /// Folds the live session's cache counters into the lifetime totals
-    /// and parks its spaces in the pool, without opening a new session.
-    /// Workers call this once at retirement so the final session's
-    /// counters (and manager high-water marks) reach the fleet report.
-    pub fn flush(&mut self) {
-        self.cache_hits_total += self.cache.hits;
-        self.cache_misses_total += self.cache.misses;
-        for space in self.cache.drain() {
-            self.pool.release(space.into_manager());
-        }
-        self.cache.hits = 0;
-        self.cache.misses = 0;
-    }
+    /// Does nothing: no state outlives a verdict, so there is nothing
+    /// to fold back at a worker's retirement. Kept only because the
+    /// traced pass of `perfbench` still calls it; ROADMAP item 6's
+    /// benchmark-scoped change drops that call, and this goes after it.
+    pub fn flush(&mut self) {}
 
-    /// The space for `router`'s current draft — the pooled equivalent
-    /// of [`RouteSpaceCache::space_for`]. The lookup is timed into the
-    /// live session's trace: a rebuild records a [`Stage::SpaceBuild`]
-    /// span, a warm answer a [`Stage::SpaceHit`] span (classified by
-    /// whether the cache's miss counter moved, so trace counts always
-    /// reconcile with the cache counters).
-    pub fn space_for(
-        &mut self,
-        router: &str,
-        device: &config_ir::Device,
-        checks: &[bf_lite::LocalPolicyCheck],
-    ) -> &mut RouteSpace {
-        let misses_before = self.cache.misses;
-        let start = std::time::Instant::now();
-        let _ = self
-            .cache
-            .space_for_in(&mut self.pool, router, device, checks);
-        let stage = if self.cache.misses > misses_before {
-            Stage::SpaceBuild
-        } else {
-            Stage::SpaceHit
-        };
-        self.trace.record(stage, start.elapsed());
-        self.cache.space_mut(router).expect("space just ensured")
-    }
-
-    /// The first of `checks` that `router`'s parsed draft violates, with
-    /// the route that violates it. One space lookup ([`Self::space_for`])
-    /// serves every symbolic check; concrete checks (local-pref probes)
-    /// need no space at all. Each check run is one [`Stage::Check`] span.
+    /// The first of `checks` that the parsed draft `device` violates,
+    /// with the route that violates it. When any check is symbolic, one
+    /// space is built on a manager from the pool (one
+    /// [`Stage::SpaceBuild`] span) and serves every symbolic check;
+    /// concrete checks (local-pref probes) need no space at all. Each
+    /// check run is one [`Stage::Check`] span. The manager goes back to
+    /// the pool before the call returns.
     pub(crate) fn first_violation(
         &mut self,
-        router: &str,
         device: &config_ir::Device,
         checks: &[LocalPolicyCheck],
     ) -> Option<(LocalPolicyCheck, RouteAdvertisement)> {
-        let symbolic = checks.iter().any(LocalPolicyCheck::is_symbolic);
-        if symbolic {
-            self.space_for(router, device, checks);
+        let mut space = checks.iter().any(LocalPolicyCheck::is_symbolic).then(|| {
+            let pool = &mut self.pool;
+            self.trace.time(Stage::SpaceBuild, || {
+                bf_lite::space_for_checks_in(pool.acquire(), device, checks)
+            })
+        });
+        let violation = checks.iter().find_map(|check| {
+            let result = self.trace.time(Stage::Check, || match space.as_mut() {
+                Some(space) if check.is_symbolic() => {
+                    bf_lite::check_local_policy_in(space, device, check)
+                }
+                _ => bf_lite::check_local_policy(device, check),
+            });
+            result.err().map(|witness| (check.clone(), witness))
+        });
+        if let Some(space) = space {
+            self.pool.release(space.into_manager());
         }
-        // The space lives in the cache and the spans go to the trace:
-        // disjoint fields, so both borrows hold at once.
-        let mut space = self.cache.space_mut(router);
-        for check in checks {
-            let result = self
-                .trace
-                .time(Stage::Check, || match space.as_deref_mut() {
-                    Some(space) if check.is_symbolic() => {
-                        bf_lite::check_local_policy_in(space, device, check)
-                    }
-                    _ => bf_lite::check_local_policy(device, check),
-                });
-            if let Err(witness) = result {
-                return Some((check.clone(), witness));
-            }
-        }
-        None
+        violation
     }
 
     /// The lifetime counters of the context's memo: the whole pool's,
@@ -352,31 +307,24 @@ impl VerifierContext {
         self.memo.counters()
     }
 
-    /// Lifetime cache totals including the live session's counters.
+    /// Always `(0, 0)`: there is no space cache to count. Kept only
+    /// because the traced pass of `perfbench` still reads it;
+    /// ROADMAP item 6's benchmark-scoped change drops that read, and
+    /// this goes after it.
     pub fn cache_totals(&self) -> (usize, usize) {
-        (
-            self.cache_hits_total + self.cache.hits,
-            self.cache_misses_total + self.cache.misses,
-        )
+        (0, 0)
     }
 
-    /// Poisons the live session's state after a panic: its counters are
-    /// folded into the lifetime totals (the work *was* done), but every
-    /// manager it owned is **dropped**, never released back into the
-    /// pool — a panic may have unwound mid-mutation, leaving an arena no
-    /// future tenant can trust. Each dropped manager bumps
-    /// [`ManagerPool::quarantined`]. The context itself stays usable:
-    /// after quarantine it is observationally a context whose pool is
-    /// merely colder.
+    /// Accounts for a session that panicked: every manager it held when
+    /// the panic unwound was dropped with the stack frame that held it
+    /// (a verdict's space lives on its stack), possibly mid-mutation, so
+    /// none reached the free list. Quarantine moves those managers from
+    /// [`ManagerPool::in_use`] to [`ManagerPool::quarantined`]. The
+    /// context itself stays usable: after quarantine it is
+    /// observationally a context whose pool is merely colder.
     pub fn quarantine(&mut self) {
-        self.cache_hits_total += self.cache.hits;
-        self.cache_misses_total += self.cache.misses;
-        self.cache.hits = 0;
-        self.cache.misses = 0;
-        for space in self.cache.drain() {
-            self.pool.quarantined += 1;
-            drop(space);
-        }
+        self.pool.quarantined += self.pool.in_use;
+        self.pool.in_use = 0;
     }
 }
 
@@ -402,6 +350,15 @@ mod tests {
         d
     }
 
+    /// A draft whose policy tags nothing: it violates every carry check.
+    fn untagged_device(name: &str) -> config_ir::Device {
+        let mut d = config_ir::Device::named(name);
+        let mut p = IrPolicy::new("ADD_COMM");
+        p.clauses.push(IrClause::permit_all("10"));
+        d.policies.push(p);
+        d
+    }
+
     fn carry_check(community: &str) -> bf_lite::LocalPolicyCheck {
         bf_lite::LocalPolicyCheck::PermittedRoutesCarry {
             chain: vec!["ADD_COMM".into()],
@@ -409,15 +366,29 @@ mod tests {
         }
     }
 
+    /// Every manager the pool ever allocated is parked, out, or
+    /// quarantined.
+    fn assert_conserved(pool: &ManagerPool, at: &str) {
+        assert_eq!(
+            pool.allocs,
+            pool.idle() + pool.in_use + pool.quarantined,
+            "conservation violated at {at}: allocs={} idle={} in_use={} quarantined={}",
+            pool.allocs,
+            pool.idle(),
+            pool.in_use,
+            pool.quarantined
+        );
+    }
+
     #[test]
     fn pool_recycles_released_managers() {
         let mut pool = ManagerPool::new();
         let m1 = pool.acquire();
-        assert_eq!((pool.reuses, pool.allocs), (0, 1));
+        assert_eq!((pool.reuses, pool.allocs, pool.in_use), (0, 1, 1));
         pool.release(m1);
-        assert_eq!(pool.idle(), 1);
+        assert_eq!((pool.idle(), pool.in_use), (1, 0));
         let _m2 = pool.acquire();
-        assert_eq!((pool.reuses, pool.allocs), (1, 1));
+        assert_eq!((pool.reuses, pool.allocs, pool.in_use), (1, 1, 1));
         assert_eq!(pool.idle(), 0);
     }
 
@@ -431,35 +402,47 @@ mod tests {
         let _ = m.and(v, w);
         let nodes = m.node_count();
         pool.release(m);
-        assert_eq!(pool.idle(), 0);
+        assert_eq!((pool.idle(), pool.in_use), (0, 0));
         assert_eq!(pool.peak_nodes, nodes);
         let _ = pool.acquire();
         assert_eq!((pool.reuses, pool.allocs), (0, 2));
     }
 
     #[test]
-    fn begin_session_resets_cache_and_refills_pool() {
+    fn verdicts_return_their_manager_before_they_end() {
         let mut ctx = VerifierContext::new();
         ctx.begin_session();
         let d = tagging_device("r1", "100:1");
         let checks = [carry_check("100:1")];
-        let space = ctx.space_for("r1", &d, &checks);
-        assert!(bf_lite::check_local_policy_in(space, &d, &checks[0]).is_ok());
-        let _ = ctx.space_for("r1", &d, &checks);
-        assert_eq!((ctx.cache.hits, ctx.cache.misses), (1, 1));
-        assert_eq!(ctx.pool.allocs, 1);
-
-        // Next session: counters reset, the space's manager is parked,
-        // and the rebuild is served from the pool.
-        ctx.begin_session();
-        assert_eq!((ctx.cache.hits, ctx.cache.misses), (0, 0));
-        assert_eq!(ctx.cache.len(), 0, "spaces drained");
-        assert_eq!(ctx.pool.idle(), 1);
-        let _ = ctx.space_for("r1", &d, &checks);
-        assert_eq!(ctx.pool.reuses, 1);
-        assert_eq!(ctx.pool.allocs, 1, "no second allocation");
-        assert_eq!(ctx.cache_totals(), (1, 2));
+        assert!(ctx.first_violation(&d, &checks).is_none());
+        assert_eq!(
+            (ctx.pool.allocs, ctx.pool.in_use, ctx.pool.idle()),
+            (1, 0, 1)
+        );
         assert!(ctx.pool.peak_nodes > 1, "release recorded the arena size");
+        // The same draft again builds its space again, on the same
+        // manager.
+        assert!(ctx.first_violation(&d, &checks).is_none());
+        assert_eq!(ctx.trace.get(Stage::SpaceBuild).count, 2);
+        assert_eq!(ctx.trace.get(Stage::Check).count, 2);
+
+        // The next session starts a fresh trace and still recycles.
+        ctx.begin_session();
+        assert_eq!(ctx.trace.get(Stage::SpaceBuild).count, 0);
+        let bad = untagged_device("r2");
+        assert!(ctx.first_violation(&bad, &checks).is_some());
+        assert_eq!((ctx.pool.reuses, ctx.pool.allocs), (2, 1), "one manager");
+        assert_eq!((ctx.pool.in_use, ctx.pool.idle()), (0, 1));
+
+        // A verdict with only concrete checks builds no space.
+        let probe = [bf_lite::LocalPolicyCheck::PermittedRoutesSetLocalPref {
+            chain: vec!["ADD_COMM".into()],
+            value: 200,
+        }];
+        let _ = ctx.first_violation(&d, &probe);
+        assert_eq!(ctx.trace.get(Stage::SpaceBuild).count, 1);
+        assert_eq!((ctx.pool.reuses, ctx.pool.allocs), (2, 1));
+        assert_eq!(ctx.sessions, 2);
     }
 
     #[test]
@@ -468,52 +451,76 @@ mod tests {
         ctx.begin_session();
         let d = tagging_device("r1", "100:1");
         let checks = [carry_check("100:1")];
-        let _ = ctx.space_for("r1", &d, &checks);
-        assert_eq!(ctx.pool.allocs, 1);
-        // The session panics: its manager must not reach the free list.
+        assert!(ctx.first_violation(&d, &checks).is_none());
+        // A verdict panics while it holds a space built on the pool's
+        // manager: the unwind drops the space, so the manager never
+        // comes back.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _space = bf_lite::space_for_checks_in(ctx.pool.acquire(), &d, &checks);
+            panic!("injected verdict panic");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!((ctx.pool.in_use, ctx.pool.idle()), (1, 0));
+        assert_conserved(&ctx.pool, "after the unwind");
         ctx.quarantine();
-        assert_eq!(ctx.pool.quarantined, 1);
+        assert_eq!((ctx.pool.quarantined, ctx.pool.in_use), (1, 0));
         assert_eq!(ctx.pool.idle(), 0, "poisoned manager never parked");
-        assert_eq!(ctx.cache.len(), 0);
         // The next session on this context allocates fresh.
         ctx.begin_session();
-        let _ = ctx.space_for("r1", &d, &checks);
-        assert_eq!(ctx.pool.reuses, 0, "nothing to recycle after quarantine");
-        assert_eq!(ctx.pool.allocs, 2);
+        assert!(ctx.first_violation(&d, &checks).is_none());
+        assert_eq!((ctx.pool.reuses, ctx.pool.allocs), (1, 2));
+        assert_conserved(&ctx.pool, "after the next verdict");
+
+        // A manager still held when quarantine runs (a frame the unwind
+        // has not reached yet) is counted too, and is dropped, never
+        // released.
+        let held = ctx.pool.acquire();
+        ctx.quarantine();
+        assert_eq!((ctx.pool.quarantined, ctx.pool.in_use), (2, 0));
+        drop(held);
+        assert_eq!(ctx.pool.idle(), 0);
+        assert_conserved(&ctx.pool, "after a held manager's quarantine");
     }
 
     #[test]
     fn quarantine_conservation_law_over_random_op_sequences() {
         // Property-style: over a seeded random interleaving of sessions,
-        // space builds, and quarantines, every manager ever allocated is
-        // exactly one of parked / cached / quarantined — a quarantined
-        // manager is never recycled and no counter drifts.
+        // verdicts, verdicts that unwind with their space, and
+        // quarantines, every manager ever allocated is exactly one of
+        // parked / in use / quarantined — a quarantined manager is never
+        // recycled and no counter drifts.
         let mut rng = llm_sim::rng::SimRng::seed_from_u64(0xC0FFEE);
         let routers = ["r1", "r2", "r3", "r4", "r5"];
         let mut ctx = VerifierContext::new();
         ctx.begin_session();
         for step in 0..400 {
+            let name = routers[rng.index(routers.len())];
+            let community = format!("100:{}", 1 + rng.index(3));
+            let checks = [carry_check(&community)];
             match rng.index(10) {
                 0 => ctx.begin_session(),
                 1 | 2 => ctx.quarantine(),
-                _ => {
-                    let name = routers[rng.index(routers.len())];
-                    let community = format!("100:{}", 1 + rng.index(3));
+                3 => {
+                    // A verdict that unwinds drops its space on the way
+                    // out instead of releasing the manager.
                     let d = tagging_device(name, &community);
-                    let checks = [carry_check(&community)];
-                    let _ = ctx.space_for(name, &d, &checks);
+                    drop(bf_lite::space_for_checks_in(
+                        ctx.pool.acquire(),
+                        &d,
+                        &checks,
+                    ));
+                }
+                4..=6 => {
+                    let d = untagged_device(name);
+                    assert!(ctx.first_violation(&d, &checks).is_some());
+                }
+                _ => {
+                    let d = tagging_device(name, &community);
+                    assert!(ctx.first_violation(&d, &checks).is_none());
                 }
             }
-            assert_eq!(
-                ctx.pool.allocs,
-                ctx.pool.idle() + ctx.cache.len() + ctx.pool.quarantined,
-                "conservation violated at step {step}: allocs={} idle={} \
-                 cached={} quarantined={}",
-                ctx.pool.allocs,
-                ctx.pool.idle(),
-                ctx.cache.len(),
-                ctx.pool.quarantined
-            );
+            assert_conserved(&ctx.pool, &format!("step {step}"));
+            assert!(ctx.pool.idle() <= 1, "a worker holds one manager at a time");
         }
         assert!(ctx.pool.quarantined > 0, "the sequence must quarantine");
         assert!(ctx.pool.reuses > 0, "and still exercise recycling");
@@ -523,10 +530,7 @@ mod tests {
     fn pooled_and_fresh_spaces_agree_on_witnesses() {
         // A buggy draft checked through a *recycled* manager must yield
         // the exact witness a fresh space yields.
-        let mut d = config_ir::Device::named("r1");
-        let mut p = IrPolicy::new("ADD_COMM");
-        p.clauses.push(IrClause::permit_all("10"));
-        d.policies.push(p);
+        let d = untagged_device("r1");
         let checks = [carry_check("100:1")];
         let fresh = bf_lite::check_local_policy(&d, &checks[0]).unwrap_err();
 
@@ -534,13 +538,14 @@ mod tests {
         // Warm the pool with an unrelated tenant first.
         ctx.begin_session();
         let other = tagging_device("r9", "222:2");
-        let other_checks = [carry_check("222:2")];
-        let _ = ctx.space_for("r9", &other, &other_checks);
+        assert!(ctx
+            .first_violation(&other, &[carry_check("222:2")])
+            .is_none());
         ctx.begin_session();
         assert!(ctx.pool.idle() > 0, "recycled manager available");
-        let space = ctx.space_for("r1", &d, &checks);
-        let pooled = bf_lite::check_local_policy_in(space, &d, &checks[0]).unwrap_err();
+        let (check, pooled) = ctx.first_violation(&d, &checks).expect("violated");
         assert_eq!(ctx.pool.reuses, 1, "the build must have recycled");
+        assert_eq!(check.describe(), checks[0].describe());
         assert_eq!(fresh, pooled);
     }
 }

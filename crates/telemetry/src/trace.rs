@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 
 /// A pipeline stage worth timing separately. The taxonomy follows the
 /// synthesis/repair loop: prompt assembly, the (simulated) LLM call,
-/// vendor parse/lower, route-space construction vs cache hit, symbolic
-/// policy checks, bf-lite scenario simulation, and repair-loop fault
+/// vendor parse/lower, route-space construction, symbolic policy
+/// checks, bf-lite scenario simulation, and repair-loop fault
 /// localization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(usize)]
@@ -32,10 +32,9 @@ pub enum Stage {
     Backend,
     /// Vendor-config parse + lowering to IR (`bf_lite::parse_config`).
     Parse,
-    /// Building a `RouteSpace` from scratch (space-cache miss).
+    /// Building the one `RouteSpace` a local verdict's symbolic checks
+    /// share.
     SpaceBuild,
-    /// Serving a `RouteSpace` from the session cache (hit path).
-    SpaceHit,
     /// Symbolic local-policy checks inside an existing space.
     Check,
     /// bf-lite whole-scenario simulation (`check_scenario` /
@@ -47,7 +46,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the length of [`Stage::ALL`]).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// Every stage, in declaration order (the order traces serialize
     /// in).
@@ -56,7 +55,6 @@ impl Stage {
         Stage::Backend,
         Stage::Parse,
         Stage::SpaceBuild,
-        Stage::SpaceHit,
         Stage::Check,
         Stage::Sim,
         Stage::Localize,
@@ -70,7 +68,6 @@ impl Stage {
             Stage::Backend => "backend",
             Stage::Parse => "parse",
             Stage::SpaceBuild => "space_build",
-            Stage::SpaceHit => "space_hit",
             Stage::Check => "check",
             Stage::Sim => "sim",
             Stage::Localize => "localize",
