@@ -2,31 +2,40 @@
 //!
 //! The parser is a mode machine over [`crate::lexer::ConfigLine`]s: block
 //! commands (`interface`, `router bgp`, `router ospf`, `route-map`) switch
-//! modes; other lines are interpreted in the current mode. Anything
-//! unrecognized, misplaced, or malformed becomes a [`ParseWarning`] — the
-//! config as a whole always parses, exactly like Batfish's front end, so
-//! the semantic verifiers can still run on the recognizable parts.
+//! modes; other lines are interpreted in the current mode. A `!` comment
+//! line switches nothing, so a block continues past it, as in IOS.
+//! Anything unrecognized, misplaced, or malformed becomes a
+//! [`ParseWarning`] — the config as a whole always parses, exactly like
+//! Batfish's front end, so the semantic verifiers can still run on the
+//! recognizable parts.
+//!
+//! Lines and words are borrowed from the input and keywords are matched
+//! in place (a word is lower-cased into a fresh string only when it has
+//! upper-case letters), so parsing allocates the strings the AST and the
+//! warnings keep and little else.
 
 use crate::ast::*;
 use crate::lexer::{lex, ConfigLine};
 use crate::warning::{ParseWarning, WarningKind};
 use net_model::{
-    Asn, Community, CommunityListEntry, InterfaceAddress, InterfaceName, Prefix, PrefixPattern,
-    Protocol,
+    Asn, Community, CommunityListEntry, InterfaceAddress, InterfaceName, NetModelError, Prefix,
+    PrefixPattern, Protocol,
 };
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// Parser mode: which block the cursor is inside.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Global,
     /// Index into `cfg.interfaces`.
     Interface(usize),
     RouterBgp,
     RouterOspf,
-    /// (route-map name, stanza seq).
-    RouteMap(String, u32),
+    /// Index into `cfg.route_maps`, then into that map's `stanzas`. Only a
+    /// `route-map` header adds a stanza, and it leaves this mode, so the
+    /// indices hold until the mode changes.
+    RouteMap(usize, usize),
 }
 
 /// Parses an IOS configuration, returning the AST and all warnings.
@@ -36,9 +45,8 @@ pub fn parse(input: &str) -> (CiscoConfig, Vec<ParseWarning>) {
         warnings: Vec::new(),
         mode: Mode::Global,
     };
-    let lexed = lex(input);
-    for line in &lexed.lines {
-        p.line(line);
+    for line in lex(input).lines() {
+        p.line(&line);
     }
     (p.cfg, p.warnings)
 }
@@ -64,19 +72,15 @@ const CLI_KEYWORDS: &[&[&str]] = &[
 
 impl Parser {
     fn warn(&mut self, line: &ConfigLine, kind: WarningKind, message: impl Into<String>) {
-        self.warnings.push(ParseWarning::new(
-            line.number,
-            line.text.clone(),
-            message,
-            kind,
-        ));
+        self.warnings
+            .push(ParseWarning::new(line.number, line.text, message, kind));
     }
 
     fn line(&mut self, line: &ConfigLine) {
         // CLI keywords are wrong in any mode (the paper's IIP forbids
         // them); flag and drop.
         for kw in CLI_KEYWORDS {
-            if line.starts_with(kw) && line.words.len() == kw.len() {
+            if kw.len() == line.words.len() && line.starts_with(kw) {
                 self.warn(
                     line,
                     WarningKind::CliKeyword,
@@ -90,7 +94,7 @@ impl Parser {
             }
         }
         // Top-level commands switch mode regardless of current mode.
-        match line.keyword().as_str() {
+        match &*line.keyword() {
             "hostname" => {
                 self.mode = Mode::Global;
                 match line.word(1) {
@@ -152,17 +156,17 @@ impl Parser {
             _ => {}
         }
         // Mode-specific interpretation.
-        match self.mode.clone() {
+        match self.mode {
             Mode::Global => self.global_line(line),
             Mode::Interface(idx) => self.interface_line(line, idx),
             Mode::RouterBgp => self.bgp_line(line),
             Mode::RouterOspf => self.ospf_line(line),
-            Mode::RouteMap(name, seq) => self.route_map_line(line, &name, seq),
+            Mode::RouteMap(map, stanza) => self.route_map_line(line, map, stanza),
         }
     }
 
     fn global_line(&mut self, line: &ConfigLine) {
-        match line.keyword().as_str() {
+        match &*line.keyword() {
             // The paper's misplaced-command case: neighbor/network belong
             // under `router bgp`.
             "neighbor" => self.warn(
@@ -181,7 +185,7 @@ impl Parser {
                 "'match'/'set' clauses must be placed inside a 'route-map' stanza",
             ),
             _ => {
-                self.cfg.extra_lines.push(line.text.clone());
+                self.cfg.extra_lines.push(line.text.to_string());
                 self.warn(
                     line,
                     WarningKind::Unrecognized,
@@ -194,7 +198,7 @@ impl Parser {
     fn interface_line(&mut self, line: &ConfigLine, idx: usize) {
         if line.starts_with(&["ip", "address"]) {
             let parsed = match (line.word(2), line.word(3)) {
-                (Some(a), Some(m)) => InterfaceAddress::parse(&format!("{a} {m}")),
+                (Some(a), Some(m)) => address_with_mask(a, m),
                 (Some(a), None) => InterfaceAddress::parse(a),
                 _ => {
                     self.warn(
@@ -226,7 +230,7 @@ impl Parser {
             }
             return;
         }
-        match line.keyword().as_str() {
+        match &*line.keyword() {
             "shutdown" => self.cfg.interfaces[idx].shutdown = true,
             "no" if line.starts_with(&["no", "shutdown"]) => {
                 self.cfg.interfaces[idx].shutdown = false
@@ -246,7 +250,7 @@ impl Parser {
     }
 
     fn router_header(&mut self, line: &ConfigLine) {
-        match line.word(1).map(str::to_ascii_lowercase).as_deref() {
+        match line.word_lower(1).as_deref() {
             Some("bgp") => match line.word(2).and_then(|w| w.parse::<u32>().ok()) {
                 Some(asn) => {
                     if let Some(existing) = &self.cfg.bgp {
@@ -314,20 +318,21 @@ impl Parser {
             }
             return;
         }
-        if line.keyword() == "neighbor" {
+        let keyword = line.keyword();
+        if keyword == "neighbor" {
             self.bgp_neighbor_line(line);
             return;
         }
-        if line.keyword() == "network" {
+        if keyword == "network" {
             let prefix = match (line.word(1), line.word(2), line.word(3)) {
                 (Some(a), Some(kw), Some(m)) if kw.eq_ignore_ascii_case("mask") => {
-                    InterfaceAddress::parse(&format!("{a} {m}")).map(|ia| ia.subnet())
+                    address_with_mask(a, m).map(|ia| ia.subnet())
                 }
                 (Some(a), None, _) if a.contains('/') => a.parse::<Prefix>(),
                 (Some(a), None, _) => {
                     // Classful inference for a bare address.
                     a.parse::<Ipv4Addr>()
-                        .map_err(|_| net_model::NetModelError::InvalidPrefix(a.to_string()))
+                        .map_err(|_| NetModelError::InvalidPrefix(a.to_string()))
                         .and_then(|addr| {
                             let len = classful_len(addr);
                             Prefix::new(addr, len)
@@ -344,10 +349,9 @@ impl Parser {
             }
             return;
         }
-        if line.keyword() == "redistribute" {
+        if keyword == "redistribute" {
             let Some(proto) = line
-                .word(1)
-                .map(str::to_ascii_lowercase)
+                .word_lower(1)
                 .as_deref()
                 .and_then(Protocol::from_keyword)
             else {
@@ -397,7 +401,7 @@ impl Parser {
             return;
         };
         let bgp = self.cfg.bgp.as_mut().expect("in RouterBgp mode");
-        match line.word(2).map(str::to_ascii_lowercase).as_deref() {
+        match line.word_lower(2).as_deref() {
             Some("remote-as") => match line.word(3).and_then(|w| w.parse::<u32>().ok()) {
                 Some(asn) => bgp.neighbor_mut(addr).remote_as = Some(Asn(asn)),
                 None => self.warn(
@@ -406,22 +410,17 @@ impl Parser {
                     "remote-as requires an AS number",
                 ),
             },
-            Some("route-map") => {
-                let (name, dir) = (line.word(3), line.word(4).map(str::to_ascii_lowercase));
-                match (name, dir.as_deref()) {
-                    (Some(n), Some("in")) => {
-                        bgp.neighbor_mut(addr).route_map_in = Some(n.to_string())
-                    }
-                    (Some(n), Some("out")) => {
-                        bgp.neighbor_mut(addr).route_map_out = Some(n.to_string())
-                    }
-                    _ => self.warn(
-                        line,
-                        WarningKind::BadValue,
-                        "neighbor route-map requires a name and a direction (in|out)",
-                    ),
+            Some("route-map") => match (line.word(3), line.word_lower(4).as_deref()) {
+                (Some(n), Some("in")) => bgp.neighbor_mut(addr).route_map_in = Some(n.to_string()),
+                (Some(n), Some("out")) => {
+                    bgp.neighbor_mut(addr).route_map_out = Some(n.to_string())
                 }
-            }
+                _ => self.warn(
+                    line,
+                    WarningKind::BadValue,
+                    "neighbor route-map requires a name and a direction (in|out)",
+                ),
+            },
             Some("description") => {
                 bgp.neighbor_mut(addr).description = Some(line.rest(3));
             }
@@ -445,7 +444,7 @@ impl Parser {
 
     fn ospf_line(&mut self, line: &ConfigLine) {
         let ospf = self.cfg.ospf.as_mut().expect("in RouterOspf mode");
-        match line.keyword().as_str() {
+        match &*line.keyword() {
             "router-id" => match line.word(1).and_then(|w| w.parse::<Ipv4Addr>().ok()) {
                 Some(id) => ospf.router_id = Some(id),
                 None => self.warn(line, WarningKind::BadValue, "router-id requires an address"),
@@ -524,7 +523,6 @@ impl Parser {
             );
             return;
         };
-        let name = name.to_string();
         let mut i = 3;
         let mut seq = None;
         if line.word(i).map(|w| w.eq_ignore_ascii_case("seq")) == Some(true) {
@@ -535,7 +533,7 @@ impl Parser {
             }
             i += 2;
         }
-        let permit = match line.word(i).map(str::to_ascii_lowercase).as_deref() {
+        let permit = match line.word_lower(i).as_deref() {
             Some("permit") => true,
             Some("deny") => false,
             _ => {
@@ -575,8 +573,8 @@ impl Parser {
         i += 1;
         let mut ge = None;
         let mut le = None;
-        while let Some(w) = line.word(i) {
-            match w.to_ascii_lowercase().as_str() {
+        while let Some(w) = line.word_lower(i) {
+            match &*w {
                 "ge" => {
                     ge = line.word(i + 1).and_then(|x| x.parse::<u8>().ok());
                     if ge.is_none() {
@@ -614,25 +612,30 @@ impl Parser {
             &mut self.cfg.prefix_lists[pos]
         } else {
             self.cfg.prefix_lists.push(PrefixList {
-                name: name.clone(),
+                name: name.to_string(),
                 entries: Vec::new(),
             });
             self.cfg.prefix_lists.last_mut().expect("just pushed")
         };
+        // Entries stay sorted by seq; an equal seq goes after the ones
+        // already there.
         let seq = seq.unwrap_or_else(|| list.entries.last().map(|e| e.seq + 5).unwrap_or(5));
-        list.entries.push(PrefixListEntry {
-            seq,
-            permit,
-            pattern,
-        });
-        list.entries.sort_by_key(|e| e.seq);
+        let at = list.entries.partition_point(|e| e.seq <= seq);
+        list.entries.insert(
+            at,
+            PrefixListEntry {
+                seq,
+                permit,
+                pattern,
+            },
+        );
     }
 
     fn ip_community_list(&mut self, line: &ConfigLine) {
         // ip community-list [standard|expanded] NAME permit|deny COMM...
         let mut i = 2;
         let mut standard = true;
-        match line.word(i).map(str::to_ascii_lowercase).as_deref() {
+        match line.word_lower(i).as_deref() {
             Some("standard") => i += 1,
             Some("expanded") => {
                 standard = false;
@@ -648,9 +651,8 @@ impl Parser {
             );
             return;
         };
-        let name = name.to_string();
         i += 1;
-        let permit = match line.word(i).map(str::to_ascii_lowercase).as_deref() {
+        let permit = match line.word_lower(i).as_deref() {
             Some("permit") => true,
             Some("deny") => false,
             _ => {
@@ -700,7 +702,7 @@ impl Parser {
             &mut self.cfg.community_lists[pos]
         } else {
             self.cfg.community_lists.push(CommunityList {
-                name: name.clone(),
+                name: name.to_string(),
                 entries: Vec::new(),
             });
             self.cfg.community_lists.last_mut().expect("just pushed")
@@ -729,8 +731,7 @@ impl Parser {
             );
             return;
         };
-        let name = name.to_string();
-        let permit = match line.word(4).map(str::to_ascii_lowercase).as_deref() {
+        let permit = match line.word_lower(4).as_deref() {
             Some("permit") => true,
             Some("deny") => false,
             _ => {
@@ -751,7 +752,7 @@ impl Parser {
             &mut self.cfg.as_path_lists[pos]
         } else {
             self.cfg.as_path_lists.push(AsPathList {
-                name: name.clone(),
+                name: name.to_string(),
                 entries: Vec::new(),
             });
             self.cfg.as_path_lists.last_mut().expect("just pushed")
@@ -766,8 +767,7 @@ impl Parser {
             self.mode = Mode::Global;
             return;
         };
-        let name = name.to_string();
-        let permit = match line.word(2).map(str::to_ascii_lowercase).as_deref() {
+        let permit = match line.word_lower(2).as_deref() {
             Some("permit") => true,
             Some("deny") => false,
             _ => {
@@ -789,25 +789,35 @@ impl Parser {
             self.mode = Mode::Global;
             return;
         };
-        let map = if let Some(pos) = self.cfg.route_maps.iter().position(|m| m.name == name) {
-            &mut self.cfg.route_maps[pos]
-        } else {
-            self.cfg.route_maps.push(RouteMap::new(name.clone()));
-            self.cfg.route_maps.last_mut().expect("just pushed")
+        let map = match self.cfg.route_maps.iter().position(|m| m.name == name) {
+            Some(pos) => pos,
+            None => {
+                self.cfg.route_maps.push(RouteMap::new(name));
+                self.cfg.route_maps.len() - 1
+            }
         };
-        if !map.stanzas.iter().any(|s| s.seq == seq) {
-            map.stanzas.push(RouteMapStanza {
-                seq,
-                permit,
-                matches: Vec::new(),
-                sets: Vec::new(),
-            });
-            map.stanzas.sort_by_key(|s| s.seq);
-        }
-        self.mode = Mode::RouteMap(name, seq);
+        // Stanzas stay sorted by seq, one per seq; re-entering a stanza
+        // appends to it.
+        let stanzas = &mut self.cfg.route_maps[map].stanzas;
+        let stanza = match stanzas.binary_search_by_key(&seq, |s| s.seq) {
+            Ok(at) => at,
+            Err(at) => {
+                stanzas.insert(
+                    at,
+                    RouteMapStanza {
+                        seq,
+                        permit,
+                        matches: Vec::new(),
+                        sets: Vec::new(),
+                    },
+                );
+                at
+            }
+        };
+        self.mode = Mode::RouteMap(map, stanza);
     }
 
-    fn route_map_line(&mut self, line: &ConfigLine, name: &str, seq: u32) {
+    fn route_map_line(&mut self, line: &ConfigLine, map: usize, stanza: usize) {
         // Collect the clause first to avoid borrowing issues with warn().
         enum Parsed {
             Match(MatchClause),
@@ -815,7 +825,7 @@ impl Parser {
         }
         let parsed: Option<Parsed> = if line.starts_with(&["match", "ip", "address", "prefix-list"])
         {
-            let lists: Vec<String> = line.words[4..].to_vec();
+            let lists = &line.words[4..];
             if lists.is_empty() {
                 self.warn(
                     line,
@@ -824,7 +834,9 @@ impl Parser {
                 );
                 return;
             }
-            Some(Parsed::Match(MatchClause::IpAddressPrefixList(lists)))
+            Some(Parsed::Match(MatchClause::IpAddressPrefixList(owned(
+                lists,
+            ))))
         } else if line.starts_with(&["match", "ip", "address"]) {
             self.warn(
                 line,
@@ -833,7 +845,7 @@ impl Parser {
             );
             return;
         } else if line.starts_with(&["match", "community"]) {
-            let args: Vec<String> = line.words[2..].to_vec();
+            let args = &line.words[2..];
             if args.is_empty() {
                 self.warn(
                     line,
@@ -855,7 +867,7 @@ impl Parser {
                 );
                 return;
             }
-            Some(Parsed::Match(MatchClause::Community(args)))
+            Some(Parsed::Match(MatchClause::Community(owned(args))))
         } else if line.starts_with(&["match", "as-path"]) {
             match line.word(2) {
                 Some(n) => Some(Parsed::Match(MatchClause::AsPath(n.to_string()))),
@@ -870,8 +882,7 @@ impl Parser {
             }
         } else if line.starts_with(&["match", "source-protocol"]) {
             match line
-                .word(2)
-                .map(str::to_ascii_lowercase)
+                .word_lower(2)
                 .as_deref()
                 .and_then(Protocol::from_keyword)
             {
@@ -969,15 +980,14 @@ impl Parser {
                 }
             }
         } else {
-            match line.keyword().as_str() {
-                "neighbor" | "network" => {
+            match &*line.keyword() {
+                keyword @ ("neighbor" | "network") => {
                     self.warn(
                         line,
                         WarningKind::MisplacedCommand,
                         format!(
-                            "'{}' must be placed inside the 'router bgp' block, \
-                             not in a route-map",
-                            line.keyword()
+                            "'{keyword}' must be placed inside the 'router bgp' block, \
+                             not in a route-map"
                         ),
                     );
                 }
@@ -989,23 +999,33 @@ impl Parser {
             }
             return;
         };
-        let map = self
-            .cfg
-            .route_maps
-            .iter_mut()
-            .find(|m| m.name == name)
-            .expect("mode points at existing map");
-        let stanza = map
-            .stanzas
-            .iter_mut()
-            .find(|s| s.seq == seq)
-            .expect("mode points at existing stanza");
+        let stanza = &mut self.cfg.route_maps[map].stanzas[stanza];
         match parsed {
             Some(Parsed::Match(m)) => stanza.matches.push(m),
             Some(Parsed::Set(s)) => stanza.sets.push(s),
             None => {}
         }
     }
+}
+
+/// `InterfaceAddress::parse` of `"{addr} {mask}"` without building that
+/// string: the two words of an `ip address` or `network ... mask` line.
+/// A pair that does not parse is joined and handed to
+/// `InterfaceAddress::parse`, so its error reads as it always has.
+fn address_with_mask(addr: &str, mask: &str) -> Result<InterfaceAddress, NetModelError> {
+    if let (Ok(a), Ok(m)) = (addr.parse::<Ipv4Addr>(), mask.parse::<Ipv4Addr>()) {
+        let bits = u32::from(m);
+        let len = bits.count_ones() as u8;
+        if Prefix::mask(len) == bits {
+            return InterfaceAddress::new(a, len);
+        }
+    }
+    InterfaceAddress::parse(&format!("{addr} {mask}"))
+}
+
+/// The words an AST clause keeps.
+fn owned(words: &[&str]) -> Vec<String> {
+    words.iter().map(|w| w.to_string()).collect()
 }
 
 /// Classful prefix length for a bare `network` statement.
@@ -1347,6 +1367,85 @@ route-map m permit 10
         assert_eq!(m.stanzas[0].seq, 10);
         assert_eq!(m.stanzas[1].seq, 20);
         assert_eq!(m.stanzas[0].sets, vec![SetClause::Metric(1)]);
+    }
+
+    #[test]
+    fn separator_changes_no_mode() {
+        // A `!` line is a comment, as in IOS: the `router bgp` block is
+        // still open after it.
+        let cfg = ok("router bgp 1\n!\nneighbor 1.1.1.1 remote-as 2\n");
+        let bgp = cfg.bgp.unwrap();
+        assert_eq!(bgp.neighbors.len(), 1);
+        assert_eq!(bgp.neighbors[0].remote_as, Some(Asn(2)));
+    }
+
+    #[test]
+    fn reentered_route_map_keeps_its_stanza_after_a_lower_seq() {
+        // The `deny 10` header inserts a stanza ahead of seq 20; the
+        // clauses after the re-entered `permit 20` header still go to 20.
+        let input = "\
+route-map m permit 20
+ set metric 2
+route-map m deny 10
+ set metric 1
+route-map m permit 20
+ set weight 5
+";
+        let cfg = ok(input);
+        let m = cfg.route_map("m").unwrap();
+        assert_eq!(m.stanzas.len(), 2);
+        assert_eq!(m.stanzas[0].sets, vec![SetClause::Metric(1)]);
+        assert_eq!(
+            m.stanzas[1].sets,
+            vec![SetClause::Metric(2), SetClause::Weight(5)]
+        );
+    }
+
+    #[test]
+    fn prefix_list_equal_seq_keeps_source_order() {
+        let input = "\
+ip prefix-list p seq 10 permit 1.0.0.0/8
+ip prefix-list p seq 10 deny 2.0.0.0/8
+ip prefix-list p seq 5 permit 3.0.0.0/8
+ip prefix-list p permit 4.0.0.0/8
+";
+        let cfg = ok(input);
+        let entries = &cfg.prefix_list("p").unwrap().entries;
+        let got: Vec<(u32, bool)> = entries.iter().map(|e| (e.seq, e.permit)).collect();
+        assert_eq!(got, vec![(5, true), (10, true), (10, false), (15, true)]);
+    }
+
+    #[test]
+    fn upper_case_keywords_parse_and_echo_lower_case() {
+        let (cfg, w) =
+            parse("ROUTER BGP 7\n NEIGHBOR 2.2.2.2 REMOTE-AS 8\n Neighbor 2.2.2.2 Frob\n");
+        assert_eq!(cfg.bgp.unwrap().neighbors[0].remote_as, Some(Asn(8)));
+        assert_eq!(w.len(), 1);
+        assert_eq!(w[0].message, "unrecognized neighbor attribute 'frob'");
+        assert_eq!(w[0].text, "Neighbor 2.2.2.2 Frob");
+    }
+
+    #[test]
+    fn malformed_address_errors_name_the_joined_words() {
+        let (cfg, w) = parse("interface e0\n ip address 10.0.0.1/24 255.255.255.0\n ip address 10.0.0.1 255.0.255.0\n ip address 10.0.0.1 255.255.255.0\n");
+        assert_eq!(
+            cfg.interfaces[0].address,
+            Some(InterfaceAddress::parse("10.0.0.1/24").unwrap())
+        );
+        let messages: Vec<&str> = w.iter().map(|x| x.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            vec![
+                format!(
+                    "invalid ip address: {}",
+                    InterfaceAddress::parse("10.0.0.1/24 255.255.255.0").unwrap_err()
+                ),
+                format!(
+                    "invalid ip address: {}",
+                    InterfaceAddress::parse("10.0.0.1 255.0.255.0").unwrap_err()
+                ),
+            ]
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Substrate microbenches: the building blocks every experiment leans on
-//! — vendor parsing, BDD construction, symbolic behaviour extraction, and
-//! BGP simulation convergence.
+//! — vendor parsing and printing, BDD construction, symbolic behaviour
+//! extraction, and BGP simulation convergence.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -15,6 +15,30 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(junos.len() as u64));
     g.bench_function("juniper", |b| {
         b.iter(|| juniper_cfg::parse(black_box(&junos)))
+    });
+    // The whole as-graph-512 reference snapshot at seed 1: 512 routers,
+    // the texts every repair job of that network breaks and re-parses.
+    let scenario = scenario_gen::generate_family("as-graph-512", 1, 0);
+    let snapshot = cosynth::reference_configs(&cosynth::Modularizer::assign_scenario(&scenario));
+    let bytes: usize = snapshot.values().map(String::len).sum();
+    g.throughput(Throughput::Bytes(bytes as u64));
+    g.bench_function("cisco-as512", |b| {
+        b.iter(|| {
+            for text in snapshot.values() {
+                black_box(cisco_cfg::parse(black_box(text)));
+            }
+        })
+    });
+    g.finish();
+    let asts: Vec<_> = snapshot.values().map(|t| cisco_cfg::parse(t).0).collect();
+    let mut g = c.benchmark_group("print");
+    g.throughput(Throughput::Bytes(bytes as u64));
+    g.bench_function("cisco-as512", |b| {
+        b.iter(|| {
+            for ast in &asts {
+                black_box(cisco_cfg::print(black_box(ast)));
+            }
+        })
     });
     g.finish();
 
