@@ -121,7 +121,7 @@ FLAGS:
                         contract as stdin EOF).
     --metrics-addr ADDR (--listen only) Serve GET /metrics on ADDR in
                         Prometheus text format: the ledger counters,
-                        per-tier backend call/cost counters, per-tenant
+                        per-tier backend call counters, per-tenant
                         (client-labeled) families, queue/in-flight/
                         connection gauges, latency histograms with
                         cumulative buckets, and the fleetd_accounted /
@@ -1202,20 +1202,20 @@ fn run_and_report<U: UseCase>(cfg: &FleetConfig, args: &Args) {
     }
     println!("{}", U::table(&report.rows));
     println!("{}", U::summary_line(&report));
-    let p = &report.pool;
+    let m = &report.pool.memo;
     eprintln!(
         "fleet: pool memo: {} verdict hits, {} misses, {} confirmation mismatches; \
          reference texts {} rendered, {} reused; pinned networks {} drawn, {} reused; \
          pinned scenarios {} built; topology fingerprints {}",
-        p.memo_hits,
-        p.memo_misses,
-        p.confirm_mismatches,
-        p.texts_rendered,
-        p.texts_reused,
-        p.networks_drawn,
-        p.networks_reused,
-        p.scenarios_built,
-        p.topology_fps
+        m.verdict_hits,
+        m.verdict_misses,
+        m.confirm_mismatches,
+        m.texts_rendered,
+        m.texts_reused,
+        m.networks_drawn,
+        m.networks_reused,
+        m.scenarios_built,
+        m.topology_fps
     );
     if report.results.len() < cfg.sessions {
         eprintln!(

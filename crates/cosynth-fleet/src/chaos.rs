@@ -32,10 +32,8 @@
 use crate::service::{serve, ServeOptions, ServeSummary};
 use crate::SessionTuning;
 use cosynth::{Modularizer, VerifierContext};
-use criterion::SampleStats;
 use llm_sim::rng::SimRng;
 use std::fmt::Write as _;
-use topo_model::json::{self, Json};
 
 /// Fault directives for one job, drawn from the plan by sequence
 /// number.
@@ -155,11 +153,6 @@ pub struct ChaosReport {
     pub cfg: ChaosConfig,
     /// The service's drain summary.
     pub summary: ServeSummary,
-    /// Latency spread over the sessions that completed or hit their
-    /// deadline, from their result lines' `wall_ms` (None if none ran).
-    pub latency: Option<SampleStats>,
-    /// JSONL event/result lines the service emitted.
-    pub event_lines: usize,
 }
 
 impl ChaosReport {
@@ -217,9 +210,9 @@ impl ChaosReport {
         let _ = writeln!(out, "  \"transport_retries\": {},", s.transport_retries);
         let _ = writeln!(out, "  \"protocol_errors\": {},", s.protocol_errors);
         let _ = writeln!(out, "  \"survival_rate\": {:.4},", self.survival_rate());
-        let _ = writeln!(out, "  \"llm_calls\": {},", s.cost.total_calls());
-        let _ = writeln!(out, "  \"milli_cost\": {},", s.cost.total_milli_cost());
-        let _ = writeln!(out, "  \"cost_conserved\": {},", s.cost.conserved());
+        let _ = writeln!(out, "  \"llm_calls\": {},", s.llm_calls);
+        let _ = writeln!(out, "  \"milli_cost\": {},", s.milli_cost);
+        let _ = writeln!(out, "  \"cost_conserved\": {},", s.cost_accounted());
         let _ = writeln!(out, "  \"accounted\": {},", s.accounted());
         let _ = writeln!(out, "  \"survived\": {},", self.survived());
         let _ = writeln!(out, "  \"fault_classes\": {{");
@@ -229,7 +222,7 @@ impl ChaosReport {
             let _ = writeln!(out, "    \"{name}\": {hit}{comma}");
         }
         let _ = writeln!(out, "  }},");
-        match self.latency {
+        match s.session_ms {
             Some(l) => {
                 let _ = writeln!(out, "  \"latency_ms\": {}", l.to_json());
             }
@@ -304,10 +297,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> std::io::Result<ChaosReport> {
         ..*cfg
     };
     let script = chaos_script(cfg.sessions, cfg.seed);
-    let mut out = Vec::new();
     let summary = serve(
         script.as_bytes(),
-        &mut out,
+        std::io::sink(),
         &ServeOptions {
             threads: cfg.threads,
             default_families: None,
@@ -318,31 +310,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> std::io::Result<ChaosReport> {
             stream_traces: false,
         },
     )?;
-    let out = String::from_utf8_lossy(&out);
-    // Latency over the sessions that ran, read off their result lines;
-    // a panicked session's sentinel result carries no wall time.
-    let walls: Vec<f64> = out
-        .lines()
-        .filter_map(|line| json::parse(line).ok())
-        .filter(|r| {
-            matches!(
-                r.get("outcome").and_then(Json::as_str),
-                Some("completed" | "deadline_exceeded")
-            )
-        })
-        .filter_map(|r| match r.get("wall_ms") {
-            Some(Json::Num(ms)) => Some(*ms),
-            _ => None,
-        })
-        .collect();
-    let latency = SampleStats::from_samples(&walls);
-    let event_lines = out.lines().filter(|l| !l.is_empty()).count();
-    Ok(ChaosReport {
-        cfg,
-        summary,
-        latency,
-        event_lines,
-    })
+    Ok(ChaosReport { cfg, summary })
 }
 
 #[cfg(test)]
@@ -412,6 +380,15 @@ mod tests {
         assert!(a.summary.protocol_errors >= 3, "{:?}", a.summary);
         assert!(a.summary.shed_queue_full > 0, "{:?}", a.summary);
         assert!(a.summary.shed_over_deadline > 0, "{:?}", a.summary);
+        // The latency block covers every session that ran, panicked
+        // ones included.
+        let latency = a.summary.session_ms.expect("sessions ran");
+        assert_eq!(
+            latency.count as usize,
+            a.summary.completed + a.summary.deadline_exceeded + a.summary.quarantined,
+            "{:?}",
+            a.summary
+        );
         let json = a.bench_json();
         topo_model::json::parse(&json).expect("bench json parses");
         assert!(json.contains("\"bench\": \"robustness\""));

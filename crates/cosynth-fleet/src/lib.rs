@@ -346,38 +346,15 @@ pub struct PoolCounters {
     /// Managers dropped (never recycled) because the session that held
     /// them panicked — see `VerifierContext::quarantine`.
     pub quarantined: usize,
-    /// Pool verdict-memo lookups answered from the memo.
-    pub memo_hits: usize,
-    /// Pool verdict-memo verdicts computed.
-    pub memo_misses: usize,
-    /// `(topology, policies)` statics bundles built (each renders and
-    /// scans its reference snapshot at most once).
-    pub statics_builds: usize,
-    /// Statics lookups answered by a resident bundle.
-    pub statics_hits: usize,
-    /// Whole-snapshot memo hits whose confirmation disagreed (see
-    /// [`cosynth::MemoCounters::confirm_mismatches`]).
-    pub confirm_mismatches: usize,
-    /// Known-good reference texts rendered and scanned.
-    pub texts_rendered: usize,
-    /// Reference texts served by an earlier render of the same prompt.
-    pub texts_reused: usize,
-    /// Pinned large-family networks drawn.
-    pub networks_drawn: usize,
-    /// Pinned-network lookups answered by a network already drawn.
-    pub networks_reused: usize,
-    /// Pinned scenario bodies built (see
-    /// [`cosynth::MemoCounters::scenarios_built`]).
-    pub scenarios_built: usize,
-    /// Topology fingerprints computed (see
-    /// [`cosynth::MemoCounters::topology_fps`]).
-    pub topology_fps: usize,
+    /// The pool verdict memo's counters, read once for the pool after
+    /// it has joined.
+    pub memo: MemoCounters,
 }
 
 impl PoolCounters {
     /// Folds one worker's finished context into the per-worker totals.
-    /// The memo's counters are the pool's, not the worker's: they are
-    /// set once, by [`Self::set_memo`].
+    /// The memo's counters are the pool's, not the worker's: the pool's
+    /// owner sets `memo` once its workers have joined.
     fn absorb(&mut self, ctx: &VerifierContext) {
         self.workers += 1;
         self.sessions += ctx.sessions;
@@ -385,21 +362,6 @@ impl PoolCounters {
         self.manager_allocs += ctx.pool.allocs;
         self.peak_nodes = self.peak_nodes.max(ctx.pool.peak_nodes);
         self.quarantined += ctx.pool.quarantined;
-    }
-
-    /// Sets the pool memo's counters.
-    fn set_memo(&mut self, memo: MemoCounters) {
-        self.memo_hits = memo.verdict_hits;
-        self.memo_misses = memo.verdict_misses;
-        self.statics_builds = memo.statics_builds;
-        self.statics_hits = memo.statics_hits;
-        self.confirm_mismatches = memo.confirm_mismatches;
-        self.texts_rendered = memo.texts_rendered;
-        self.texts_reused = memo.texts_reused;
-        self.networks_drawn = memo.networks_drawn;
-        self.networks_reused = memo.networks_reused;
-        self.scenarios_built = memo.scenarios_built;
-        self.topology_fps = memo.topology_fps;
     }
 
     /// Fraction of space builds served by a recycled manager.
@@ -643,8 +605,10 @@ fn run_pool<R: Send>(
     });
     let mut results = results.into_inner().unwrap_or_else(|e| e.into_inner());
     results.sort_by_key(|r| r.0);
-    let mut counters = counters.into_inner().unwrap_or_else(|e| e.into_inner());
-    counters.set_memo(memo.counters());
+    let counters = PoolCounters {
+        memo: memo.counters(),
+        ..counters.into_inner().unwrap_or_else(|e| e.into_inner())
+    };
     (results, counters)
 }
 
@@ -838,22 +802,25 @@ mod tests {
         assert_eq!(report.results.len(), 16);
         let p = report.pool;
         // One topology and at most four intents, on two workers.
-        assert!(p.statics_builds <= 8, "{p:?}");
+        assert!(p.memo.statics_builds <= 8, "{p:?}");
         // Each session looks its bundle up once, when its job is
         // prepared; the incremental verifier reuses the job's bundle.
-        assert_eq!(p.statics_builds + p.statics_hits, 16, "{p:?}");
+        assert_eq!(p.memo.statics_builds + p.memo.statics_hits, 16, "{p:?}");
         // One network draw per worker, and the intents' references
         // share the texts of every router whose prompt they share.
-        assert!(p.networks_drawn <= 2, "{p:?}");
-        assert_eq!(p.networks_drawn + p.networks_reused, 16, "{p:?}");
-        assert!(p.texts_reused > p.texts_rendered, "{p:?}");
-        assert!(p.memo_hits > 0 && p.memo_misses > 0, "{p:?}");
-        assert_eq!(p.confirm_mismatches, 0, "{p:?}");
+        assert!(p.memo.networks_drawn <= 2, "{p:?}");
+        assert_eq!(p.memo.networks_drawn + p.memo.networks_reused, 16, "{p:?}");
+        assert!(p.memo.texts_reused > p.memo.texts_rendered, "{p:?}");
+        assert!(
+            p.memo.verdict_hits > 0 && p.memo.verdict_misses > 0,
+            "{p:?}"
+        );
+        assert_eq!(p.memo.confirm_mismatches, 0, "{p:?}");
         // At most one scenario body per intent on each worker, and one
         // fingerprint per topology allocation on each: the pinned
         // network and prefer-customer's extended copy.
-        assert!(p.scenarios_built <= 8, "{p:?}");
-        assert!(p.topology_fps <= 4, "{p:?}");
+        assert!(p.memo.scenarios_built <= 8, "{p:?}");
+        assert!(p.memo.topology_fps <= 4, "{p:?}");
     }
 
     #[test]
@@ -874,12 +841,12 @@ mod tests {
         // Both workers share one memo: one network draw, one body per
         // intent, one fingerprint for the network and one for
         // prefer-customer's copy, one statics bundle per intent.
-        assert_eq!(p.networks_drawn, 1, "{p:?}");
-        assert_eq!(p.networks_drawn + p.networks_reused, 16, "{p:?}");
-        assert!(p.scenarios_built <= 4, "{p:?}");
-        assert!(p.topology_fps <= 2, "{p:?}");
-        assert!(p.statics_builds <= 4, "{p:?}");
-        assert_eq!(p.confirm_mismatches, 0, "{p:?}");
+        assert_eq!(p.memo.networks_drawn, 1, "{p:?}");
+        assert_eq!(p.memo.networks_drawn + p.memo.networks_reused, 16, "{p:?}");
+        assert!(p.memo.scenarios_built <= 4, "{p:?}");
+        assert!(p.memo.topology_fps <= 2, "{p:?}");
+        assert!(p.memo.statics_builds <= 4, "{p:?}");
+        assert_eq!(p.memo.confirm_mismatches, 0, "{p:?}");
         // Each distinct prompt is rendered once by the pool: exactly as
         // many texts as one context renders over the same jobs.
         let mut ctx = VerifierContext::new();
@@ -887,7 +854,7 @@ mod tests {
             cases::run_repair_session_tuned(1, index, &mut ctx, &tuning);
         }
         assert_eq!(
-            p.texts_rendered,
+            p.memo.texts_rendered,
             ctx.memo_counters().texts_rendered,
             "{p:?}"
         );

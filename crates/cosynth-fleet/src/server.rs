@@ -3,8 +3,8 @@
 //!
 //! `Core` is the one engine under both daemon front-ends: the resident
 //! worker pool, its sharded admission queue (`ShardedQueue`, the one
-//! the batch fleet uses too), the accounting lock, the telemetry
-//! registry and the global drain ledger. A front-end drives
+//! the batch fleet uses too), the accounting lock, and the telemetry
+//! registry, which is the daemon-wide ledger. A front-end drives
 //! connections. Each connection has a reader that parses and admits
 //! request lines (`ConnReader`) and a writer that folds the
 //! connection's events into protocol lines (`ConnWriter`). Both
@@ -25,6 +25,7 @@
 //! * **accept** (socket) — the open-connections gauge rises; a reader
 //!   thread parses request lines (20 ms read timeout so it can notice a
 //!   server-wide drain), a writer thread owns the socket's write half.
+//!   A request line over 64 KiB is rejected once (`line_too_long`).
 //! * **admission** — under the accounting lock: the batch's jobs are
 //!   admitted up to the queue's remaining **total** depth (the bound
 //!   spans all shards and connections), the excess is shed with a
@@ -34,10 +35,10 @@
 //!   queue is empty at every admission, so the shed is exactly
 //!   `max(0, batch - depth)` whatever the worker scheduling.
 //! * **completion** — workers run jobs from the shared queue, fold the
-//!   global ledger and the global and per-tenant counters, and route
-//!   each `Completion` back to its connection's writer, which streams
-//!   the result line and, on the batch's last completion, the batch
-//!   line.
+//!   registry's global and per-tenant counters, and route each
+//!   `Completion` back to its connection's writer, which folds the
+//!   connection's own ledger and streams the result line and, on the
+//!   batch's last completion, the batch line.
 //! * **EOF** — a socket writer waits out the connection's in-flight
 //!   batches and ends the stream with a per-connection
 //!   `{"event":"drain","scope":"connection",...}` ledger line. Stdin
@@ -46,7 +47,10 @@
 //!
 //! ## Accounting under concurrency
 //!
-//! The drain ledger's conservation law must hold *mid-flight*: a
+//! The registry is the daemon's only ledger: the drain line and the
+//! exit contract read it through [`ServeSummary::from_snapshot`], and
+//! the queue state is its `queue_depth` and `in_flight_sessions`
+//! gauges. Its conservation law must hold *mid-flight*: a
 //! `GET /metrics` scrape can land while jobs sit in the queue or on a
 //! worker. The exposed identity is therefore
 //!
@@ -60,17 +64,18 @@
 //! under one small `accounting` mutex, which the scrape also takes
 //! while snapshotting — so `fleetd_accounted 1` is exact at any scrape
 //! point, chaos or not. (Between stdin lines both gauges are zero, so
-//! there it is the drain identity.)
+//! there it is the drain identity.) A connection's own ledger is a
+//! plain value dropped with it, so registry labels never grow.
 //!
 //! ## `/metrics`
 //!
 //! With `--metrics-addr`, a minimal HTTP responder serves the registry
 //! in Prometheus text format ([`telemetry::prom`]): the ledger
-//! counters, per-tier backend call/cost counters, per-tenant labeled
-//! families, queue/in-flight/connection gauges, the session and
-//! queue-wait histograms with cumulative buckets, plus `fleetd_accounted`,
-//! `fleetd_cost_accounted`, and `fleetd_uptime_seconds` computed per
-//! scrape.
+//! counters (`failures` among them), per-tier backend call counters,
+//! per-tenant labeled families, queue/in-flight/connection gauges, the
+//! session and queue-wait histograms with cumulative buckets, plus
+//! `fleetd_accounted`, `fleetd_cost_accounted`, and
+//! `fleetd_uptime_seconds` computed per scrape.
 //!
 //! ## Graceful drain
 //!
@@ -92,7 +97,7 @@ use cosynth::{VerdictMemo, VerifierContext};
 use std::collections::HashMap;
 use std::io::{self, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
@@ -101,6 +106,10 @@ use topo_model::json::ObjBuilder;
 
 /// How often blocked accept/read loops wake to check the drain flag.
 const POLL: Duration = Duration::from_millis(20);
+
+/// The longest request line a socket connection may send; a well-formed
+/// request is a few hundred bytes.
+const MAX_LINE: usize = 64 * 1024;
 
 /// One job on the shared queue, routed back to its connection.
 struct SrvJob {
@@ -126,31 +135,21 @@ pub(crate) enum ConnEvent {
     Eof,
 }
 
-/// Jobs-in-states guarded by the accounting lock (see module docs).
-#[derive(Default)]
-struct Accounting {
-    queued: u64,
-    in_flight: u64,
-}
-
 /// The daemon engine: everything the worker pool, the connections, and
 /// the scrape loop share.
 pub(crate) struct Core<'o> {
     opts: &'o ServeOptions,
     queue_depth: usize,
     /// Per-worker admission shards with work-stealing; `queue_depth`
-    /// bounds **total** occupancy (tracked in `Accounting::queued`),
-    /// not any single shard.
+    /// bounds **total** occupancy (the `queue_depth` gauge), not any
+    /// single shard.
     queue: ShardedQueue<SrvJob>,
     pub(crate) reg: Registry,
     ids: MetricIds,
     /// Guards every multi-counter state transition plus the scrape's
     /// snapshot, making the extended accounting identity exact at any
     /// scrape point.
-    accounting: Mutex<Accounting>,
-    /// The global drain ledger, folded by the readers (admission) and
-    /// the workers (completions).
-    ledger: Mutex<ServeSummary>,
+    accounting: Mutex<()>,
     /// The worker pool's verdict memo; a mid-run metrics snapshot reads
     /// its counters.
     pub(crate) memo: Arc<VerdictMemo>,
@@ -160,7 +159,6 @@ pub(crate) struct Core<'o> {
     draining: AtomicBool,
     /// Set once the queue is closed; tells the scrape loop to exit.
     done: AtomicBool,
-    open_conns: AtomicUsize,
     chaos_seq: AtomicU64,
     started: Instant,
 }
@@ -178,12 +176,10 @@ impl<'o> Core<'o> {
             memo: VerdictMemo::for_pool(threads),
             reg,
             ids,
-            accounting: Mutex::new(Accounting::default()),
-            ledger: Mutex::new(ServeSummary::default()),
+            accounting: Mutex::new(()),
             counters: Mutex::new(PoolCounters::default()),
             draining: AtomicBool::new(false),
             done: AtomicBool::new(false),
-            open_conns: AtomicUsize::new(0),
             chaos_seq: AtomicU64::new(0),
             started: Instant::now(),
         }
@@ -192,7 +188,7 @@ impl<'o> Core<'o> {
     /// Runs the daemon: spawns the resident worker pool, runs
     /// `front_end` (which may spawn threads of its own on the scope),
     /// then closes the queue, joins every thread, and returns the
-    /// global ledger with the pool counters.
+    /// registry's ledger with the pool counters.
     pub(crate) fn run<'env>(
         &'env self,
         front_end: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> io::Result<()>,
@@ -210,24 +206,26 @@ impl<'o> Core<'o> {
             self.done.store(true, Relaxed);
             result
         })?;
-        let mut summary = lock_clean(&self.ledger).clone();
-        summary.pool = *lock_clean(&self.counters);
-        summary.pool.set_memo(self.memo.counters());
-        Ok(summary)
+        Ok(ServeSummary {
+            pool: PoolCounters {
+                memo: self.memo.counters(),
+                ..*lock_clean(&self.counters)
+            },
+            ..ServeSummary::from_snapshot(&self.reg.snapshot())
+        })
     }
 
     /// One job on resident worker `w`: moves it from queued to in
-    /// flight, runs it panic-contained, folds the registry and the
-    /// global ledger, and routes the completion back to its connection.
+    /// flight, runs it panic-contained, folds the registry, and routes
+    /// the completion back to its connection.
     fn work(&self, w: usize, sj: SrvJob, ctx: &mut VerifierContext) {
         // Registry shards are 1-based (shard 0 belongs to the
         // front-ends); queue shards are 0-based per worker.
         let shard = w + 1;
         {
-            let mut acc = lock_clean(&self.accounting);
-            acc.queued -= 1;
-            acc.in_flight += 1;
-            self.mirror(&acc);
+            let _acc = lock_clean(&self.accounting);
+            self.reg.gauge_sub(self.ids.queue_depth, 1);
+            self.reg.gauge_add(self.ids.in_flight_sessions, 1);
             self.reg.observe_ns(
                 shard,
                 self.ids.queue_wait,
@@ -239,32 +237,21 @@ impl<'o> Core<'o> {
             // One critical section per completion: the outcome counter
             // and the in-flight gauge move together, so the scrape
             // identity never sees a job in zero or two states.
-            let mut acc = lock_clean(&self.accounting);
-            acc.in_flight -= 1;
-            self.mirror(&acc);
+            let _acc = lock_clean(&self.accounting);
+            self.reg.gauge_sub(self.ids.in_flight_sessions, 1);
             self.ids.record(&self.reg, shard, &sj.client, &done);
         }
-        lock_clean(&self.ledger).record(&done);
         // The connection may already be gone (client hung up): the
         // completion is accounted above either way.
         let _ = sj.reply.send(ConnEvent::Done(sj.batch, Box::new(done)));
-    }
-
-    /// Mirrors the accounting fields into their registry gauges; call
-    /// with the accounting lock held.
-    fn mirror(&self, acc: &Accounting) {
-        self.reg.gauge_set(self.ids.queue_depth, acc.queued);
-        self.reg
-            .gauge_set(self.ids.in_flight_sessions, acc.in_flight);
-        self.reg.gauge_max(self.ids.queue_depth_hwm, acc.queued);
     }
 }
 
 /// Serves the socket front-end on an already-bound listener (tests bind
 /// port 0 and pass the listener in; the CLI resolves `--listen`).
 /// Returns after a graceful drain — a `{"shutdown":true}` line on any
-/// connection — with the global ledger, exactly like stdin [`serve`]
-/// returns at EOF.
+/// connection — with the daemon-wide ledger, exactly like stdin
+/// [`serve`] returns at EOF.
 ///
 /// [`serve`]: crate::service::serve
 pub fn serve_listener(
@@ -288,14 +275,12 @@ pub fn serve_listener(
                     // Result/batch lines are tiny and latency-sensitive;
                     // Nagle would batch them against the client's ACKs.
                     let _ = stream.set_nodelay(true);
-                    core.open_conns.fetch_add(1, Relaxed);
                     core.reg.gauge_add(core.ids.open_connections, 1);
                     let id = conn_id;
                     conn_id += 1;
                     scope.spawn(move || {
                         handle_conn(stream, core, id);
                         core.reg.gauge_sub(core.ids.open_connections, 1);
-                        core.open_conns.fetch_sub(1, Relaxed);
                     });
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
@@ -307,7 +292,7 @@ pub fn serve_listener(
             }
         };
         drop(listener); // stop the OS backlog while connections drain
-        while core.open_conns.load(Relaxed) > 0 {
+        while core.reg.gauge_value(core.ids.open_connections) > 0 {
             std::thread::sleep(POLL);
         }
         accept_result
@@ -359,19 +344,24 @@ fn handle_conn(stream: TcpStream, core: &Core<'_>, conn_id: u64) {
         let writer = ConnWriter::new(BufWriter::new(write_half), conn);
         scope.spawn(move || writer_loop(writer, rx, conn_id));
         let mut reader = ConnReader::new(core, conn, tx);
-        read_lines(stream, core, |line| reader.handle_line(line));
+        read_lines(stream, core, &mut reader);
         reader.send(ConnEvent::Eof);
     });
 }
 
-/// Reads newline-delimited lines off the socket, polling the drain flag
-/// every [`POLL`]; a line truncated by the peer's close is still handed
-/// to `handle` (it becomes a typed `bad_json` reject, like stdin's
-/// truncated final line). `handle` returns `false` to stop reading
-/// (shutdown request).
-fn read_lines(mut stream: TcpStream, core: &Core<'_>, mut handle: impl FnMut(&str) -> bool) {
+/// Reads newline-delimited lines off the socket into `reader`, polling
+/// the drain flag every [`POLL`], until EOF or a shutdown request. A
+/// line truncated by the peer's close is still handled (it becomes a
+/// typed `bad_json` reject, like stdin's truncated final line). A line
+/// longer than [`MAX_LINE`] is rejected once as `line_too_long` and its
+/// bytes are dropped through the next newline.
+fn read_lines(mut stream: TcpStream, core: &Core<'_>, reader: &mut ConnReader<'_, '_>) {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
+    // `buf[..searched]` holds no newline; `skipping` drops the rest of
+    // an over-long line.
+    let mut searched = 0;
+    let mut skipping = false;
     'outer: loop {
         if core.draining.load(Relaxed) {
             break;
@@ -380,23 +370,44 @@ fn read_lines(mut stream: TcpStream, core: &Core<'_>, mut handle: impl FnMut(&st
             Ok(0) => break,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..pos]);
-                    if !handle(&line) {
+                let mut start = 0;
+                loop {
+                    let newline = buf[searched..].iter().position(|&b| b == b'\n');
+                    let end = newline.map_or(buf.len(), |pos| searched + pos);
+                    if !skipping && end - start > MAX_LINE {
+                        reader.reject(
+                            "line_too_long",
+                            &format!("a request line may hold at most {MAX_LINE} bytes"),
+                        );
+                        skipping = true;
+                    }
+                    if newline.is_none() {
+                        break;
+                    }
+                    if !skipping && !reader.handle_line(&String::from_utf8_lossy(&buf[start..end]))
+                    {
                         break 'outer;
                     }
+                    skipping = false;
+                    start = end + 1;
+                    searched = start;
                 }
+                if skipping {
+                    buf.clear();
+                } else {
+                    buf.drain(..start);
+                }
+                searched = buf.len();
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => break, // peer reset: same as EOF
         }
     }
-    if !core.draining.load(Relaxed) && !buf.is_empty() {
+    if !core.draining.load(Relaxed) && !skipping && !buf.is_empty() {
         let line = String::from_utf8_lossy(&buf);
         if !line.trim().is_empty() {
-            handle(&line);
+            reader.handle_line(&line);
         }
     }
 }
@@ -433,7 +444,6 @@ impl<'a, 'o> ConnReader<'a, 'o> {
     pub(crate) fn reject(&self, code: &str, message: &str) {
         let core = self.core;
         lock_clean(&self.conn.ledger).protocol_errors += 1;
-        lock_clean(&core.ledger).protocol_errors += 1;
         core.reg.inc(0, core.ids.protocol_errors);
         self.send_line(
             ObjBuilder::event("reject")
@@ -492,9 +502,6 @@ impl<'a, 'o> ConnReader<'a, 'o> {
             let mut conn = lock_clean(&self.conn.ledger);
             conn.batches += 1;
             conn.submitted += jobs.len();
-            let mut ledger = lock_clean(&core.ledger);
-            ledger.batches += 1;
-            ledger.submitted += jobs.len();
         }
         core.reg.inc(0, core.ids.batches);
 
@@ -511,7 +518,6 @@ impl<'a, 'o> ConnReader<'a, 'o> {
                 drop(acc);
             }
             lock_clean(&self.conn.ledger).shed_over_deadline += jobs.len();
-            lock_clean(&core.ledger).shed_over_deadline += jobs.len();
             self.send_line(
                 ObjBuilder::event("reject")
                     .str("reason", "over_deadline")
@@ -537,23 +543,24 @@ impl<'a, 'o> ConnReader<'a, 'o> {
             .deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
         let (accepted, shed) = {
-            let mut acc = lock_clean(&core.accounting);
-            let room = (self.core.queue_depth as u64).saturating_sub(acc.queued) as usize;
+            let _acc = lock_clean(&core.accounting);
+            let queued = core.reg.gauge_value(core.ids.queue_depth);
+            let room = (core.queue_depth as u64).saturating_sub(queued) as usize;
             let accepted = jobs.len().min(room);
             let shed = jobs.len() - accepted;
-            acc.queued += accepted as u64;
+            core.reg.gauge_add(core.ids.queue_depth, accepted as u64);
+            core.reg
+                .gauge_max(core.ids.queue_depth_hwm, queued + accepted as u64);
             core.reg.add(0, core.ids.submitted, jobs.len() as u64);
             if shed > 0 {
                 core.reg.add(0, core.ids.shed_queue_full, shed as u64);
                 core.reg
                     .add_labeled(core.ids.tenant_shed, &client, shed as u64);
             }
-            core.mirror(&acc);
             (accepted, shed)
         };
         if shed > 0 {
             lock_clean(&self.conn.ledger).shed_queue_full += shed;
-            lock_clean(&core.ledger).shed_queue_full += shed;
             self.send_line(
                 ObjBuilder::event("reject")
                     .str("reason", "queue_full")

@@ -49,6 +49,7 @@ use crate::server::{Conn, ConnReader, ConnWriter, Core};
 use crate::{cases, chaos, run_contained, PoolCounters, SessionTuning, UseCase};
 use cosynth::session::SessionBudget;
 use cosynth::{MemoCounters, VerifierContext};
+use criterion::SampleStats;
 use llm_sim::{CostLedger, Tier, TransportModel};
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
@@ -102,7 +103,10 @@ impl Default for ServeOptions {
     }
 }
 
-/// What the service did before draining.
+/// What the service did. The daemon-wide ledger that [`serve`] and
+/// [`crate::serve_listener`] return is a view of the service registry
+/// ([`ServeSummary::from_snapshot`]); a socket connection's own ledger
+/// is folded by `record` and dropped with the connection.
 ///
 /// The service's exit contract is deliberately **stricter** than the
 /// batch fleet's: every served session must meet its *per-session*
@@ -137,19 +141,57 @@ pub struct ServeSummary {
     pub deadline_exceeded: usize,
     /// Sessions that panicked; each quarantined its worker's managers.
     pub quarantined: usize,
+    /// Jobs still queued or running when the ledger was read: a
+    /// snapshot's `queue_depth` plus `in_flight_sessions` gauges. Zero
+    /// at drain and on a connection's ledger.
+    pub pending: usize,
     /// Transport retries absorbed across all sessions.
     pub transport_retries: usize,
-    /// Per-backend model-cost ledger folded over every session that ran
-    /// (shed jobs and panicked sessions contribute empty ledgers).
-    pub cost: CostLedger,
+    /// Model calls billed by every session that ran (shed jobs and
+    /// panicked sessions bill none).
+    pub llm_calls: u64,
+    /// Their total price, milli-units.
+    pub milli_cost: u64,
+    /// Calls per backend tier, indexed like [`Tier::ALL`].
+    pub backend_calls: [u64; Tier::ALL.len()],
+    /// Wall-clock spread of every session that ran, panicked ones
+    /// included, from the registry's `session` histogram (None on a
+    /// connection's ledger, or when no session ran).
+    pub session_ms: Option<SampleStats>,
     /// Resident-pool counters summed over workers at drain.
     pub pool: PoolCounters,
 }
 
 impl ServeSummary {
+    /// The ledger a registry snapshot holds, read by counter name;
+    /// `pool` is left for the caller.
+    pub fn from_snapshot(snap: &Snapshot) -> ServeSummary {
+        let n = |name: &str| snap.counter(name) as usize;
+        ServeSummary {
+            batches: n("batches"),
+            sessions: n("completed") + n("deadline_exceeded") + n("quarantined"),
+            failures: n("failures"),
+            protocol_errors: n("protocol_errors"),
+            submitted: n("submitted"),
+            completed: n("completed"),
+            shed_queue_full: n("shed_queue_full"),
+            shed_over_deadline: n("shed_over_deadline"),
+            deadline_exceeded: n("deadline_exceeded"),
+            quarantined: n("quarantined"),
+            pending: (snap.gauge("queue_depth") + snap.gauge("in_flight_sessions")) as usize,
+            transport_retries: n("transport_retries"),
+            llm_calls: snap.counter("llm_calls"),
+            milli_cost: snap.counter("milli_cost"),
+            backend_calls: Tier::ALL.map(|t| snap.counter(&backend_calls_name(t))),
+            session_ms: snap.hist("session").and_then(|h| h.stats_ms()),
+            pool: PoolCounters::default(),
+        }
+    }
+
     /// Whether every submitted job is accounted for by exactly one
-    /// typed outcome: `submitted = completed + shed + deadline_exceeded
-    /// + quarantined`. This is the robustness layer's conservation law.
+    /// state: `submitted = completed + shed + deadline_exceeded +
+    /// quarantined + pending`. This is the robustness layer's
+    /// conservation law.
     pub fn accounted(&self) -> bool {
         self.submitted
             == self.completed
@@ -157,6 +199,18 @@ impl ServeSummary {
                 + self.shed_over_deadline
                 + self.deadline_exceeded
                 + self.quarantined
+                + self.pending
+    }
+
+    /// Whether the total milli-cost equals each tier's calls priced at
+    /// its unit cost: the cost-side mirror of [`Self::accounted`].
+    pub fn cost_accounted(&self) -> bool {
+        self.milli_cost
+            == Tier::ALL
+                .iter()
+                .zip(self.backend_calls)
+                .map(|(t, calls)| calls * t.unit_milli_cost())
+                .sum::<u64>()
     }
 
     /// The service met its strict contract: every session ok, every
@@ -184,14 +238,14 @@ impl ServeSummary {
             .u64("quarantined", self.quarantined as u64)
             .u64("transport_retries", self.transport_retries as u64)
             .bool("accounted", self.accounted())
-            .u64("llm_calls", self.cost.total_calls())
-            .u64("milli_cost", self.cost.total_milli_cost())
-            .bool("cost_accounted", self.cost.conserved())
+            .u64("llm_calls", self.llm_calls)
+            .u64("milli_cost", self.milli_cost)
+            .bool("cost_accounted", self.cost_accounted())
     }
 
-    /// Folds one dequeued job's typed outcome into the ledger: the
-    /// outcome counter, the per-session contract, and — for a session
-    /// that ran — its retries and model cost.
+    /// Folds one dequeued job's typed outcome into a connection's
+    /// ledger: the outcome counter, the per-session contract, and — for
+    /// a session that ran — its retries and model cost.
     pub(crate) fn record(&mut self, done: &Completion) {
         match done.class {
             CompletionClass::Completed { ok } => {
@@ -217,7 +271,11 @@ impl ServeSummary {
             }
         }
         self.transport_retries += done.retries;
-        self.cost.absorb(&done.cost);
+        self.llm_calls += done.cost.total_calls();
+        self.milli_cost += done.cost.total_milli_cost();
+        for (calls, t) in self.backend_calls.iter_mut().zip(Tier::ALL) {
+            *calls += done.cost.calls_for(t.name());
+        }
     }
 }
 
@@ -611,13 +669,18 @@ pub(crate) fn run_job(
     }
 }
 
+/// The registry name of a tier's call counter.
+fn backend_calls_name(t: Tier) -> String {
+    format!("backend_calls_{}", t.metric_suffix())
+}
+
 /// The service's telemetry registry handles: one counter per ledger
-/// field, the queue-depth high-water gauge, the per-stage latency
-/// histograms, and a whole-session one. Counter names mirror the
-/// [`ServeSummary`] fields so the `{"event":"metrics"}` snapshot can be
-/// reconciled against the drain line by name.
+/// field, the queue gauges, the per-stage latency histograms, and a
+/// whole-session one. The registry is the daemon's only copy of each
+/// count; [`ServeSummary::from_snapshot`] reads it back by name.
 pub(crate) struct MetricIds {
     pub(crate) batches: CounterId,
+    pub(crate) failures: CounterId,
     pub(crate) submitted: CounterId,
     pub(crate) completed: CounterId,
     pub(crate) shed_queue_full: CounterId,
@@ -632,10 +695,6 @@ pub(crate) struct MetricIds {
     /// [`Tier::ALL`]; together with the unit prices they let any
     /// snapshot recompute the cost-conservation identity.
     pub(crate) backend_calls: [CounterId; Tier::ALL.len()],
-    /// Per-tier milli-cost counters (`backend_milli_cost_<tier>`), the
-    /// priced side of the same identity, exposed so a scrape can chart
-    /// spend per tier without knowing the unit prices.
-    pub(crate) backend_milli_cost: [CounterId; Tier::ALL.len()],
     pub(crate) queue_depth_hwm: GaugeId,
     /// Instantaneous queue depth (zero between stdin lines, which the
     /// stdin front-end admits one batch at a time).
@@ -660,6 +719,7 @@ impl MetricIds {
     pub(crate) fn register(reg: &mut Registry) -> MetricIds {
         MetricIds {
             batches: reg.counter("batches"),
+            failures: reg.counter("failures"),
             submitted: reg.counter("submitted"),
             completed: reg.counter("completed"),
             shed_queue_full: reg.counter("shed_queue_full"),
@@ -670,10 +730,7 @@ impl MetricIds {
             transport_retries: reg.counter("transport_retries"),
             llm_calls: reg.counter("llm_calls"),
             milli_cost: reg.counter("milli_cost"),
-            backend_calls: Tier::ALL
-                .map(|t| reg.counter(&format!("backend_calls_{}", t.metric_suffix()))),
-            backend_milli_cost: Tier::ALL
-                .map(|t| reg.counter(&format!("backend_milli_cost_{}", t.metric_suffix()))),
+            backend_calls: Tier::ALL.map(|t| reg.counter(&backend_calls_name(t))),
             queue_depth_hwm: reg.gauge("queue_depth_hwm"),
             queue_depth: reg.gauge("queue_depth"),
             in_flight_sessions: reg.gauge("in_flight_sessions"),
@@ -690,21 +747,24 @@ impl MetricIds {
     }
 
     /// Folds one dequeued job's typed outcome into the registry (shard
-    /// `shard`, tenant `client`): the registry-side twin of
-    /// [`ServeSummary::record`].
+    /// `shard`, tenant `client`), counting what
+    /// [`ServeSummary::record`] counts for a connection.
     pub(crate) fn record(&self, reg: &Registry, shard: usize, client: &str, done: &Completion) {
         match done.class {
-            CompletionClass::Completed { .. } => {
+            CompletionClass::Completed { ok } => {
                 reg.inc(shard, self.completed);
+                reg.add(shard, self.failures, u64::from(!ok));
                 reg.add_labeled(self.tenant_sessions, client, 1);
             }
             CompletionClass::DeadlineExceeded => {
                 reg.inc(shard, self.deadline_exceeded);
+                reg.inc(shard, self.failures);
                 reg.add_labeled(self.tenant_sessions, client, 1);
                 reg.add_labeled(self.tenant_deadline_exceeded, client, 1);
             }
             CompletionClass::Panicked => {
                 reg.inc(shard, self.quarantined);
+                reg.inc(shard, self.failures);
                 reg.add_labeled(self.tenant_sessions, client, 1);
             }
             CompletionClass::Shed => {
@@ -716,24 +776,11 @@ impl MetricIds {
         reg.add(shard, self.transport_retries, done.retries as u64);
         reg.observe_ns(shard, self.session, (done.wall_ms * 1e6) as u64);
         self.stages.observe(reg, shard, &done.trace);
-        self.fold_cost(reg, shard, &done.cost, client);
-    }
-
-    /// Folds one *ran* completion's cost ledger into the global and
-    /// per-tenant cost counters (shard `shard`).
-    fn fold_cost(&self, reg: &Registry, shard: usize, cost: &CostLedger, client: &str) {
+        let cost = &done.cost;
         reg.add(shard, self.llm_calls, cost.total_calls());
         reg.add(shard, self.milli_cost, cost.total_milli_cost());
-        for (i, t) in Tier::ALL.iter().enumerate() {
-            let calls = cost.calls_for(t.name());
-            if calls > 0 {
-                reg.add(shard, self.backend_calls[i], calls);
-                reg.add(
-                    shard,
-                    self.backend_milli_cost[i],
-                    calls * t.unit_milli_cost(),
-                );
-            }
+        for (id, t) in self.backend_calls.iter().zip(Tier::ALL) {
+            reg.add(shard, *id, cost.calls_for(t.name()));
         }
         reg.add_labeled(self.tenant_llm_calls, client, cost.total_calls());
         reg.add_labeled(self.tenant_milli_cost, client, cost.total_milli_cost());
@@ -741,31 +788,13 @@ impl MetricIds {
 }
 
 /// The two conservation identities, recomputed from a registry
-/// snapshot alone: `(accounted, cost_accounted)`.
-///
-/// `accounted` is the extended conservation law: a snapshot can land
+/// snapshot alone: `(accounted, cost_accounted)`. A snapshot can land
 /// mid-flight, so jobs sitting in the queue or on a worker count as
-/// their own states (both gauges are zero between stdin lines, where
-/// this reduces to the drain identity). `cost_accounted` holds when the
-/// total milli-cost equals the per-tier call counters priced at the
-/// tiers' unit costs.
+/// `pending` (zero between stdin lines, where this is the drain
+/// identity).
 pub(crate) fn identities(snap: &Snapshot) -> (bool, bool) {
-    let accounted = snap.counter("submitted")
-        == snap.counter("completed")
-            + snap.counter("shed_queue_full")
-            + snap.counter("shed_over_deadline")
-            + snap.counter("deadline_exceeded")
-            + snap.counter("quarantined")
-            + snap.gauge("queue_depth")
-            + snap.gauge("in_flight_sessions");
-    let cost_accounted = snap.counter("milli_cost")
-        == Tier::ALL
-            .iter()
-            .map(|t| {
-                snap.counter(&format!("backend_calls_{}", t.metric_suffix())) * t.unit_milli_cost()
-            })
-            .sum::<u64>();
-    (accounted, cost_accounted)
+    let ledger = ServeSummary::from_snapshot(snap);
+    (ledger.accounted(), ledger.cost_accounted())
 }
 
 /// Renders one `{"event":"metrics"}` line: the accounting counters,
@@ -1277,6 +1306,7 @@ mod tests {
         .expect("serve io");
         assert_eq!(summary.deadline_exceeded, 3);
         assert_eq!(summary.completed, 0);
+        assert_eq!(summary.failures, 3, "{summary:?}");
         assert!(summary.accounted(), "{summary:?}");
         let text = String::from_utf8(out).unwrap();
         assert_eq!(
@@ -1380,6 +1410,33 @@ mod tests {
                     .is_some(),
                 "{text}"
             );
+            // The drain line is a view of the same registry: every
+            // ledger field agrees by name with the drain-time snapshot.
+            let drain_line = json::parse(text.lines().last().unwrap()).unwrap();
+            assert_eq!(
+                drain_line.get("event").and_then(Json::as_str),
+                Some("drain")
+            );
+            for name in [
+                "batches",
+                "failures",
+                "protocol_errors",
+                "submitted",
+                "completed",
+                "shed_queue_full",
+                "shed_over_deadline",
+                "deadline_exceeded",
+                "quarantined",
+                "transport_retries",
+                "llm_calls",
+                "milli_cost",
+            ] {
+                assert_eq!(
+                    Some(counter(drain, name)),
+                    drain_line.get(name).and_then(Json::as_u32).map(u64::from),
+                    "{name}: {text}"
+                );
+            }
         }
     }
 

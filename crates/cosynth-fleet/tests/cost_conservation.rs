@@ -21,32 +21,31 @@ fn chaos_fleet_cost_is_conserved_across_seeds() {
         .unwrap_or_else(|e| panic!("seed {seed}: chaos I/O error {e}"));
         let s = &report.summary;
         assert!(s.accounted(), "seed {seed}: outcome identity failed: {s:?}");
-        // The ledger's own invariant: total = Σ records' calls × unit.
+        // The ledger's own invariant: total = Σ tiers' calls × unit.
         assert!(
-            s.cost.conserved(),
-            "seed {seed}: cost ledger not conserved: {:?}",
-            s.cost
+            s.cost_accounted(),
+            "seed {seed}: cost ledger not conserved: {s:?}"
         );
         // Recomputed independently over the known tier price sheet, the
         // way the fleetd metrics snapshot does it: no record may carry
         // an unknown backend or a wrong unit price.
         let repriced: u64 = Tier::ALL
             .iter()
-            .map(|t| s.cost.calls_for(t.name()) * t.unit_milli_cost())
+            .enumerate()
+            .map(|(i, t)| s.backend_calls[i] * t.unit_milli_cost())
             .sum();
         assert_eq!(
-            s.cost.total_milli_cost(),
-            repriced,
+            s.milli_cost, repriced,
             "seed {seed}: ledger total disagrees with the tier price sheet"
         );
         // Chaos completes at least one session at these scales, and a
         // completed session always billed at least one call.
         assert!(s.completed > 0, "seed {seed}: nothing completed: {s:?}");
         assert!(
-            s.cost.total_calls() >= s.completed as u64,
+            s.llm_calls >= s.completed as u64,
             "seed {seed}: {} completed sessions but only {} billed calls",
             s.completed,
-            s.cost.total_calls()
+            s.llm_calls
         );
     }
 }
@@ -61,10 +60,7 @@ fn chaos_cost_counters_replay_deterministically_per_seed() {
             queue_depth: 8,
         })
         .unwrap();
-        (
-            r.summary.cost.total_calls(),
-            r.summary.cost.total_milli_cost(),
-        )
+        (r.summary.llm_calls, r.summary.milli_cost)
     };
     assert_eq!(
         run(5),

@@ -104,7 +104,7 @@ fn pooled_and_fresh_repair_fleets_are_byte_identical() {
             "pooled run never recycled: {:?}",
             pooled.pool
         );
-        assert_eq!(pooled.pool.confirm_mismatches, 0, "{:?}", pooled.pool);
+        assert_eq!(pooled.pool.memo.confirm_mismatches, 0, "{:?}", pooled.pool);
         for (a, b) in fresh.iter().zip(&pooled.results) {
             assert_eq!(a.index, b.index);
             assert_eq!(a.scenario, b.scenario, "session {}", a.index);

@@ -309,7 +309,7 @@ fn metrics_scrapes_hold_the_identities_under_chaos() {
         .any(|v| event(v, "shutdown")));
     let summary = daemon.handle.join().unwrap().expect("daemon I/O ok");
     assert!(summary.accounted(), "{summary:?}");
-    assert!(summary.cost.conserved(), "{summary:?}");
+    assert!(summary.cost_accounted(), "{summary:?}");
     assert_eq!(
         summary_scrape,
         (
@@ -323,6 +323,60 @@ fn metrics_scrapes_hold_the_identities_under_chaos() {
     assert!(summary.protocol_errors >= 1, "the bad line was counted");
     // The chaos plan sheds the oversized batch at the 8-deep queue.
     assert!(summary.shed_queue_full >= 4, "{summary:?}");
+}
+
+#[test]
+fn an_over_long_request_line_is_rejected_once_and_the_connection_carries_on() {
+    let daemon = start_daemon(
+        ServeOptions {
+            threads: 2,
+            ..Default::default()
+        },
+        false,
+    );
+    // 1 MiB with no newline, then a valid batch on the same connection.
+    let stream = TcpStream::connect(daemon.addr).expect("connect");
+    let mut out = stream.try_clone().unwrap();
+    out.write_all(&vec![b'x'; 1 << 20]).unwrap();
+    writeln!(out).unwrap();
+    writeln!(out, "{{\"count\":2,\"tag\":\"after\"}}").unwrap();
+    out.flush().unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let lines: Vec<Json> = BufReader::new(stream)
+        .lines()
+        .map(|l| json::parse(&l.expect("read line")).expect("response line is JSON"))
+        .collect();
+
+    let rejects: Vec<&Json> = lines.iter().filter(|v| event(v, "reject")).collect();
+    assert_eq!(rejects.len(), 1, "{lines:?}");
+    assert_eq!(
+        rejects[0].get("code"),
+        Some(&Json::Str("line_too_long".into())),
+        "{lines:?}"
+    );
+    let results = lines
+        .iter()
+        .filter(|v| matches!(v.get("outcome"), Some(Json::Str(_))))
+        .count();
+    assert_eq!(results, 2, "{lines:?}");
+    let batch = lines
+        .iter()
+        .find(|v| event(v, "batch"))
+        .expect("batch line");
+    assert_eq!(num(batch, "completed"), 2);
+    assert_eq!(batch.get("tag"), Some(&Json::Str("after".into())));
+    let drain = lines
+        .iter()
+        .find(|v| event(v, "drain"))
+        .expect("drain line");
+    assert_eq!(num(drain, "protocol_errors"), 1, "{drain:?}");
+    assert_eq!(num(drain, "submitted"), 2, "{drain:?}");
+    assert_eq!(drain.get("accounted"), Some(&Json::Bool(true)), "{drain:?}");
+
+    transact(daemon.addr, &["{\"shutdown\":true}"]);
+    let summary = daemon.handle.join().unwrap().expect("daemon I/O ok");
+    assert_eq!(summary.protocol_errors, 1, "{summary:?}");
+    assert!(summary.accounted(), "{summary:?}");
 }
 
 #[test]

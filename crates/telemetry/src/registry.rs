@@ -215,6 +215,11 @@ impl Registry {
             .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(n)));
     }
 
+    /// A gauge's current value.
+    pub fn gauge_value(&self, id: GaugeId) -> u64 {
+        self.gauges[id.0].cell.load(Relaxed)
+    }
+
     /// Records one observation of `ns` nanoseconds on the caller's
     /// shard.
     pub fn observe_ns(&self, shard: usize, id: HistId, ns: u64) {
@@ -542,8 +547,10 @@ mod tests {
         reg.gauge_max(g, 9);
         reg.gauge_max(g, 5);
         assert_eq!(reg.snapshot().gauge("queue_depth_hwm"), 9);
+        assert_eq!(reg.gauge_value(g), 9);
         reg.gauge_set(g, 1);
         assert_eq!(reg.snapshot().gauge("queue_depth_hwm"), 1);
+        assert_eq!(reg.gauge_value(g), 1);
     }
 
     #[test]
